@@ -18,8 +18,8 @@ from .tensor import (
     DimensionError,
     Tensor,
     conv1d,
+    glorot,
     matmul,
-    parameter,
     scale,
     softmax_axis,
     transpose,
@@ -57,10 +57,12 @@ class CnnAttentionHead:
     kernel_k: Tensor
     kernel_v: Tensor
     kernel_size: int
-    stride: int = 1
 
-    def parameters(self) -> list[Tensor]:
-        return [self.kernel_q, self.kernel_k, self.kernel_v]
+    def parameters(self) -> list[tuple[str, Tensor]]:
+        return [("kq", self.kernel_q), ("kk", self.kernel_k), ("kv", self.kernel_v)]
+
+    def __call__(self, inp: Tensor) -> Tensor:
+        return cnn_attention(inp, self)
 
 
 @dataclass
@@ -71,27 +73,25 @@ class MatrixAttentionHead:
     w_k: Tensor
     w_v: Tensor
 
-    def parameters(self) -> list[Tensor]:
-        return [self.w_q, self.w_k, self.w_v]
+    def parameters(self) -> list[tuple[str, Tensor]]:
+        return [("wq", self.w_q), ("wk", self.w_k), ("wv", self.w_v)]
 
-
-def _uniform_init(rng: np.random.Generator, shape: tuple[int, int], fan_in: int, fan_out: int) -> Tensor:
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return parameter(rng.uniform(-bound, bound, size=shape))
+    def __call__(self, inp: Tensor) -> Tensor:
+        return matrix_attention(inp, self)
 
 
 def new_cnn_head(kernel_size: int, rng: np.random.Generator) -> CnnAttentionHead:
-    kq, kk, kv = (_uniform_init(rng, (1, kernel_size), kernel_size, 1) for _ in range(3))
+    kq, kk, kv = (glorot(rng, 1, kernel_size) for _ in range(3))
     return CnnAttentionHead(kq, kk, kv, kernel_size)
 
 
 def new_matrix_head(feature_dim: int, rng: np.random.Generator) -> MatrixAttentionHead:
-    wq, wk, wv = (_uniform_init(rng, (feature_dim, feature_dim), feature_dim, feature_dim) for _ in range(3))
+    wq, wk, wv = (glorot(rng, feature_dim, feature_dim) for _ in range(3))
     return MatrixAttentionHead(wq, wk, wv)
 
 
 def head_parameter_count(head) -> int:
-    return sum(p.data.size for p in head.parameters())
+    return sum(p.data.size for _, p in head.parameters())
 
 
 def cnn_qkv(inp: Tensor, head: CnnAttentionHead) -> tuple[Tensor, Tensor, Tensor]:
@@ -103,9 +103,9 @@ def cnn_qkv(inp: Tensor, head: CnnAttentionHead) -> tuple[Tensor, Tensor, Tensor
     """
     tokens_rows = transpose(inp)
     pad = same_padding(head.kernel_size)
-    q = transpose(conv1d(tokens_rows, head.kernel_q, head.stride, pad))
-    k = transpose(conv1d(tokens_rows, head.kernel_k, head.stride, pad))
-    v = transpose(conv1d(tokens_rows, head.kernel_v, head.stride, pad))
+    q = transpose(conv1d(tokens_rows, head.kernel_q, padding=pad))
+    k = transpose(conv1d(tokens_rows, head.kernel_k, padding=pad))
+    v = transpose(conv1d(tokens_rows, head.kernel_v, padding=pad))
     return q, k, v
 
 
@@ -140,9 +140,3 @@ def matrix_attention(inp: Tensor, head: MatrixAttentionHead) -> Tensor:
     v = matmul(head.w_v, inp)
     return attend(v, attention_map(q, k))
 
-
-def run_head(inp: Tensor, head) -> Tensor:
-    """Dispatch on head type; both variants return features' x tokens."""
-    if isinstance(head, CnnAttentionHead):
-        return cnn_attention(inp, head)
-    return matrix_attention(inp, head)

@@ -8,14 +8,15 @@ variant of the staged model is built by the shared factory below.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .conditions import ConditionLabel, N_CONDITIONS, by_code
-from .model import McdcModel, ModelHyper, N_CHANNELS
-from .tensor import DimensionError, Tensor, add, matmul, parameter, reshape, sigmoid, softmax_axis, tensor, transpose
+from .conditions import N_CONDITIONS
+from .model import Classifier, McdcModel, ModelHyper, N_CHANNELS
+from .tensor import (
+    DimensionError, Tensor, add, glorot, matmul, parameter, reshape, sigmoid, softmax_axis, tensor, transpose,
+)
 
 __all__ = ["AnnHyper", "AnnModel", "make_model"]
 
@@ -32,7 +33,7 @@ class AnnHyper:
         return asdict(self)
 
 
-class AnnModel:
+class AnnModel(Classifier):
     """Three weight layers; sigmoid after the two hidden pre-activations,
     softmax over the output layer."""
 
@@ -49,8 +50,7 @@ class AnnModel:
         self._weights = []
         self._biases = []
         for rows, cols in sizes:
-            bound = math.sqrt(6.0 / (rows + cols))
-            self._weights.append(parameter(rng.uniform(-bound, bound, size=(rows, cols))))
+            self._weights.append(glorot(rng, rows, cols))
             self._biases.append(parameter(np.zeros((rows, 1))))
 
     def parameters(self) -> list[tuple[str, Tensor]]:
@@ -59,16 +59,6 @@ class AnnModel:
             out.append((f"ann_w{i}", w))
             out.append((f"ann_b{i}", b))
         return out
-
-    def parameter_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.parameters()}
-
-    def load_parameter_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, p in self.parameters():
-            src = np.asarray(arrays[name], dtype=np.float64)
-            if src.shape != p.data.shape:
-                raise DimensionError(f"parameter {name}: stored {src.shape} != expected {p.data.shape}")
-            p.data[...] = src
 
     def _input_column(self, window: np.ndarray) -> Tensor:
         if window.shape != (N_CHANNELS, self.hyper.temporal_len):
@@ -85,12 +75,6 @@ class AnnModel:
         h2 = sigmoid(add(matmul(self._weights[1], h1), self._biases[1]))
         logits = add(matmul(self._weights[2], h2), self._biases[2])
         return transpose(softmax_axis(logits, "col"))
-
-    def predict_proba(self, window) -> np.ndarray:
-        return self.forward(window).data.ravel().copy()
-
-    def predict(self, window) -> ConditionLabel:
-        return by_code(int(np.argmax(self.predict_proba(window))))
 
 
 def make_model(kind: str, temporal_len: int, seed: int, **overrides):

@@ -52,10 +52,15 @@ def load_checkpoint(path):
         model = AnnModel(AnnHyper(**hyper), seed)
     else:
         raise CheckpointError(f"{path}: unknown model kind {kind!r}")
-    params = {name: np.asarray(values, dtype=np.float64) for name, values in payload["params"].items()}
-    missing = {name for name, _ in model.parameters()} - set(params)
-    if missing:
-        raise CheckpointError(f"{path}: missing parameters {sorted(missing)}")
-    model.load_parameter_arrays(params)
+    try:
+        model.load_parameter_arrays(payload["params"])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     stats = NormStats.from_dict(payload["norm_stats"]) if payload.get("norm_stats") else None
+    if stats is not None:
+        for name, values in (("mean", stats.mean), ("std", stats.std)):
+            if not np.all(np.isfinite(values)):
+                raise CheckpointError(f"{path}: norm_stats {name}: non-finite values {values.tolist()}")
+        if np.any(stats.std <= 0):
+            raise CheckpointError(f"{path}: norm_stats std: values must be > 0, got {stats.std.tolist()}")
     return model, stats

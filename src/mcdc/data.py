@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ __all__ = [
     "GasSeries",
     "NormStats",
     "SplitPlan",
+    "fold0_sets",
     "interpolate_gaps",
     "kfold",
     "load_series",
@@ -38,6 +40,7 @@ logger = logging.getLogger(__name__)
 GAS_COLUMNS = ("h2", "ch4", "c2h6", "c2h4", "c2h2")
 CSV_HEADER = ("transformer_id", "voltage_kv", "condition", "day") + GAS_COLUMNS
 VOLTAGE_LEVELS = (35, 110, 220, 500)
+FACILITY_RETRIES = 1000  # shuffles a facility split tries before giving up
 
 
 class DatasetError(ValueError):
@@ -64,6 +67,8 @@ class GasSeries:
             )
         if self.days.size > 1 and np.any(np.diff(self.days) <= 0):
             raise DatasetError(f"{self.transformer_id}: days not strictly increasing")
+        if not np.isfinite(self.readings).all():
+            raise DatasetError(f"{self.transformer_id}: non-finite concentration")
         if np.any(self.readings < 0):
             raise DatasetError(f"{self.transformer_id}: negative concentration")
 
@@ -113,8 +118,9 @@ def load_series(path) -> list[GasSeries]:
             if voltage not in VOLTAGE_LEVELS:
                 raise DatasetError(f"{path}: line {lineno}: voltage {voltage} not in {VOLTAGE_LEVELS}")
             for name, value in zip(GAS_COLUMNS, gases):
-                if value < 0:
-                    raise DatasetError(f"{path}: line {lineno}: negative {name} concentration {value}")
+                if not 0.0 <= value < math.inf:
+                    kind = "negative" if math.isfinite(value) else "non-finite"
+                    raise DatasetError(f"{path}: line {lineno}: {kind} {name} concentration {value}")
             entry = rows.setdefault(tid, {"voltage": voltage, "condition": condition, "days": {}})
             if entry["voltage"] != voltage:
                 raise DatasetError(f"{path}: line {lineno}: conflicting voltage for transformer {tid}")
@@ -165,7 +171,7 @@ def interpolate_gaps(series: GasSeries) -> GasSeries:
     return GasSeries(series.transformer_id, series.voltage_kv, series.condition, full_days, readings)
 
 
-def overlapping_sample(series: GasSeries, window_len: int, stride: int = 1) -> list[CdgdWindow]:
+def overlapping_sample(series: GasSeries, window_len: int) -> list[CdgdWindow]:
     """Cut stride-1 overlapping windows from a contiguous series.
 
     A series shorter than the window yields no samples (logged, not an error).
@@ -188,7 +194,7 @@ def overlapping_sample(series: GasSeries, window_len: int, stride: int = 1) -> l
             series.readings[:, start:start + window_len].copy(),
             series.condition,
         )
-        for start in range(0, length - window_len + 1, stride)
+        for start in range(length - window_len + 1)
     ]
 
 
@@ -223,6 +229,15 @@ def normalize(train_windows: list[CdgdWindow], all_windows: list[CdgdWindow]) ->
         CdgdWindow(w.transformer_id, w.start_day, stats.apply(w.values), w.label) for w in all_windows
     ]
     return normalized, stats
+
+
+def fold0_sets(windows: list[CdgdWindow], plan: SplitPlan) -> tuple[list, list, list]:
+    """(train, val, test) windows of fold 0, z-scored with the statistics of
+    the plan's whole training side; fold 0 is held out of train as val."""
+    normalized, _ = normalize([windows[i] for i in plan.train_indices], windows)
+    val_set = set(plan.folds[0])
+    train = [normalized[i] for i in plan.train_indices if i not in val_set]
+    return train, [normalized[i] for i in plan.folds[0]], [normalized[i] for i in plan.test_indices]
 
 
 @dataclass
@@ -265,13 +280,12 @@ def split(
     train_fraction: float = 0.8,
     seed: int = 0,
     k: int = 4,
-    max_retries: int = 1000,
 ) -> SplitPlan:
     """Deterministic train/test split, sample-wise or facility-wise.
 
     Facility mode keeps every transformer's windows on one side and requires
     each condition present in the dataset to appear on both sides, retrying
-    the shuffle up to `max_retries` times before failing.
+    the shuffle up to FACILITY_RETRIES times before failing.
     """
     if not windows:
         raise DatasetError("cannot split an empty window list")
@@ -289,7 +303,7 @@ def split(
         n_train = int(len(ids) * train_fraction)
         train_c: set[int] = set()
         test_c: set[int] = set()
-        for _ in range(max_retries):
+        for _ in range(FACILITY_RETRIES):
             order = rng.permutation(len(ids))
             train_t = sorted(ids[i] for i in order[:n_train])
             test_t = sorted(ids[i] for i in order[n_train:])
@@ -301,7 +315,7 @@ def split(
             missing = sorted((conditions - train_c) | (conditions - test_c))
             raise DatasetError(
                 f"facility split cannot cover all conditions on both sides after "
-                f"{max_retries} shuffles; last missing condition codes: {missing}"
+                f"{FACILITY_RETRIES} shuffles; last missing condition codes: {missing}"
             )
         train_set = set(train_t)
         train_idx = [i for i, w in enumerate(windows) if w.transformer_id in train_set]

@@ -13,7 +13,7 @@ from itertools import combinations
 import numpy as np
 
 from .conditions import N_CONDITIONS
-from .data import normalize, split
+from .data import fold0_sets, split
 
 __all__ = [
     "ComparisonResult",
@@ -304,12 +304,7 @@ def compare(
     for rep in range(repetitions):
         seed = base_seed + rep
         plan = split(windows, mode, train_fraction, seed=seed, k=k)
-        train_all = [windows[i] for i in plan.train_indices]
-        normalized, _ = normalize(train_all, windows)
-        val_set = set(plan.folds[0])
-        fit_train = [normalized[i] for i in plan.train_indices if i not in val_set]
-        fit_val = [normalized[i] for i in plan.folds[0]]
-        test = [normalized[i] for i in plan.test_indices]
+        fit_train, fit_val, test = fold0_sets(windows, plan)
         for name, fitter in fitters.items():
             model = fitter(fit_train, fit_val, seed)
             per_model[name].append(evaluate_model(model, test))

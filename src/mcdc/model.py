@@ -6,7 +6,6 @@ stage passes its input through unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -19,6 +18,7 @@ from .tensor import (
     add,
     concat_cols,
     concat_rows,
+    glorot,
     matmul,
     parameter,
     reshape,
@@ -28,7 +28,7 @@ from .tensor import (
     transpose,
 )
 
-__all__ = ["ModelHyper", "McdcModel", "positional_encoding"]
+__all__ = ["Classifier", "ModelHyper", "McdcModel", "positional_encoding"]
 
 N_CHANNELS = 5
 
@@ -60,12 +60,38 @@ def positional_encoding(d_channel: int, length: int) -> np.ndarray:
     return pe
 
 
-def _uniform(rng: np.random.Generator, shape: tuple[int, int], fan_in: int, fan_out: int) -> Tensor:
-    bound = math.sqrt(6.0 / (fan_in + fan_out))
-    return parameter(rng.uniform(-bound, bound, size=shape))
+class Classifier:
+    """Parameter storage and prediction shared by every model kind. Subclasses
+    define parameters() -> [(name, Tensor)] and forward(window) -> 1 x n_classes."""
+
+    def parameter_arrays(self) -> dict[str, np.ndarray]:
+        return {name: p.data.copy() for name, p in self.parameters()}
+
+    def load_parameter_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Overwrite every parameter in place from exactly this model's names, all finite."""
+        params = self.parameters()
+        expected = {name for name, _ in params}
+        unknown = sorted(set(arrays) - expected)
+        missing = sorted(expected - set(arrays))
+        if unknown or missing:
+            raise ValueError(f"parameter names differ: unknown {unknown}, missing {missing}")
+        for name, p in params:
+            src = np.asarray(arrays[name], dtype=np.float64)
+            if src.shape != p.data.shape:
+                raise DimensionError(f"parameter {name}: stored {src.shape} != expected {p.data.shape}")
+            if not np.isfinite(src).all():
+                raise ValueError(f"parameter {name}: non-finite values")
+            p.data[...] = src
+
+    def predict_proba(self, x) -> np.ndarray:
+        return self.forward(x).data.ravel().copy()
+
+    def predict(self, x) -> ConditionLabel:
+        # np.argmax takes the first maximum, i.e. the lowest class code on ties
+        return by_code(int(np.argmax(self.predict_proba(x))))
 
 
-class McdcModel:
+class McdcModel(Classifier):
     """Holds all learnable parameters and runs the staged forward pass.
 
     Construction draws every parameter from one seeded generator in a fixed
@@ -82,14 +108,14 @@ class McdcModel:
         t_len = hyper.temporal_len
         # temporal route: tokens are time steps, features are the 5 channels
         self.temporal_heads = [self._new_head(rng, hyper.kernel_temporal, N_CHANNELS) for _ in range(h)]
-        self.mix_temporal = _uniform(rng, (N_CHANNELS, h * N_CHANNELS), h * N_CHANNELS, N_CHANNELS)
+        self.mix_temporal = glorot(rng, N_CHANNELS, h * N_CHANNELS)
         # channel route: tokens are the 5 channels, features are time steps
         self.channel_heads = [self._new_head(rng, hyper.kernel_channel, t_len) for _ in range(h)]
-        self.mix_channel = _uniform(rng, (h * t_len, t_len), h * t_len, t_len)
+        self.mix_channel = glorot(rng, h * t_len, t_len)
         flat = N_CHANNELS * t_len
-        self.ffn_w1 = _uniform(rng, (hyper.ffn_hidden, flat), flat, hyper.ffn_hidden)
+        self.ffn_w1 = glorot(rng, hyper.ffn_hidden, flat)
         self.ffn_b1 = parameter(np.zeros((hyper.ffn_hidden, 1)))
-        self.ffn_w2 = _uniform(rng, (hyper.n_classes, hyper.ffn_hidden), hyper.ffn_hidden, hyper.n_classes)
+        self.ffn_w2 = glorot(rng, hyper.n_classes, hyper.ffn_hidden)
         self.ffn_b2 = parameter(np.zeros((hyper.n_classes, 1)))
         self._pe = tensor(positional_encoding(N_CHANNELS, t_len))
 
@@ -103,28 +129,17 @@ class McdcModel:
         return "mcdc" if self.hyper.attention == "conv" else "mcdc-matrix"
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        suffixes = ("kq", "kk", "kv") if self.hyper.attention == "conv" else ("wq", "wk", "wv")
         out = []
         for i, head in enumerate(self.temporal_heads):
-            out.extend(zip((f"temporal_head_{i}_{s}" for s in suffixes), head.parameters()))
+            out.extend((f"temporal_head_{i}_{s}", p) for s, p in head.parameters())
         out.append(("temporal_mix", self.mix_temporal))
         for i, head in enumerate(self.channel_heads):
-            out.extend(zip((f"channel_head_{i}_{s}" for s in suffixes), head.parameters()))
+            out.extend((f"channel_head_{i}_{s}", p) for s, p in head.parameters())
         out.append(("channel_mix", self.mix_channel))
         out.extend(
             [("ffn_w1", self.ffn_w1), ("ffn_b1", self.ffn_b1), ("ffn_w2", self.ffn_w2), ("ffn_b2", self.ffn_b2)]
         )
         return out
-
-    def parameter_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.parameters()}
-
-    def load_parameter_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, p in self.parameters():
-            src = np.asarray(arrays[name], dtype=np.float64)
-            if src.shape != p.data.shape:
-                raise DimensionError(f"parameter {name}: stored {src.shape} != expected {p.data.shape}")
-            p.data[...] = src
 
     # stage operations
 
@@ -136,12 +151,12 @@ class McdcModel:
         return add(x, self._pe)
 
     def temporal_interaction(self, embedded: Tensor) -> Tensor:
-        outs = [attention.run_head(embedded, head) for head in self.temporal_heads]
+        outs = [head(embedded) for head in self.temporal_heads]
         return matmul(self.mix_temporal, concat_rows(outs))
 
     def channel_interaction(self, mixed: Tensor) -> Tensor:
         tokens_channels = transpose(mixed)
-        outs = [transpose(attention.run_head(tokens_channels, head)) for head in self.channel_heads]
+        outs = [transpose(head(tokens_channels)) for head in self.channel_heads]
         return matmul(concat_cols(outs), self.mix_channel)
 
     def project_logits(self, z: Tensor) -> Tensor:
@@ -152,34 +167,26 @@ class McdcModel:
     def project(self, z: Tensor) -> Tensor:
         return transpose(softmax_axis(self.project_logits(z), "col"))
 
-    def forward(self, x) -> Tensor:
-        """Probability row vector (1 x n_classes) for one 5 x T window."""
+    def _stages(self, x) -> dict[str, Tensor]:
         embedded = self.embed(x if isinstance(x, Tensor) else tensor(x))
         temporal = self.temporal_interaction(embedded)
         mixed = add(temporal, embedded)
         channel = self.channel_interaction(mixed)
-        return self.project(add(channel, temporal))
+        return {
+            "embedded": embedded,
+            "temporal": temporal,
+            "temporal_plus_embedded": mixed,
+            "channel": channel,
+            "channel_plus_temporal": add(channel, temporal),
+        }
 
-    def predict_proba(self, x) -> np.ndarray:
-        return self.forward(x).data.ravel().copy()
-
-    def predict(self, x) -> ConditionLabel:
-        # np.argmax takes the first maximum, i.e. the lowest class code on ties
-        return by_code(int(np.argmax(self.predict_proba(x))))
+    def forward(self, x) -> Tensor:
+        """Probability row vector (1 x n_classes) for one 5 x T window."""
+        return self.project(self._stages(x)["channel_plus_temporal"])
 
     def export_activations(self, x) -> dict[str, np.ndarray]:
         """Copies of every stage output, for external feature analysis."""
-        embedded = self.embed(tensor(x))
-        temporal = self.temporal_interaction(embedded)
-        mixed = add(temporal, embedded)
-        channel = self.channel_interaction(mixed)
-        final = add(channel, temporal)
-        logits = transpose(self.project_logits(final))
-        return {
-            "embedded": embedded.data.copy(),
-            "temporal": temporal.data.copy(),
-            "temporal_plus_embedded": mixed.data.copy(),
-            "channel": channel.data.copy(),
-            "channel_plus_temporal": final.data.copy(),
-            "logits": logits.data.copy(),
-        }
+        stages = self._stages(x)
+        out = {name: t.data.copy() for name, t in stages.items()}
+        out["logits"] = transpose(self.project_logits(stages["channel_plus_temporal"])).data.copy()
+        return out

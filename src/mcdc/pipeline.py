@@ -18,6 +18,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .conditions import N_CONDITIONS
 from .data import (
     SplitPlan,
+    fold0_sets,
     interpolate_gaps,
     load_series,
     normalize,
@@ -290,13 +291,10 @@ def _sweep_cell(args) -> tuple:
     windows = build_windows(build_series(config), config.temporal_len)
     train_cfg = config.train_config()
     plan = split(windows, config.split_mode, config.train_fraction, seed=config.seed, k=train_cfg.folds)
-    normalized, _ = normalize([windows[i] for i in plan.train_indices], windows)
-    val_set = set(plan.folds[0])
-    train_windows = [normalized[i] for i in plan.train_indices if i not in val_set]
-    val_windows = [normalized[i] for i in plan.folds[0]]
+    train_windows, val_windows, test_windows = fold0_sets(windows, plan)
     model = make_model(config.model, config.temporal_len, config.seed, **config.model_overrides(config.model))
     train_fold(model, train_windows, val_windows, train_cfg)
-    report = evaluate_model(model, [normalized[i] for i in plan.test_indices])
+    report = evaluate_model(model, test_windows)
     return (
         cell["kernel_temporal"],
         cell["kernel_channel"],

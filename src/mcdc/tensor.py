@@ -9,6 +9,9 @@ as plain numpy compute, which is the evaluation fast path.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 __all__ = [
@@ -23,6 +26,7 @@ __all__ = [
     "concat_rows",
     "conv1d",
     "cross_entropy",
+    "glorot",
     "grad_check",
     "matmul",
     "mul",
@@ -74,10 +78,6 @@ class Tape:
         return False
 
 
-def _active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 class Tensor:
     """A 2-D float64 matrix, optionally carrying a gradient accumulator."""
 
@@ -126,18 +126,27 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+def glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
+    """Glorot-uniform parameter: one draw of U(-b, b) with b = sqrt(6 / (rows + cols))."""
+    bound = math.sqrt(6.0 / (rows + cols))
+    return parameter(rng.uniform(-bound, bound, size=(rows, cols)))
+
+
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.requires_grad:
         t.grad = g.copy() if t.grad is None else t.grad + g
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    tape = _active_tape()
-    if tape is not None and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward_fn
-        tape.nodes.append(out)
+    """Put `out` on the active tape if any parent tracks gradients."""
+    if _TAPE_STACK:
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._backward = backward_fn
+                _TAPE_STACK[-1].nodes.append(out)
+                break
     return out
 
 
@@ -286,33 +295,57 @@ def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1, padding=0) -> Tensor
         raise GeometryError(
             f"signal length {length} with padding {padding} is shorter than kernel {k}"
         )
-    if left or right:
-        padded = np.zeros((n_rows, length + left + right))
-        padded[:, left:left + length] = signal.data
-    else:
-        padded = signal.data
-    out_len = (padded.shape[1] - k) // stride + 1
-    stop = stride * (out_len - 1) + 1
-    # Accumulate tap by tap so each output element sums its products in the
-    # same order as a naive loop (elementwise bit-exact against that oracle).
-    acc = np.zeros((n_rows, out_len))
-    for t in range(k):
-        acc += padded[:, t:t + stop:stride] * kern[t]
-    out = Tensor(acc)
+    taps, back_taps = _conv_taps(length, k, stride, left, right)
+    # extended[:, taps][r, j, t] is padded row r under output j's tap t
+    extended = _with_zero_column(signal.data)
+    out = Tensor(_tap_sum(extended[:, taps] * kern))
 
     def bw(g):
         if kernel.requires_grad:
-            dk = np.array([(g * padded[:, t:t + stop:stride]).sum() for t in range(k)])
+            # one contiguous row of g * tap-t window per tap, summed like a
+            # whole-array .sum() of that product
+            prods = np.ascontiguousarray((extended[:, taps] * g[:, :, None]).transpose(2, 0, 1))
+            dk = prods.reshape(k, -1).sum(axis=1)
             if _FAULT == "conv-kernel-grad":
                 dk = dk * 1.01 + 1e-3
             _accum(kernel, dk.reshape(kernel.shape))
         if signal.requires_grad:
-            dpad = np.zeros_like(padded)
-            for t in range(k):
-                dpad[:, t:t + stop:stride] += g * kern[t]
-            _accum(signal, dpad[:, left:left + length])
+            _accum(signal, _tap_sum(_with_zero_column(g)[:, back_taps] * kern))
 
     return _record(out, (signal, kernel), bw)
+
+
+@functools.lru_cache(maxsize=256)
+def _conv_taps(length: int, k: int, stride: int, left: int, right: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices for conv1d over a row extended by one zero column.
+
+    taps[j, t] is the signal column under tap t of output j; back_taps[p, t]
+    is the output column whose tap t covers signal column p. Positions that
+    fall in the padding, or that no output covers, point at the zero column.
+    """
+    out_len = (length + left + right - k) // stride + 1
+    tap = np.arange(k)
+    col = np.arange(out_len)[:, None] * stride + tap - left
+    taps = np.where((col >= 0) & (col < length), col, length)
+    out_col, rem = np.divmod(np.arange(length)[:, None] + left - tap, stride)
+    back_taps = np.where((rem == 0) & (out_col >= 0) & (out_col < out_len), out_col, out_len)
+    taps.setflags(write=False)
+    back_taps.setflags(write=False)
+    return taps, back_taps
+
+
+def _with_zero_column(a: np.ndarray) -> np.ndarray:
+    return np.concatenate((a, np.zeros((a.shape[0], 1))), axis=1)
+
+
+def _tap_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum the last axis in tap order, one running total per element.
+
+    That is the order of a naive tap loop started at zero, so the result is
+    elementwise bit-exact against it: terms from the zero column only add
+    signed zeros, and the final + 0.0 gives a zero total the loop's sign.
+    """
+    return np.add.accumulate(terms, axis=2)[:, :, -1] + 0.0
 
 
 def softmax_axis(x: Tensor, axis: str) -> Tensor:

@@ -14,7 +14,7 @@ import pytest
 from mcdc.attention import attention_map, cnn_qkv, head_parameter_count, new_cnn_head, new_matrix_head
 from mcdc.baselines import make_model
 from mcdc.cli import main
-from mcdc.data import interpolate_gaps, normalize, overlapping_sample, split
+from mcdc.data import fold0_sets, interpolate_gaps, normalize, overlapping_sample, split
 from mcdc.evaluation import compare, evaluate_model, roc_auc, wilcoxon_rank_sum
 from mcdc.model import McdcModel, ModelHyper
 from mcdc.pipeline import RunConfig, _fitter_for, build_series, build_windows
@@ -172,11 +172,7 @@ def test_criterion_05_synthetic_end_to_end():
         windows = build_windows(build_series(config), 12)
         assert len(windows) >= 1400, f"only {len(windows)} windows"
         plan = split(windows, "sample", 0.8, seed=42, k=4)
-        normalized, _ = normalize([windows[i] for i in plan.train_indices], windows)
-        val_set = set(plan.folds[0])
-        train_w = [normalized[i] for i in plan.train_indices if i not in val_set]
-        val_w = [normalized[i] for i in plan.folds[0]]
-        test_w = [normalized[i] for i in plan.test_indices]
+        train_w, val_w, test_w = fold0_sets(windows, plan)
         model = make_model("mcdc", 12, seed=42)  # kernels 5/6, H=4 defaults
         assert model.hyper.kernel_temporal == 5 and model.hyper.kernel_channel == 6 and model.hyper.heads == 4
         train_cfg = TrainConfig(seed=42, epochs=40, batch_size=200, patience=10)

@@ -1,5 +1,7 @@
 """ANN baseline and the matrix-attention variant as drop-in comparisons."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,32 @@ class TestCheckpointContainer:
         loaded, _ = load_checkpoint(path)
         assert isinstance(loaded, AnnModel)
         assert not isinstance(loaded, McdcModel)
+
+    @pytest.mark.parametrize("case", ["unknown-name", "missing-name", "nan-value", "zero-std"])
+    def test_corrupt_checkpoint_rejected(self, tmp_path, case):
+        import json
+
+        from mcdc.checkpoint import CheckpointError
+        from mcdc.data import NormStats
+
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, make_model("mcdc", temporal_len=8, seed=20), NormStats(np.zeros(5), np.ones(5)))
+        payload = json.loads(path.read_text())
+        if case == "unknown-name":
+            payload["params"]["bogus"] = [[0.0]]
+            match = r"unknown \['bogus'\]"
+        elif case == "missing-name":
+            del payload["params"]["ffn_b2"]
+            match = r"missing \['ffn_b2'\]"
+        elif case == "nan-value":
+            payload["params"]["ffn_b1"][0][0] = float("nan")
+            match = "parameter ffn_b1: non-finite"
+        else:
+            payload["norm_stats"]["std"][2] = 0.0
+            match = "norm_stats std"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: .*{match}"):
+            load_checkpoint(path)
 
     def test_unknown_version_rejected(self, tmp_path):
         import json

@@ -9,6 +9,7 @@ from mcdc.data import (
     CdgdWindow,
     DatasetError,
     GasSeries,
+    fold0_sets,
     interpolate_gaps,
     kfold,
     load_series,
@@ -60,6 +61,20 @@ class TestLoadSeries:
         path.write_text(csv_text(["t0,110,NC,1,1,-2,1,1,1"]))
         with pytest.raises(DatasetError, match="line 2.*negative ch4"):
             load_series(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_concentration_names_line(self, tmp_path, value):
+        path = tmp_path / "d.csv"
+        path.write_text(csv_text(["t0,110,NC,1,1,1,1,1,1", f"t0,110,NC,4,1,1,{value},1,1"]))
+        with pytest.raises(DatasetError, match="line 3.*non-finite c2h6"):
+            load_series(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_in_memory_non_finite_rejected(self, value):
+        readings = np.ones((5, 4))
+        readings[3, 2] = value
+        with pytest.raises(DatasetError, match="tx1: non-finite"):
+            make_series(days=range(4), readings=readings)
 
     def test_unknown_column_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -248,6 +263,28 @@ class TestSplit:
         a = split(windows, "facility", 0.8, seed=6)
         b = split(windows, "facility", 0.8, seed=6)
         assert a.to_json() == b.to_json()
+
+    def test_fold0_sets_partition_and_train_side_stats(self):
+        windows = self._windows(10, 10)
+        plan = split(windows, "sample", 0.8, seed=8)
+        train, val, test = fold0_sets(windows, plan)
+        keys = [{(w.transformer_id, w.start_day) for w in part} for part in (train, val, test)]
+        assert not (keys[0] & keys[1]) and not (keys[0] & keys[2]) and not (keys[1] & keys[2])
+        assert len(train) == len(plan.train_indices) - len(plan.folds[0])
+        assert len(val) == len(plan.folds[0])
+        assert len(test) == len(plan.test_indices)
+        # stats come from the whole training side (fit part plus fold 0) ...
+        stacked = np.concatenate([w.values for w in train + val], axis=1)
+        assert np.allclose(stacked.mean(axis=1), 0.0, atol=1e-9)
+        assert np.allclose(stacked.std(axis=1), 1.0, atol=1e-9)
+        # ... and never from the test side
+        shifted = list(windows)
+        for i in plan.test_indices:
+            w = windows[i]
+            shifted[i] = CdgdWindow(w.transformer_id, w.start_day, w.values * 100.0 + 7.0, w.label)
+        train_b, val_b, _ = fold0_sets(shifted, plan)
+        for a, b in zip(train + val, train_b + val_b):
+            assert np.array_equal(a.values, b.values)
 
     def test_plan_round_trips_json(self):
         plan = split(self._windows(10, 4), "sample", 0.8, seed=7)

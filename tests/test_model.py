@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from mcdc.baselines import make_model
 from mcdc.conditions import N_CONDITIONS
 from mcdc.model import McdcModel, ModelHyper, positional_encoding
-from mcdc.tensor import Tape, backward, cross_entropy, grad_check, tensor
+from mcdc.tensor import Tape, backward, cross_entropy, grad_check, softmax_axis, tensor
 
 TINY = ModelHyper(temporal_len=8, heads=2, kernel_temporal=3, kernel_channel=4, ffn_hidden=6)
 
@@ -229,6 +230,13 @@ class TestExportActivations:
         acts = model.export_activations(x)
         assert np.array_equal(acts["embedded"], model.embed(tensor(x)).data)
 
+    @pytest.mark.parametrize("variant", ["conv", "matrix"])
+    def test_softmax_of_logits_is_forward(self, variant):
+        model = McdcModel(ModelHyper(**{**TINY.to_dict(), "attention": variant}), seed=34)
+        x = np.random.default_rng(35).normal(size=(5, 8))
+        logits = model.export_activations(x)["logits"]
+        assert np.array_equal(softmax_axis(tensor(logits), "row").data, model.forward(x).data)
+
     def test_deterministic(self):
         model = McdcModel(TINY, seed=31)
         x = np.random.default_rng(32).normal(size=(5, 8))
@@ -239,9 +247,11 @@ class TestExportActivations:
 
 
 class TestParameterRoundTrip:
-    def test_arrays_round_trip_bit_exact(self):
-        src = McdcModel(TINY, seed=33)
-        dst = McdcModel(TINY, seed=99)
+    @pytest.mark.parametrize("kind", ["mcdc", "mcdc-matrix", "ann"])
+    def test_arrays_round_trip_bit_exact(self, kind):
+        src = make_model(kind, temporal_len=8, seed=33)
+        dst = make_model(kind, temporal_len=8, seed=99)
         dst.load_parameter_arrays(src.parameter_arrays())
-        for (_, a), (_, b) in zip(src.parameters(), dst.parameters()):
+        for (name_a, a), (name_b, b) in zip(src.parameters(), dst.parameters()):
+            assert name_a == name_b
             assert np.array_equal(a.data, b.data)

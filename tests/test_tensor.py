@@ -124,6 +124,41 @@ class TestConv1d:
         with pytest.raises(GeometryError):
             conv1d(tensor(np.ones((1, 2))), tensor(np.ones((1, 5))), stride=1, padding=1)
 
+    def test_gradients_bit_exact_against_tap_loops(self):
+        # dkernel[t] is the whole-array sum of g times tap t's window; dsignal
+        # adds g * kernel[t] tap by tap from zero. Zeros and signed zeros check
+        # that padding terms leave every bit, zero signs included, unchanged.
+        rng = np.random.default_rng(4)
+        for case in range(300):
+            length = int(rng.integers(1, 14))
+            k = int(rng.integers(1, 8))
+            stride = int(rng.integers(1, 4))
+            left, right = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+            if length + left + right < k:
+                continue
+            rows = int(rng.integers(1, 13))
+            sig = rng.normal(size=(rows, length))
+            kern = rng.normal(size=(1, k))
+            if case % 3 == 1:
+                sig[rng.random(sig.shape) < 0.5] = -0.0
+                kern[rng.random(kern.shape) < 0.3] = -0.0
+            s, kt = parameter(sig), parameter(kern)
+            with Tape() as tape:
+                out = conv1d(s, kt, stride=stride, padding=(left, right))
+                g = rng.normal(size=out.shape)
+                if case % 3 == 2:
+                    g[rng.random(g.shape) < 0.5] = 0.0
+                backward(tape, sum_all(mul(out, tensor(g))))
+            padded = np.zeros((rows, length + left + right))
+            padded[:, left:left + length] = sig
+            stop = stride * (out.shape[1] - 1) + 1
+            dk = np.array([(g * padded[:, t:t + stop:stride]).sum() for t in range(k)])
+            dpad = np.zeros_like(padded)
+            for t in range(k):
+                dpad[:, t:t + stop:stride] += g * kern[0, t]
+            assert kt.grad.tobytes() == dk.reshape(1, k).tobytes()
+            assert s.grad.tobytes() == dpad[:, left:left + length].tobytes()
+
 
 class TestSoftmax:
     def test_equal_scores(self):
