@@ -1,6 +1,7 @@
 """Attention over token columns, with conv-derived or matrix-projected Q/K/V.
 
-Inputs are oriented features-on-rows, tokens-on-columns. The conv variant
+Inputs are oriented features-on-rows, tokens-on-columns: one matrix, or a
+stack of them with one matrix per sample. The conv variant
 slides one short kernel per projection along each token's feature vector;
 the matrix variant left-multiplies by a square learned matrix. Both feed the
 same scaled dot-product map, so they are shape-compatible drop-ins for each
@@ -117,14 +118,14 @@ def attention_map(q: Tensor, k: Tensor) -> Tensor:
     """
     if q.shape != k.shape:
         raise DimensionError(f"query/key shapes differ: {q.shape} vs {k.shape}")
-    d = q.shape[0]
+    d = q.shape[-2]
     scores = scale(matmul(transpose(k), q), 1.0 / math.sqrt(d))
     return softmax_axis(scores, "col")
 
 
 def attend(v: Tensor, amap: Tensor) -> Tensor:
     """Weighted sum of value tokens: V @ map, one convex mix per column."""
-    if amap.shape[0] != amap.shape[1] or v.shape[1] != amap.shape[0]:
+    if amap.shape[-2] != amap.shape[-1] or v.shape[-1] != amap.shape[-2]:
         raise DimensionError(f"value/map shapes incompatible: {v.shape} vs {amap.shape}")
     return matmul(v, amap)
 

@@ -61,13 +61,14 @@ class AnnModel(Classifier):
         return out
 
     def _input_column(self, window: np.ndarray) -> Tensor:
-        if window.shape != (N_CHANNELS, self.hyper.temporal_len):
+        """The input column of one 5 x T window, or of each window of a stack."""
+        if window.ndim not in (2, 3) or window.shape[-2:] != (N_CHANNELS, self.hyper.temporal_len):
             raise DimensionError(
-                f"window shape {window.shape} != ({N_CHANNELS}, {self.hyper.temporal_len})"
+                f"window shape {window.shape} is not ({N_CHANNELS}, {self.hyper.temporal_len}) or a stack of those"
             )
         if self.hyper.input_mode == "last_day":
-            return tensor(window[:, -1].reshape(-1, 1))
-        return reshape(tensor(window), (window.size, 1))
+            return tensor(np.ascontiguousarray(window[..., -1:]))
+        return reshape(tensor(window), (N_CHANNELS * self.hyper.temporal_len, 1))
 
     def forward(self, window: np.ndarray) -> Tensor:
         x = self._input_column(np.asarray(window, dtype=np.float64))

@@ -6,6 +6,7 @@ exactly, so load(save(model)) reproduces parameters bit for bit.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -16,6 +17,7 @@ from .model import McdcModel, ModelHyper
 __all__ = ["CheckpointError", "load_checkpoint", "save_checkpoint"]
 
 FORMAT_VERSION = 1
+_KINDS = {"mcdc": (ModelHyper, McdcModel), "mcdc-matrix": (ModelHyper, McdcModel), "ann": (AnnHyper, AnnModel)}
 
 
 class CheckpointError(ValueError):
@@ -44,15 +46,18 @@ def load_checkpoint(path):
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     kind = payload.get("model_kind")
-    hyper = payload["hyper"]
-    seed = payload.get("seed", 0)
-    if kind in ("mcdc", "mcdc-matrix"):
-        model = McdcModel(ModelHyper(**hyper), seed)
-    elif kind == "ann":
-        model = AnnModel(AnnHyper(**hyper), seed)
-    else:
+    if kind not in _KINDS:
         raise CheckpointError(f"{path}: unknown model kind {kind!r}")
+    for block in ("hyper", "params"):
+        if not isinstance(payload.get(block), dict):
+            raise CheckpointError(f"{path}: missing {block} block")
+    hyper_cls, model_cls = _KINDS[kind]
+    hyper = payload["hyper"]
+    unknown = sorted(set(hyper) - {f.name for f in fields(hyper_cls)})
+    if unknown:
+        raise CheckpointError(f"{path}: unknown hyper keys {unknown}")
     try:
+        model = model_cls(hyper_cls(**hyper), payload.get("seed", 0))
         model.load_parameter_arrays(payload["params"])
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None

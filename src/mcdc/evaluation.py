@@ -14,6 +14,7 @@ import numpy as np
 
 from .conditions import N_CONDITIONS
 from .data import fold0_sets, split
+from .training import score_windows
 
 __all__ = [
     "ComparisonResult",
@@ -43,8 +44,7 @@ def confusion(true_labels, predicted_labels, n_classes: int = N_CONDITIONS) -> n
     ):
         raise ValueError(f"labels outside [0, {n_classes})")
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for t, p in zip(true_labels, predicted_labels):
-        cm[t, p] += 1
+    np.add.at(cm, (true_labels, predicted_labels), 1)
     return cm
 
 
@@ -181,9 +181,16 @@ def roc_csv(curves: list[dict], path) -> None:
 
 
 def evaluate_model(model, windows) -> EvalReport:
-    """Full report for one fitted model on labeled windows."""
+    """Full report for one fitted model on labeled windows.
+
+    `model.predict_proba` must take a stack (B, 5, T) of windows and return
+    (B, n_classes). It is called on stacks of at most
+    `training.SCORE_CHUNK` (64) windows, each stacked only when it is scored:
+    one stack of a whole 3,197-window set took 36 MB more peak memory, a
+    64-window stack about 1 MB.
+    """
     truths = np.array([w.label.code for w in windows])
-    probs = np.array([model.predict_proba(w.values) for w in windows])
+    probs = score_windows(model, windows)
     predictions = probs.argmax(axis=1)
     report = metrics(confusion(truths, predictions))
     roc = roc_auc(truths, probs)
@@ -294,7 +301,9 @@ def compare(
     """Train every named model on identical splits, once per repetition.
 
     Each fitter is called as fitter(train_windows, val_windows, seed) and
-    must return an object with predict_proba. Fold 0 of the split's k-fold
+    must return an object whose predict_proba maps a stack (B, 5, T) of
+    windows to (B, n_classes) probabilities; evaluate_model scores the test
+    side in stacks of at most 64 windows. Fold 0 of the split's k-fold
     assignment serves as the shared validation part. Reports per-model mean
     accuracy, the largest deviation of any repetition from that mean
     (max mean error), repetition-mean macro metrics, and pairwise rank-sum

@@ -62,7 +62,8 @@ def positional_encoding(d_channel: int, length: int) -> np.ndarray:
 
 class Classifier:
     """Parameter storage and prediction shared by every model kind. Subclasses
-    define parameters() -> [(name, Tensor)] and forward(window) -> 1 x n_classes."""
+    define parameters() -> [(name, Tensor)] and forward(x), which maps one
+    5 x T window to 1 x n_classes and a stack B x 5 x T to B x 1 x n_classes."""
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.parameters()}
@@ -84,11 +85,18 @@ class Classifier:
             p.data[...] = src
 
     def predict_proba(self, x) -> np.ndarray:
-        return self.forward(x).data.ravel().copy()
+        """(n_classes,) probabilities for one 5 x T window, (B, n_classes) for
+        a stack of B windows; row i of a stack equals window i scored alone."""
+        probs = self.forward(x).data
+        return probs.reshape(probs.shape[:-2] + (-1,)).copy()
 
     def predict(self, x) -> ConditionLabel:
+        """The condition of one 5 x T window; a stack is refused."""
+        probs = self.predict_proba(x)
+        if probs.ndim != 1:
+            raise DimensionError(f"predict takes one window, not a stack of {len(probs)}; use predict_proba")
         # np.argmax takes the first maximum, i.e. the lowest class code on ties
-        return by_code(int(np.argmax(self.predict_proba(x))))
+        return by_code(int(np.argmax(probs)))
 
 
 class McdcModel(Classifier):
@@ -144,9 +152,9 @@ class McdcModel(Classifier):
     # stage operations
 
     def embed(self, x: Tensor) -> Tensor:
-        if x.shape != (N_CHANNELS, self.hyper.temporal_len):
+        if x.data.ndim not in (2, 3) or x.shape[-2:] != (N_CHANNELS, self.hyper.temporal_len):
             raise DimensionError(
-                f"input shape {x.shape} != ({N_CHANNELS}, {self.hyper.temporal_len})"
+                f"input shape {x.shape} is not ({N_CHANNELS}, {self.hyper.temporal_len}) or a stack of those"
             )
         return add(x, self._pe)
 
@@ -181,7 +189,8 @@ class McdcModel(Classifier):
         }
 
     def forward(self, x) -> Tensor:
-        """Probability row vector (1 x n_classes) for one 5 x T window."""
+        """Probability row vector (1 x n_classes) for one 5 x T window, or a
+        stack of them (B x 1 x n_classes) for a stack of B windows."""
         return self.project(self._stages(x)["channel_plus_temporal"])
 
     def export_activations(self, x) -> dict[str, np.ndarray]:

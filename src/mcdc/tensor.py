@@ -1,8 +1,14 @@
-"""Dense 2-D float64 tensors with reverse-mode differentiation.
+"""Dense float64 tensors with reverse-mode differentiation.
 
-Every value in the model is a 2-D matrix (scalars are 1x1, vectors are 1xN
-or Nx1). Operations executed while a Tape is active record themselves onto
-it in creation order, which is automatically a topological order; backward()
+A value is a 2-D matrix (scalars are 1x1, vectors are 1xN or Nx1) or a stack
+of equal-shape matrices (..., rows, cols), one per sample of a batch. Every
+op works on the last two axes and treats the leading ones as the stack, so a
+batch of windows is one graph, not one graph per window. A 2-D operand of
+`add` or `matmul` is broadcast over the other operand's stack; its gradient
+is summed over the stack before it reaches the operand.
+
+Operations executed while a Tape is active record themselves onto it in
+creation order, which is automatically a topological order; backward()
 walks the tape once in reverse. With no active tape the same functions run
 as plain numpy compute, which is the evaluation fast path.
 """
@@ -79,7 +85,7 @@ class Tape:
 
 
 class Tensor:
-    """A 2-D float64 matrix, optionally carrying a gradient accumulator."""
+    """A float64 matrix or stack of matrices, optionally carrying a gradient accumulator."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -89,8 +95,6 @@ class Tensor:
             arr = arr.reshape(1, 1)
         elif arr.ndim == 1:
             arr = arr.reshape(1, -1)
-        elif arr.ndim != 2:
-            raise DimensionError(f"tensors are 2-D, got ndim={arr.ndim}")
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
@@ -98,7 +102,7 @@ class Tensor:
         self._backward = None
 
     @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
     def item(self) -> float:
@@ -134,7 +138,14 @@ def glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.requires_grad:
+        if g.ndim > t.data.ndim:  # t was broadcast over a stack
+            g = g.sum(axis=tuple(range(g.ndim - t.data.ndim)))
         t.grad = g.copy() if t.grad is None else t.grad + g
+
+
+def _stacks_differ(a: Tensor, b: Tensor) -> bool:
+    """True when both operands are stacks with different leading axes."""
+    return a.data.ndim > 2 and b.data.ndim > 2 and a.shape[:-2] != b.shape[:-2]
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -151,7 +162,7 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
+    if a.shape[-2:] != b.shape[-2:] or _stacks_differ(a, b):
         raise DimensionError(f"add shapes differ: {a.shape} vs {b.shape}")
     out = Tensor(a.data + b.data)
 
@@ -205,30 +216,32 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
+    if a.data.shape[-1] != b.data.shape[-2] or _stacks_differ(a, b):
         raise DimensionError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
     out = Tensor(a.data @ b.data)
 
     def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum(a, g @ b.data.swapaxes(-1, -2))
+        _accum(b, a.data.swapaxes(-1, -2) @ g)
 
     return _record(out, (a, b), bw)
 
 
 def transpose(a: Tensor) -> Tensor:
-    out = Tensor(a.data.T.copy())
+    """Swap the last two axes."""
+    out = Tensor(a.data.swapaxes(-1, -2).copy())
 
     def bw(g):
-        _accum(a, g.T)
+        _accum(a, g.swapaxes(-1, -2))
 
     return _record(out, (a,), bw)
 
 
 def reshape(a: Tensor, shape: tuple[int, int]) -> Tensor:
-    if a.data.size != shape[0] * shape[1]:
+    """Reshape each matrix of the stack to `shape`; leading axes stay."""
+    if a.shape[-2] * a.shape[-1] != shape[0] * shape[1]:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
-    out = Tensor(a.data.reshape(shape).copy())
+    out = Tensor(a.data.reshape(a.shape[:-2] + tuple(shape)).copy())
 
     def bw(g):
         _accum(a, g.reshape(a.shape))
@@ -236,34 +249,31 @@ def reshape(a: Tensor, shape: tuple[int, int]) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    cols = parts[0].shape[1]
+def _concat(parts: list[Tensor], axis: int, name: str) -> Tensor:
+    """Join on `axis` (-2 or -1); every other axis must agree."""
+    def off_axis(shape):
+        return shape[:-2] + shape[-1:] if axis == -2 else shape[:-1]
+
+    first = off_axis(parts[0].data.shape)
     for p in parts:
-        if p.shape[1] != cols:
-            raise DimensionError(f"concat_rows column counts differ: {cols} vs {p.shape[1]}")
-    out = Tensor(np.vstack([p.data for p in parts]))
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+        if off_axis(p.data.shape) != first:
+            raise DimensionError(f"{name} shapes differ off the joined axis: {parts[0].shape} vs {p.shape}")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
     def bw(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[lo:hi, :])
+            _accum(p, g[..., lo:hi, :] if axis == -2 else g[..., lo:hi])
 
     return _record(out, tuple(parts), bw)
+
+
+def concat_rows(parts: list[Tensor]) -> Tensor:
+    return _concat(parts, -2, "concat_rows")
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.shape[0] != rows:
-            raise DimensionError(f"concat_cols row counts differ: {rows} vs {p.shape[0]}")
-    out = Tensor(np.hstack([p.data for p in parts]))
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-
-    def bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[:, lo:hi])
-
-    return _record(out, tuple(parts), bw)
+    return _concat(parts, -1, "concat_cols")
 
 
 def _pad_pair(padding) -> tuple[int, int]:
@@ -281,6 +291,7 @@ def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1, padding=0) -> Tensor
 
     `padding` is a zero-pad count, either symmetric (int) or an explicit
     (left, right) pair; output length is floor((L + pads - k)/stride) + 1.
+    Every row of a stack is computed exactly as it would be on its own.
     Gradients w.r.t. both the signal and the kernel are recorded.
     """
     kern = kernel.data.ravel()
@@ -290,27 +301,28 @@ def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1, padding=0) -> Tensor
     if stride < 1:
         raise GeometryError(f"stride must be >= 1, got {stride}")
     left, right = _pad_pair(padding)
-    n_rows, length = signal.shape
+    length = signal.data.shape[-1]
     if length + left + right < k:
         raise GeometryError(
             f"signal length {length} with padding {padding} is shorter than kernel {k}"
         )
     taps, back_taps = _conv_taps(length, k, stride, left, right)
-    # extended[:, taps][r, j, t] is padded row r under output j's tap t
+    # extended[..., taps][..., r, j, t] is padded row r under output j's tap t
     extended = _with_zero_column(signal.data)
-    out = Tensor(_tap_sum(extended[:, taps] * kern))
+    out = Tensor(_tap_sum(extended[..., taps] * kern))
 
     def bw(g):
         if kernel.requires_grad:
             # one contiguous row of g * tap-t window per tap, summed like a
             # whole-array .sum() of that product
-            prods = np.ascontiguousarray((extended[:, taps] * g[:, :, None]).transpose(2, 0, 1))
+            prods = extended[..., taps] * g[..., None]
+            prods = np.ascontiguousarray(prods.transpose((prods.ndim - 1,) + tuple(range(prods.ndim - 1))))
             dk = prods.reshape(k, -1).sum(axis=1)
             if _FAULT == "conv-kernel-grad":
                 dk = dk * 1.01 + 1e-3
             _accum(kernel, dk.reshape(kernel.shape))
         if signal.requires_grad:
-            _accum(signal, _tap_sum(_with_zero_column(g)[:, back_taps] * kern))
+            _accum(signal, _tap_sum(_with_zero_column(g)[..., back_taps] * kern))
 
     return _record(out, (signal, kernel), bw)
 
@@ -335,7 +347,7 @@ def _conv_taps(length: int, k: int, stride: int, left: int, right: int) -> tuple
 
 
 def _with_zero_column(a: np.ndarray) -> np.ndarray:
-    return np.concatenate((a, np.zeros((a.shape[0], 1))), axis=1)
+    return np.concatenate((a, np.zeros(a.shape[:-1] + (1,))), axis=-1)
 
 
 def _tap_sum(terms: np.ndarray) -> np.ndarray:
@@ -345,23 +357,17 @@ def _tap_sum(terms: np.ndarray) -> np.ndarray:
     elementwise bit-exact against it: terms from the zero column only add
     signed zeros, and the final + 0.0 gives a zero total the loop's sign.
     """
-    return np.add.accumulate(terms, axis=2)[:, :, -1] + 0.0
+    return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
 
 
 def softmax_axis(x: Tensor, axis: str) -> Tensor:
-    """Softmax over each row ("row") or each column ("col"), max-stabilized."""
-    if axis == "col":
-        shifted = x.data - x.data.max(axis=0, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=0, keepdims=True)
-        red = 0
-    elif axis == "row":
-        shifted = x.data - x.data.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        y = e / e.sum(axis=1, keepdims=True)
-        red = 1
-    else:
+    """Softmax over each row ("row") or each column ("col") of every matrix
+    of the stack, max-stabilized."""
+    if axis not in ("row", "col"):
         raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
+    red = -2 if axis == "col" else -1
+    e = np.exp(x.data - x.data.max(axis=red, keepdims=True))
+    y = e / e.sum(axis=red, keepdims=True)
     out = Tensor(y)
 
     def bw(g):
@@ -389,13 +395,17 @@ def sigmoid(x: Tensor) -> Tensor:
 _LOG_FLOOR = 1e-12
 
 
-def cross_entropy(probs: Tensor, label: int) -> Tensor:
+def cross_entropy(probs: Tensor, label) -> Tensor:
     """-ln(probs[label]) with a 1e-12 floor before the log.
 
     `probs` is a probability vector (1xV or Vx1) that must sum to 1 within
-    1e-6; `label` indexes the class.
+    1e-6; `label` indexes the class. For a batch, `probs` is a stack
+    (B, 1, V) of such vectors and `label` a length-B vector; the result is
+    the mean over the batch, as one node.
     """
-    if min(probs.shape) != 1:
+    if not isinstance(label, (int, np.integer)):
+        return _mean_cross_entropy(probs, np.asarray(label))
+    if probs.data.ndim != 2 or min(probs.shape) != 1:
         raise DimensionError(f"probs must be a vector, got shape {probs.shape}")
     flat = probs.data.ravel()
     if abs(flat.sum() - 1.0) > 1e-6:
@@ -408,6 +418,30 @@ def cross_entropy(probs: Tensor, label: int) -> Tensor:
     def bw(g):
         d = np.zeros_like(probs.data)
         d.flat[label] = -g[0, 0] / p
+        _accum(probs, d)
+
+    return _record(out, (probs,), bw)
+
+
+def _mean_cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
+    """Batch form of cross_entropy: the one-vector form, written out on its
+    own so that the per-window path stays an independent reference."""
+    if probs.data.ndim != 3 or probs.shape[1] != 1 or labels.shape != probs.shape[:1]:
+        raise DimensionError(f"probs {probs.shape} must be (B, 1, V) for {labels.shape} labels")
+    rows = probs.data[:, 0, :]
+    sums = rows.sum(axis=1)
+    worst = int(np.argmax(np.abs(sums - 1.0)))
+    if abs(sums[worst] - 1.0) > 1e-6:
+        raise ValueError(f"probs row {worst} sums to {sums[worst]:.9f}, not 1")
+    if np.any((labels < 0) | (labels >= rows.shape[1])):
+        raise IndexError(f"labels {labels.tolist()} outside [0, {rows.shape[1]})")
+    n = labels.size
+    picked = np.maximum(rows[np.arange(n), labels], _LOG_FLOOR)
+    out = Tensor(-np.log(picked).sum() / n)
+
+    def bw(g):
+        d = np.zeros_like(probs.data)
+        d[np.arange(n), 0, labels] = -g[0, 0] / (n * picked)
         _accum(probs, d)
 
     return _record(out, (probs,), bw)

@@ -68,6 +68,7 @@ def _check_matmul_oracle():
 
 
 def _grad_check_model(model, window, label):
+    """`window` is one 5 x T window with an int label, or a stack with a label vector."""
     params = [p for _, p in model.parameters()]
     return grad_check(lambda: cross_entropy(model.forward(window), label), params)
 
@@ -75,6 +76,7 @@ def _grad_check_model(model, window, label):
 def _check_gradients():
     rng = np.random.default_rng(102)
     window = rng.normal(size=(5, 8))
+    stack = rng.normal(size=(3, 5, 8))
     hyper = ModelHyper(temporal_len=8, heads=2, kernel_temporal=3, kernel_channel=4, ffn_hidden=4)
     worst = 0.0
     for variant in ("conv", "matrix"):
@@ -82,6 +84,7 @@ def _check_gradients():
             ModelHyper(**{**hyper.to_dict(), "attention": variant}), seed=7
         )
         worst = max(worst, _grad_check_model(model, window, 2))
+        worst = max(worst, _grad_check_model(model, stack, np.array([2, 0, 6])))
     ann = AnnModel(AnnHyper(temporal_len=8, hidden1=4, hidden2=3), seed=8)
     worst = max(worst, _grad_check_model(ann, window, 5))
     return worst < 1e-4, f"max relative error {worst:.2e}"

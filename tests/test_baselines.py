@@ -121,7 +121,9 @@ class TestCheckpointContainer:
         assert isinstance(loaded, AnnModel)
         assert not isinstance(loaded, McdcModel)
 
-    @pytest.mark.parametrize("case", ["unknown-name", "missing-name", "nan-value", "zero-std"])
+    @pytest.mark.parametrize(
+        "case", ["unknown-name", "missing-name", "nan-value", "zero-std", "missing-hyper", "bogus-hyper", "missing-params"]
+    )
     def test_corrupt_checkpoint_rejected(self, tmp_path, case):
         import json
 
@@ -140,6 +142,15 @@ class TestCheckpointContainer:
         elif case == "nan-value":
             payload["params"]["ffn_b1"][0][0] = float("nan")
             match = "parameter ffn_b1: non-finite"
+        elif case == "missing-hyper":
+            del payload["hyper"]
+            match = "missing hyper block"
+        elif case == "bogus-hyper":
+            payload["hyper"]["bogus"] = 1
+            match = r"unknown hyper keys \['bogus'\]"
+        elif case == "missing-params":
+            del payload["params"]
+            match = "missing params block"
         else:
             payload["norm_stats"]["std"][2] = 0.0
             match = "norm_stats std"

@@ -2,10 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from mcdc.baselines import make_model
+from mcdc.checkpoint import save_checkpoint
 from mcdc.cli import main
-from mcdc.data import load_series
+from mcdc.data import NormStats, load_series
 from mcdc.pipeline import PipelineError, RunConfig, run_eval, run_sweep
 
 TINY_FLAGS = [
@@ -135,6 +138,28 @@ class TestEvalCommand:
         )
         assert code == 1
         assert "temporal length" in capsys.readouterr().err
+
+
+    def test_bad_checkpoint_exits_with_message(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        save_checkpoint(bad, make_model("mcdc", temporal_len=8, seed=23), NormStats(np.zeros(5), np.ones(5)))
+        payload = json.loads(bad.read_text())
+        payload["hyper"]["bogus"] = 1
+        bad.write_text(json.dumps(payload))
+        # the checkpoint is read first, so the data and plan are never opened
+        code = main(
+            [
+                "eval",
+                "--checkpoint", str(bad),
+                "--data", str(tmp_path / "dataset.csv"),
+                "--plan", str(tmp_path / "split.json"),
+                "--out", str(tmp_path / "e4"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: unknown hyper keys ['bogus']" in err
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

@@ -243,9 +243,10 @@ class _CentroidModel:
         )
 
     def predict_proba(self, values):
-        d = ((values.mean(axis=1)[None, :] - self.centroids) ** 2).sum(axis=1)
+        """(7,) for one 5 x T window, (B, 7) for a stack of B windows."""
+        d = ((values.mean(axis=-1)[..., None, :] - self.centroids) ** 2).sum(axis=-1)
         inv = 1.0 / (d + 1e-9)
-        return inv / inv.sum()
+        return inv / inv.sum(axis=-1, keepdims=True)
 
 
 def _centroid_fitter(train_windows, val_windows, seed):

@@ -8,7 +8,7 @@ import pytest
 from mcdc.baselines import make_model
 from mcdc.conditions import N_CONDITIONS
 from mcdc.model import McdcModel, ModelHyper, positional_encoding
-from mcdc.tensor import Tape, backward, cross_entropy, grad_check, softmax_axis, tensor
+from mcdc.tensor import DimensionError, Tape, backward, cross_entropy, grad_check, softmax_axis, tensor
 
 TINY = ModelHyper(temporal_len=8, heads=2, kernel_temporal=3, kernel_channel=4, ffn_hidden=6)
 
@@ -142,6 +142,11 @@ class TestPredict:
         x = np.random.default_rng(18).normal(size=(5, 8))
         probs = model.predict_proba(x)
         assert model.predict(x).code == int(np.argmax(probs))
+
+    def test_stack_refused(self):
+        model = McdcModel(TINY, seed=17)
+        with pytest.raises(DimensionError, match="not a stack of 3"):
+            model.predict(np.zeros((3, 5, 8)))
 
     def test_tie_breaks_to_lowest_code(self):
         tied = np.array([0.1, 0.3, 0.3, 0.1, 0.1, 0.05, 0.05])

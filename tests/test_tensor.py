@@ -360,6 +360,109 @@ class TestFiniteDifferences:
         assert err < 1e-6
 
 
+class TestStackFiniteDifferences:
+    """Ops on 3-D stacks, with 2-D parameters broadcast over the stack, vs
+    central differences; every stacked input is a parameter too."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_add_broadcast_both_sides(self, seed):
+        err = _fd_case(
+            lambda s, w: sum_all(mul(sigmoid(add(s, w)), sigmoid(add(w, s)))), [(3, 4, 5), (4, 5)], seed
+        )
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matmul_parameter_on_the_left(self, seed):
+        err = _fd_case(lambda w, s: sum_all(sigmoid(matmul(w, s))), [(4, 3), (3, 3, 5)], seed)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matmul_parameter_on_the_right(self, seed):
+        err = _fd_case(lambda s, w: sum_all(sigmoid(matmul(s, w))), [(3, 4, 3), (3, 2)], seed)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matmul_stack_by_stack(self, seed):
+        err = _fd_case(lambda a, b: sum_all(sigmoid(matmul(a, b))), [(3, 4, 3), (3, 3, 2)], seed)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_conv_kernel(self, seed):
+        err = _fd_case(
+            lambda s, k: sum_all(sigmoid(conv1d(s, k, stride=1, padding=(1, 2)))), [(3, 4, 7), (1, 4)], seed
+        )
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("axis", ["col", "row"])
+    def test_softmax_per_sample(self, seed, axis):
+        err = _fd_case(lambda s, w: sum_all(mul(softmax_axis(add(s, w), axis), s)), [(3, 4, 3), (4, 3)], seed)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_cross_entropy_label_vector(self, seed):
+        labels = np.random.default_rng(seed).integers(0, 4, size=3)
+        err = _fd_case(
+            lambda w, s: cross_entropy(transpose(softmax_axis(matmul(w, s), "col")), labels), [(4, 5), (3, 5, 1)], seed
+        )
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_structural_ops(self, seed):
+        def f(a, b):
+            cat = concat_rows([a, b])
+            flat = reshape(cat, (1, 18))
+            side = concat_cols([transpose(a), transpose(b)])
+            return add(sum_all(sigmoid(flat)), sum_all(mul(side, side)))
+
+        err = _fd_case(f, [(2, 2, 3), (2, 4, 3)], seed)
+        assert err < 1e-4
+
+
+class TestStacks:
+    def test_conv_rows_bit_exact_against_naive_loop(self):
+        rng = np.random.default_rng(15)
+        for _ in range(40):
+            length = int(rng.integers(1, 12))
+            k = int(rng.integers(1, 7))
+            stride = int(rng.integers(1, 4))
+            left, right = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+            if length + left + right < k:
+                continue
+            sig = rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(1, 5)), length))
+            kern = rng.normal(size=k)
+            out = conv1d(tensor(sig), tensor(kern), stride=stride, padding=(left, right)).data
+            assert out.shape[:2] == sig.shape[:2]
+            for b in range(sig.shape[0]):
+                assert np.array_equal(out[b], naive_conv1d(sig[b], kern, stride, left, right))
+
+    def test_label_vector_cross_entropy_is_the_mean(self):
+        rng = np.random.default_rng(16)
+        probs = rng.dirichlet(np.ones(5), size=4)[:, None, :]
+        labels = np.array([0, 3, 3, 4])
+        out = cross_entropy(tensor(probs), labels)
+        expected = np.mean([-np.log(probs[i, 0, c]) for i, c in enumerate(labels)])
+        assert out.shape == (1, 1)
+        assert out.item() == pytest.approx(expected, rel=1e-14)
+
+    def test_label_vector_must_match_the_stack(self):
+        probs = tensor(np.full((3, 1, 2), 0.5))
+        with pytest.raises(DimensionError):
+            cross_entropy(probs, np.array([0, 1]))
+        with pytest.raises(DimensionError):
+            cross_entropy(tensor(np.full((3, 2), 0.5)), np.array([0, 1, 1]))
+        with pytest.raises(IndexError):
+            cross_entropy(probs, np.array([0, 1, 2]))
+
+    def test_mismatched_stacks_rejected(self):
+        with pytest.raises(DimensionError):
+            add(tensor(np.zeros((2, 3, 3))), tensor(np.zeros((4, 3, 3))))
+        with pytest.raises(DimensionError):
+            matmul(tensor(np.zeros((2, 3, 3))), tensor(np.zeros((4, 3, 3))))
+        with pytest.raises(DimensionError):
+            concat_rows([tensor(np.zeros((2, 3, 3))), tensor(np.zeros((3, 3)))])
+
+
 class TestGradCheck:
     def test_quadratic_is_exact(self):
         x = parameter([[3.0]])

@@ -157,6 +157,13 @@ class TestTrainFold:
         history = train_fold(tiny_model(seed=15), windows, windows, config)
         assert len(history.rows) == 1
 
+    def test_nan_parameter_stops_training_naming_epoch_and_batch(self):
+        model = tiny_model(seed=19)
+        model.ffn_w2.data[0, 0] = np.nan
+        config = TrainConfig(seed=20, epochs=3, batch_size=8)
+        with pytest.raises(ValueError, match=r"diverged at epoch 0, batch 0: loss nan"):
+            train_fold(model, two_class_windows(5), two_class_windows(2), config)
+
     def test_cycle_collector_paused_during_training_and_restored(self):
         windows = two_class_windows(2)
         config = TrainConfig(seed=16, epochs=1, batch_size=4)
@@ -220,6 +227,18 @@ class TestCrossValidate:
         for e in range(n):
             expected = np.mean([h.rows[e].loss for h in result.fold_histories])
             assert curves["loss"][e] == pytest.approx(expected, abs=1e-15)
+
+    def test_divergence_names_the_fold(self):
+        windows, plan = self._setup()
+
+        def make(fold):
+            model = tiny_model(seed=400 + fold)
+            if fold == 1:
+                model.channel_heads[0].kernel_q.data[0, 0] = np.nan
+            return model
+
+        with pytest.raises(ValueError, match=r"^fold 1: training diverged at epoch 0, batch 0"):
+            cross_validate(make, windows, plan, TrainConfig(seed=21, epochs=2, batch_size=16))
 
     def test_best_fold_is_first_max_val_accuracy(self):
         windows, plan = self._setup()
