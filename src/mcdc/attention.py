@@ -6,6 +6,12 @@ slides one short kernel per projection along each token's feature vector;
 the matrix variant left-multiplies by a square learned matrix. Both feed the
 same scaled dot-product map, so they are shape-compatible drop-ins for each
 other at equal route and width.
+
+The heads of a route run as one stack: their kernels (or matrices) are
+stacked into one bank per projection inside the forward pass, so a route
+costs one conv1d (or matmul) per projection, one attention map and one
+attend whatever its head count, and returns (..., H, d, n) with head h at
+index h. The heads themselves only hold their parameters.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .tensor import (
     matmul,
     scale,
     softmax_axis,
+    stack,
     transpose,
 )
 
@@ -62,9 +69,6 @@ class CnnAttentionHead:
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("kq", self.kernel_q), ("kk", self.kernel_k), ("kv", self.kernel_v)]
 
-    def __call__(self, inp: Tensor) -> Tensor:
-        return cnn_attention(inp, self)
-
 
 @dataclass
 class MatrixAttentionHead:
@@ -76,9 +80,6 @@ class MatrixAttentionHead:
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("wq", self.w_q), ("wk", self.w_k), ("wv", self.w_v)]
-
-    def __call__(self, inp: Tensor) -> Tensor:
-        return matrix_attention(inp, self)
 
 
 def new_cnn_head(kernel_size: int, rng: np.random.Generator) -> CnnAttentionHead:
@@ -95,18 +96,21 @@ def head_parameter_count(head) -> int:
     return sum(p.data.size for _, p in head.parameters())
 
 
-def cnn_qkv(inp: Tensor, head: CnnAttentionHead) -> tuple[Tensor, Tensor, Tensor]:
-    """Convolve each token's feature vector with the head's three kernels.
+def cnn_qkv(inp: Tensor, heads: list[CnnAttentionHead]) -> tuple[Tensor, Tensor, Tensor]:
+    """Convolve each token's feature vector with every head's three kernels.
 
-    `inp` is features x tokens; the kernel slides along the feature axis of
-    every token, so the conv runs on the transposed matrix row-wise and the
+    `inp` is features x tokens (d x n, or a stack of those); the result is
+    one (..., H, d, n) stack per projection. The kernels slide along the
+    feature axis of every token, so the conv runs on the transposed input
+    row-wise, once per projection with all H kernels stacked, and the
     result is transposed back. Same-padding keeps features' == features.
     """
     tokens_rows = transpose(inp)
-    pad = same_padding(head.kernel_size)
-    q = transpose(conv1d(tokens_rows, head.kernel_q, padding=pad))
-    k = transpose(conv1d(tokens_rows, head.kernel_k, padding=pad))
-    v = transpose(conv1d(tokens_rows, head.kernel_v, padding=pad))
+    pad = same_padding(heads[0].kernel_size)
+    q, k, v = (
+        transpose(conv1d(tokens_rows, stack([getattr(head, name) for head in heads]), padding=pad))
+        for name in ("kernel_q", "kernel_k", "kernel_v")
+    )
     return q, k, v
 
 
@@ -130,14 +134,20 @@ def attend(v: Tensor, amap: Tensor) -> Tensor:
     return matmul(v, amap)
 
 
-def cnn_attention(inp: Tensor, head: CnnAttentionHead) -> Tensor:
-    q, k, v = cnn_qkv(inp, head)
+def cnn_attention(inp: Tensor, heads: list[CnnAttentionHead]) -> Tensor:
+    """All heads of a conv route on `inp` (d x n or a stack): (..., H, d, n)."""
+    q, k, v = cnn_qkv(inp, heads)
     return attend(v, attention_map(q, k))
 
 
-def matrix_attention(inp: Tensor, head: MatrixAttentionHead) -> Tensor:
-    q = matmul(head.w_q, inp)
-    k = matmul(head.w_k, inp)
-    v = matmul(head.w_v, inp)
-    return attend(v, attention_map(q, k))
+def matrix_attention(inp: Tensor, heads: list[MatrixAttentionHead]) -> Tensor:
+    """All heads of a matrix route on `inp` (d x n or a stack): (..., H, d, n).
 
+    Each projection is one matmul of the (H, d, d) matrix stack with the
+    input given a head axis of length 1, which broadcasts it over the heads.
+    """
+    x = stack([inp])
+    q, k, v = (
+        matmul(stack([getattr(head, name) for head in heads]), x) for name in ("w_q", "w_k", "w_v")
+    )
+    return attend(v, attention_map(q, k))

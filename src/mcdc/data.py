@@ -298,8 +298,11 @@ def split(
         test_idx = sorted(order[n_train:].tolist())
         train_t, test_t = [], []
     elif mode == "facility":
-        ids = sorted({w.transformer_id for w in windows})
-        conditions = {w.label.code for w in windows}
+        codes_of: dict[str, set[int]] = {}  # condition codes of each transformer's windows
+        for w in windows:
+            codes_of.setdefault(w.transformer_id, set()).add(w.label.code)
+        ids = sorted(codes_of)
+        conditions = set().union(*codes_of.values())
         n_train = int(len(ids) * train_fraction)
         train_c: set[int] = set()
         test_c: set[int] = set()
@@ -307,8 +310,8 @@ def split(
             order = rng.permutation(len(ids))
             train_t = sorted(ids[i] for i in order[:n_train])
             test_t = sorted(ids[i] for i in order[n_train:])
-            train_c = {w.label.code for w in windows if w.transformer_id in set(train_t)}
-            test_c = {w.label.code for w in windows if w.transformer_id in set(test_t)}
+            train_c = set().union(*(codes_of[t] for t in train_t))
+            test_c = set().union(*(codes_of[t] for t in test_t))
             if train_c == conditions and test_c == conditions:
                 break
         else:

@@ -16,10 +16,9 @@ from .tensor import (
     DimensionError,
     Tensor,
     add,
-    concat_cols,
-    concat_rows,
     glorot,
     matmul,
+    merge_stack,
     parameter,
     reshape,
     sigmoid,
@@ -158,14 +157,19 @@ class McdcModel(Classifier):
             )
         return add(x, self._pe)
 
+    def _route(self, inp: Tensor, heads) -> Tensor:
+        """All heads of a route at once: (..., H, d, n) for a d x n input."""
+        if self.hyper.attention == "conv":
+            return attention.cnn_attention(inp, heads)
+        return attention.matrix_attention(inp, heads)
+
     def temporal_interaction(self, embedded: Tensor) -> Tensor:
-        outs = [head(embedded) for head in self.temporal_heads]
-        return matmul(self.mix_temporal, concat_rows(outs))
+        heads = self._route(embedded, self.temporal_heads)
+        return matmul(self.mix_temporal, merge_stack(heads, "rows"))
 
     def channel_interaction(self, mixed: Tensor) -> Tensor:
-        tokens_channels = transpose(mixed)
-        outs = [transpose(head(tokens_channels)) for head in self.channel_heads]
-        return matmul(concat_cols(outs), self.mix_channel)
+        heads = self._route(transpose(mixed), self.channel_heads)
+        return matmul(merge_stack(transpose(heads), "cols"), self.mix_channel)
 
     def project_logits(self, z: Tensor) -> Tensor:
         flat = reshape(z, (N_CHANNELS * self.hyper.temporal_len, 1))

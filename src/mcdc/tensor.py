@@ -1,11 +1,13 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 A value is a 2-D matrix (scalars are 1x1, vectors are 1xN or Nx1) or a stack
-of equal-shape matrices (..., rows, cols), one per sample of a batch. Every
-op works on the last two axes and treats the leading ones as the stack, so a
-batch of windows is one graph, not one graph per window. A 2-D operand of
-`add` or `matmul` is broadcast over the other operand's stack; its gradient
-is summed over the stack before it reaches the operand.
+of equal-shape matrices (..., rows, cols), one per sample of a batch and, in
+attention, one per head. Every op works on the last two axes and treats the
+leading ones as the stack, so a batch of windows is one graph, not one graph
+per window. The stack axes of `add` and `matmul` operands broadcast as in
+numpy (a 2-D parameter over a batch, an (H, r, c) head stack over a
+(B, 1, r, c) batch); a broadcast operand's gradient is summed back to its
+shape before it reaches the operand.
 
 Operations executed while a Tape is active record themselves onto it in
 creation order, which is automatically a topological order; backward()
@@ -35,12 +37,14 @@ __all__ = [
     "glorot",
     "grad_check",
     "matmul",
+    "merge_stack",
     "mul",
     "parameter",
     "reshape",
     "scale",
     "sigmoid",
     "softmax_axis",
+    "stack",
     "sum_all",
     "tensor",
     "transpose",
@@ -138,14 +142,19 @@ def glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.requires_grad:
-        if g.ndim > t.data.ndim:  # t was broadcast over a stack
-            g = g.sum(axis=tuple(range(g.ndim - t.data.ndim)))
+        if g.shape != t.data.shape:  # t was broadcast over stack axes
+            lead = g.ndim - t.data.ndim
+            ones = tuple(lead + i for i, n in enumerate(t.data.shape[:-2]) if n == 1 and g.shape[lead + i] != 1)
+            g = g.sum(axis=tuple(range(lead)) + ones).reshape(t.data.shape)
         t.grad = g.copy() if t.grad is None else t.grad + g
 
 
 def _stacks_differ(a: Tensor, b: Tensor) -> bool:
-    """True when both operands are stacks with different leading axes."""
-    return a.data.ndim > 2 and b.data.ndim > 2 and a.shape[:-2] != b.shape[:-2]
+    """True when the operands' stack axes do not broadcast against each other."""
+    for m, n in zip(reversed(a.shape[:-2]), reversed(b.shape[:-2])):
+        if m != n and m != 1 and n != 1:
+            return True
+    return False
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -276,6 +285,52 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _concat(parts, -1, "concat_cols")
 
 
+def stack(parts: list[Tensor]) -> Tensor:
+    """Stack same-shape tensors on a new axis just before the matrix axes:
+    S parts of shape (..., r, c) give (..., S, r, c)."""
+    shape = parts[0].shape
+    for p in parts:
+        if p.shape != shape:
+            raise DimensionError(f"stack shapes differ: {shape} vs {p.shape}")
+    # np.array of 2-D parts (the per-forward kernel and matrix banks) is
+    # several times faster than np.stack; parts with stack axes move the
+    # new axis from the front to just before the matrix axes
+    data = np.array([p.data for p in parts])  # (S, ..., r, c)
+    if data.ndim > 3:
+        data = np.ascontiguousarray(np.moveaxis(data, 0, -3))
+    out = Tensor(data)
+
+    def bw(g):
+        for i, p in enumerate(parts):
+            _accum(p, g[..., i, :, :])
+
+    return _record(out, tuple(parts), bw)
+
+
+def merge_stack(x: Tensor, axis: str) -> Tensor:
+    """Join the S matrices of the innermost stack axis into one matrix:
+    (..., S, r, c) gives (..., S*r, c) for "rows", with matrix s in row block
+    s, or (..., r, S*c) for "cols", with matrix s in column block s. The
+    result is C-contiguous, as concat_rows/concat_cols of the S parts is."""
+    if axis not in ("rows", "cols"):
+        raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
+    if x.data.ndim < 3:
+        raise DimensionError(f"merge_stack needs a stack, got shape {x.shape}")
+    *lead, s, r, c = x.shape
+    if axis == "rows":
+        out = Tensor(x.data.reshape(*lead, s * r, c).copy())
+    else:
+        out = Tensor(np.ascontiguousarray(np.moveaxis(x.data, -3, -2)).reshape(*lead, r, s * c))
+
+    def bw(g):
+        if axis == "rows":
+            _accum(x, g.reshape(x.shape))
+        else:
+            _accum(x, np.moveaxis(g.reshape(*lead, r, s, c), -2, -3))
+
+    return _record(out, (x,), bw)
+
+
 def _pad_pair(padding) -> tuple[int, int]:
     if isinstance(padding, tuple):
         left, right = int(padding[0]), int(padding[1])
@@ -287,15 +342,21 @@ def _pad_pair(padding) -> tuple[int, int]:
 
 
 def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1, padding=0) -> Tensor:
-    """Correlate every row of `signal` with the 1-D `kernel`.
+    """Correlate every row of `signal` with the 1-D `kernel`, or with each
+    kernel of a stack.
 
-    `padding` is a zero-pad count, either symmetric (int) or an explicit
-    (left, right) pair; output length is floor((L + pads - k)/stride) + 1.
-    Every row of a stack is computed exactly as it would be on its own.
-    Gradients w.r.t. both the signal and the kernel are recorded.
+    `kernel` is one 1 x k kernel, giving (..., rows, out_len), or a stack
+    (K, 1, k) of K kernels, giving (..., K, rows, out_len) with kernel i's
+    rows at index i. `padding` is a zero-pad count, either symmetric (int) or
+    an explicit (left, right) pair; out_len is floor((L + pads - k)/stride) + 1.
+    Every (kernel, row) pair of a stack is computed exactly as that row with
+    that kernel on its own. Gradients w.r.t. both the signal and the kernel
+    are recorded.
     """
-    kern = kernel.data.ravel()
-    k = kern.size
+    stacked = kernel.data.ndim == 3
+    if stacked and kernel.shape[1] != 1:
+        raise DimensionError(f"a kernel stack must be (K, 1, k), got {kernel.shape}")
+    k = kernel.data.shape[-1] if stacked else kernel.data.size
     if k < 1:
         raise GeometryError("kernel must have length >= 1")
     if stride < 1:
@@ -307,22 +368,30 @@ def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1, padding=0) -> Tensor
             f"signal length {length} with padding {padding} is shorter than kernel {k}"
         )
     taps, back_taps = _conv_taps(length, k, stride, left, right)
-    # extended[..., taps][..., r, j, t] is padded row r under output j's tap t
+    bank = kernel.data.reshape(-1, 1, 1, k)  # kernel i broadcasts over (rows, out_len)
+    # windows[..., 0, r, j, t] is padded row r under output j's tap t; its
+    # length-1 axis broadcasts over the kernels
     extended = _with_zero_column(signal.data)
-    out = Tensor(_tap_sum(extended[..., taps] * kern))
+    windows = extended[..., None, :, :][..., taps]
+    out = _tap_sum(windows * bank)
+    out = Tensor(out if stacked else out[..., 0, :, :])
 
     def bw(g):
+        if not stacked:
+            g = g[..., None, :, :]
         if kernel.requires_grad:
-            # one contiguous row of g * tap-t window per tap, summed like a
-            # whole-array .sum() of that product
-            prods = extended[..., taps] * g[..., None]
-            prods = np.ascontiguousarray(prods.transpose((prods.ndim - 1,) + tuple(range(prods.ndim - 1))))
-            dk = prods.reshape(k, -1).sum(axis=1)
+            # per kernel, one contiguous row of g * tap-t window per tap,
+            # summed like a whole-array .sum() of that product
+            prods = windows * g[..., None]
+            lead = prods.ndim - 4
+            prods = np.ascontiguousarray(np.moveaxis(prods, (lead, prods.ndim - 1), (0, 1)))
+            dk = prods.reshape(bank.shape[0], k, -1).sum(axis=2)
             if _FAULT == "conv-kernel-grad":
                 dk = dk * 1.01 + 1e-3
             _accum(kernel, dk.reshape(kernel.shape))
         if signal.requires_grad:
-            _accum(signal, _tap_sum(_with_zero_column(g)[..., back_taps] * kern))
+            per_kernel = _tap_sum(_with_zero_column(g)[..., back_taps] * bank)
+            _accum(signal, per_kernel.sum(axis=-3))
 
     return _record(out, (signal, kernel), bw)
 

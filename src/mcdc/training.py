@@ -94,34 +94,62 @@ def lr_schedule(epoch: int, config: TrainConfig) -> float:
 
 
 class AdamState:
-    """First/second moment accumulators, one pair per named parameter."""
+    """First/second moment accumulators, one pair per named parameter.
+
+    The first step lays the moments of all parameters out in one flat buffer
+    each (m[name] and v[name] are views into them), next to two flat scratch
+    buffers, so a step costs a fixed number of ufunc calls over all
+    parameters at once instead of a dozen per parameter.
+    """
 
     def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
+        self._flat: tuple[np.ndarray, ...] = ()  # m, v, step, denom
+        self._bounds: list[int] = []  # parameter i is [bounds[i], bounds[i + 1]) of each buffer
+
+    def _layout(self, params) -> None:
+        self._bounds = np.cumsum([0] + [p.data.size for _, p in params]).tolist()
+        self._flat = tuple(np.zeros(self._bounds[-1]) for _ in range(4))
+        for (name, p), lo, hi in zip(params, self._bounds, self._bounds[1:]):
+            self.m[name] = self._flat[0][lo:hi].reshape(p.data.shape)
+            self.v[name] = self._flat[1][lo:hi].reshape(p.data.shape)
 
 
 def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float, config: TrainConfig) -> None:
-    """One bias-corrected Adam update, in place on the parameter tensors."""
+    """One bias-corrected Adam update, in place on the parameter tensors:
+
+        m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        p -= lr (m / bc1) / (sqrt(v / bc2) + eps)
+
+    Every term is computed in place in the state's flat buffers, with the
+    operations of that formula in its order, so no step allocates more than
+    the flat gradient. A state serves one parameter list, in one order.
+    """
+    names = [name for name, _ in params]
+    for name, p in params:
+        if grads[name].shape != p.data.shape:
+            raise ValueError(f"gradient shape {grads[name].shape} != parameter {name} shape {p.data.shape}")
+    if not state._flat:
+        state._layout(params)
+    elif names != list(state.m):
+        raise ValueError(f"adam_step got parameters {names}, but this state holds {list(state.m)}")
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for name, p in params:
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter {name} shape {p.data.shape}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + config.eps)
+    m, v, step, denom = state._flat
+    g = np.concatenate([grads[name].ravel() for name in names])
+    m *= b1
+    m += np.multiply(1.0 - b1, g, out=step)
+    v *= b2
+    v += np.multiply(np.multiply(1.0 - b2, g, out=step), g, out=step)
+    np.multiply(lr, np.divide(m, bc1, out=step), out=step)
+    np.add(np.sqrt(np.divide(v, bc2, out=denom), out=denom), config.eps, out=denom)
+    np.divide(step, denom, out=step)
+    for (_, p), lo, hi in zip(params, state._bounds, state._bounds[1:]):
+        p.data -= step[lo:hi].reshape(p.data.shape)
 
 
 @dataclass

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .attention import attention_map, new_cnn_head
+from .attention import attention_map, cnn_qkv, new_cnn_head
 from .baselines import AnnHyper, AnnModel
 from .conditions import by_code
 from .data import CdgdWindow
@@ -38,21 +38,36 @@ def _naive_conv(signal, kernel, stride, pad):
     return out
 
 
-def _check_conv_oracle():
-    rng = np.random.default_rng(100)
-    for _ in range(30):
+def _conv_geometries(rng, count):
+    """(length, k, stride, pad) draws that admit an output."""
+    while count:
         length = int(rng.integers(1, 12))
         k = int(rng.integers(1, 7))
         stride = int(rng.integers(1, 4))
         pad = int(rng.integers(0, 4))
-        if length + 2 * pad < k:
-            continue
+        if length + 2 * pad >= k:
+            count -= 1
+            yield length, k, stride, pad
+
+
+def _check_conv_oracle():
+    rng = np.random.default_rng(100)
+    for length, k, stride, pad in _conv_geometries(rng, 30):
         sig = rng.normal(size=(int(rng.integers(1, 5)), length))
         kern = rng.normal(size=k)
         ours = conv1d(tensor(sig), tensor(kern), stride, pad).data
         if not np.array_equal(ours, _naive_conv(sig, kern, stride, pad)):
             return False, f"conv mismatch at L={length} k={k} s={stride} p={pad}"
-    return True, "30 geometries exact"
+    # a stack of K kernels over a stack of signals: every (kernel, row) pair
+    for length, k, stride, pad in _conv_geometries(rng, 30):
+        sig = rng.normal(size=(int(rng.integers(1, 4)), int(rng.integers(1, 5)), length))
+        bank = rng.normal(size=(int(rng.integers(1, 5)), 1, k))
+        ours = conv1d(tensor(sig), tensor(bank), stride, pad).data
+        for b in range(sig.shape[0]):
+            for i in range(bank.shape[0]):
+                if not np.array_equal(ours[b, i], _naive_conv(sig[b], bank[i, 0], stride, pad)):
+                    return False, f"kernel-stack mismatch at L={length} k={k} s={stride} p={pad} kernel {i}"
+    return True, "30 geometries and 30 kernel-stack geometries exact"
 
 
 def _check_matmul_oracle():
@@ -91,21 +106,20 @@ def _check_gradients():
 
 
 def _check_attention_stochastic():
+    """Both conv routes with all four heads at once, on stacks of 10 inputs."""
     rng = np.random.default_rng(103)
-    head_t = new_cnn_head(5, np.random.default_rng(9))
-    head_c = new_cnn_head(6, np.random.default_rng(10))
-    for _ in range(200):
-        x = rng.normal(scale=3.0, size=(5, 8))
-        for inp, head in ((x, head_t), (x.T, head_c)):
-            from .attention import cnn_qkv
-
-            q, k, _ = cnn_qkv(tensor(inp), head)
+    heads_t = [new_cnn_head(5, np.random.default_rng(9 + 2 * h)) for h in range(4)]
+    heads_c = [new_cnn_head(6, np.random.default_rng(10 + 2 * h)) for h in range(4)]
+    for _ in range(20):
+        x = rng.normal(scale=3.0, size=(10, 5, 8))
+        for inp, heads in ((x, heads_t), (x.swapaxes(-1, -2), heads_c)):
+            q, k, _ = cnn_qkv(tensor(inp), heads)
             amap = attention_map(q, k).data
-            if not np.allclose(amap.sum(axis=0), 1.0, atol=1e-9):
+            if not np.allclose(amap.sum(axis=-2), 1.0, atol=1e-9):
                 return False, "column sums off"
             if amap.min() < 0.0 or amap.max() > 1.0:
                 return False, "entries outside [0,1]"
-    return True, "200 inputs per route"
+    return True, "200 inputs x 4 heads per route"
 
 
 def _check_auc_rank_equivalence():

@@ -6,9 +6,11 @@ import pytest
 from mcdc.conditions import by_name
 from mcdc.data import (
     CSV_HEADER,
+    FACILITY_RETRIES,
     CdgdWindow,
     DatasetError,
     GasSeries,
+    SplitPlan,
     fold0_sets,
     interpolate_gaps,
     kfold,
@@ -18,6 +20,7 @@ from mcdc.data import (
     split,
     write_series_csv,
 )
+from mcdc.pipeline import build_windows
 from mcdc.synth import RecipeError, load_recipe, synth_generate
 
 
@@ -292,6 +295,55 @@ class TestSplit:
 
         back = SplitPlan.from_json(plan.to_json())
         assert back == plan
+
+
+def reference_facility_split(windows, train_fraction, seed, k):
+    """The facility split as first written: both transformer sets rebuilt for
+    every window on every shuffle."""
+    rng = np.random.default_rng(seed)
+    ids = sorted({w.transformer_id for w in windows})
+    conditions = {w.label.code for w in windows}
+    n_train = int(len(ids) * train_fraction)
+    train_c, test_c = set(), set()
+    for _ in range(FACILITY_RETRIES):
+        order = rng.permutation(len(ids))
+        train_t = sorted(ids[i] for i in order[:n_train])
+        test_t = sorted(ids[i] for i in order[n_train:])
+        train_c = {w.label.code for w in windows if w.transformer_id in set(train_t)}
+        test_c = {w.label.code for w in windows if w.transformer_id in set(test_t)}
+        if train_c == conditions and test_c == conditions:
+            break
+    else:
+        missing = sorted((conditions - train_c) | (conditions - test_c))
+        raise DatasetError(
+            f"facility split cannot cover all conditions on both sides after "
+            f"{FACILITY_RETRIES} shuffles; last missing condition codes: {missing}"
+        )
+    train_set = set(train_t)
+    train_idx = [i for i, w in enumerate(windows) if w.transformer_id in train_set]
+    test_idx = [i for i, w in enumerate(windows) if w.transformer_id not in train_set]
+    return SplitPlan(
+        "facility", seed, train_fraction, len(windows), windows[0].values.shape[1],
+        train_idx, test_idx, kfold(train_idx, k, seed), train_t, test_t,
+    )
+
+
+class TestFacilitySplitReference:
+    @pytest.mark.parametrize("recipe", ["default", "facility_shift", "stability"])
+    @pytest.mark.parametrize("train_fraction", [0.5, 0.7, 0.8])
+    def test_plans_match_the_reference_byte_for_byte(self, recipe, train_fraction):
+        for seed in range(4):
+            recipe_dict = load_recipe(recipe)
+            series = synth_generate(recipe_dict, seed=seed, transformers_per_class=3 + seed, length_range=(10, 14))
+            windows = build_windows(series, 8)
+            try:
+                expected = reference_facility_split(windows, train_fraction, seed, 4).to_json()
+            except DatasetError as exc:
+                with pytest.raises(DatasetError) as raised:
+                    split(windows, "facility", train_fraction, seed=seed, k=4)
+                assert str(raised.value) == str(exc)
+                continue
+            assert split(windows, "facility", train_fraction, seed=seed, k=4).to_json() == expected
 
 
 class TestKfold:

@@ -80,8 +80,8 @@ class TestStages:
 
         model = McdcModel(TINY, seed=6)
         x = tensor(np.random.default_rng(7).normal(size=(5, 8)))
-        q, k, _ = cnn_qkv(transpose(x), model.channel_heads[0])
-        assert attention_map(q, k).shape == (5, 5)
+        q, k, _ = cnn_qkv(transpose(x), model.channel_heads)
+        assert attention_map(q, k).shape == (TINY.heads, 5, 5)
 
     def test_single_head_with_identity_mix_equals_head_output(self):
         from mcdc.attention import cnn_attention
@@ -92,8 +92,9 @@ class TestStages:
         x = tensor(np.random.default_rng(41).normal(size=(5, 8)))
         embedded = model.embed(x)
         stage = model.temporal_interaction(embedded)
-        head_out = cnn_attention(embedded, model.temporal_heads[0])
-        assert np.allclose(stage.data, head_out.data, atol=1e-12)
+        head_out = cnn_attention(embedded, model.temporal_heads)
+        assert head_out.shape == (1, 5, 8)
+        assert np.allclose(stage.data, head_out.data[0], atol=1e-12)
 
     def test_dead_temporal_stage_passes_embedding_through(self):
         model = McdcModel(TINY, seed=8)

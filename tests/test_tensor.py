@@ -19,12 +19,14 @@ from mcdc.tensor import (
     cross_entropy,
     grad_check,
     matmul,
+    merge_stack,
     mul,
     parameter,
     reshape,
     scale,
     sigmoid,
     softmax_axis,
+    stack,
     sum_all,
     tensor,
     transpose,
@@ -418,6 +420,27 @@ class TestStackFiniteDifferences:
         err = _fd_case(f, [(2, 2, 3), (2, 4, 3)], seed)
         assert err < 1e-4
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_conv_kernel_stack_and_signal(self, seed):
+        def f(sig, k0, k1, k2):
+            out = conv1d(sig, stack([k0, k1, k2]), stride=1 + seed % 2, padding=(seed % 3, 2))
+            return sum_all(sigmoid(out))
+
+        err = _fd_case(f, [(2, 3, 7), (1, 4), (1, 4), (1, 4)], seed)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_head_stack_broadcast_over_a_batch(self, seed):
+        # an (H, r, c) stack of parameters times a (B, 1, c, n) batch, then
+        # the head axis merged into rows and into columns
+        def f(w0, w1, x):
+            heads = matmul(stack([w0, w1]), stack([x]))
+            cols = merge_stack(heads, "cols")
+            return add(sum_all(sigmoid(merge_stack(heads, "rows"))), sum_all(mul(cols, cols)))
+
+        err = _fd_case(f, [(3, 4), (3, 4), (2, 4, 5)], seed)
+        assert err < 1e-4
+
 
 class TestStacks:
     def test_conv_rows_bit_exact_against_naive_loop(self):
@@ -435,6 +458,63 @@ class TestStacks:
             assert out.shape[:2] == sig.shape[:2]
             for b in range(sig.shape[0]):
                 assert np.array_equal(out[b], naive_conv1d(sig[b], kern, stride, left, right))
+
+    def test_conv_kernel_stack_bit_exact_against_naive_loop(self):
+        # every (kernel, row) pair of a kernel stack over a signal stack, with
+        # strides and uneven padding; each kernel's gradient is also the one
+        # that kernel gets when convolved on its own
+        rng = np.random.default_rng(17)
+        for case in range(60):
+            length = int(rng.integers(1, 12))
+            k = int(rng.integers(1, 7))
+            stride = int(rng.integers(1, 4))
+            left, right = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+            if length + left + right < k:
+                continue
+            lead = (int(rng.integers(1, 4)),) * (case % 2)
+            sig = rng.normal(size=lead + (int(rng.integers(1, 5)), length))
+            bank = rng.normal(size=(int(rng.integers(1, 5)), 1, k))
+            s, kt = parameter(sig), parameter(bank)
+            with Tape() as tape:
+                out = conv1d(s, kt, stride=stride, padding=(left, right))
+                g = rng.normal(size=out.shape)
+                backward(tape, sum_all(mul(out, tensor(g))))
+            assert out.shape == lead + (bank.shape[0],) + sig.shape[-2:-1] + out.shape[-1:]
+            for i in range(bank.shape[0]):
+                for b in np.ndindex(*lead):
+                    naive = naive_conv1d(sig[b], bank[i, 0], stride, left, right)
+                    assert np.array_equal(out.data[b + (i,)], naive)
+                alone = parameter(bank[i])
+                with Tape() as tape:
+                    one = conv1d(tensor(sig), alone, stride=stride, padding=(left, right))
+                    backward(tape, sum_all(mul(one, tensor(g[..., i, :, :]))))
+                assert kt.grad[i].tobytes() == alone.grad.tobytes()
+
+    def test_kernel_stack_must_be_k_by_1_by_taps(self):
+        with pytest.raises(DimensionError):
+            conv1d(tensor(np.ones((2, 6))), tensor(np.ones((3, 2, 2))))
+
+    def test_merge_stack_equals_concat_of_the_parts(self):
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(4, 3, 2, 5))
+        parts = [tensor(x[:, h]) for h in range(3)]
+        rows = merge_stack(tensor(x), "rows").data
+        cols = merge_stack(tensor(x), "cols").data
+        assert rows.tobytes() == concat_rows(parts).data.tobytes() and rows.flags.c_contiguous
+        assert cols.tobytes() == concat_cols(parts).data.tobytes() and cols.flags.c_contiguous
+        assert rows.shape == (4, 6, 5) and cols.shape == (4, 2, 15)
+        with pytest.raises(DimensionError):
+            merge_stack(tensor(np.zeros((2, 3))), "rows")
+
+    def test_stack_puts_the_new_axis_before_the_matrix(self):
+        rng = np.random.default_rng(19)
+        a, b = rng.normal(size=(4, 2, 3)), rng.normal(size=(4, 2, 3))
+        out = stack([tensor(a), tensor(b)]).data
+        assert out.shape == (4, 2, 2, 3) and out.flags.c_contiguous
+        assert np.array_equal(out[:, 0], a) and np.array_equal(out[:, 1], b)
+        assert stack([tensor(a[0]), tensor(b[0])]).shape == (2, 2, 3)
+        with pytest.raises(DimensionError):
+            stack([tensor(a), tensor(b[0])])
 
     def test_label_vector_cross_entropy_is_the_mean(self):
         rng = np.random.default_rng(16)

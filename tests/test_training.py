@@ -80,6 +80,43 @@ class TestAdamStep:
 
         assert np.array_equal(run(), run())
 
+    def test_state_serves_one_parameter_list(self):
+        a, b = parameter(np.zeros((2, 2))), parameter(np.zeros((1, 3)))
+        state = AdamState()
+        adam_step([("a", a), ("b", b)], {"a": np.ones((2, 2)), "b": np.ones((1, 3))}, state, lr=0.01, config=CFG)
+        with pytest.raises(ValueError, match="this state holds"):
+            adam_step([("b", b), ("a", a)], {"a": np.ones((2, 2)), "b": np.ones((1, 3))}, state, lr=0.01, config=CFG)
+
+    def test_in_place_update_matches_the_allocating_formula_byte_for_byte(self):
+        # the reference is the update written with temporaries, as it was
+        # before it moved into scratch arrays
+        rng = np.random.default_rng(5)
+        shapes = {"scalar": (1, 1), "row": (1, 6), "col": (7, 1), "mat": (64, 60), "cube": (4, 1, 5)}
+        params = [(name, parameter(rng.normal(size=shape))) for name, shape in shapes.items()]
+        ref = {name: p.data.copy() for name, p in params}
+        ref_m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        ref_v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        config = TrainConfig(seed=0, beta1=0.85, beta2=0.995, eps=1e-7)
+        b1, b2 = config.beta1, config.beta2
+        state = AdamState()
+        for t in range(1, 51):
+            grads = {name: rng.normal(scale=10.0 ** rng.integers(-8, 3), size=shape) for name, shape in shapes.items()}
+            grads["row"][0, t % 6] = 0.0
+            grads["col"][t % 7, 0] = -0.0
+            lr = (0.01, 0.001, 0.0002)[t % 3]
+            adam_step(params, grads, state, lr, config)
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for name, g in grads.items():
+                ref_m[name] *= b1
+                ref_m[name] += (1.0 - b1) * g
+                ref_v[name] *= b2
+                ref_v[name] += (1.0 - b2) * g * g
+                ref[name] -= lr * (ref_m[name] / bc1) / (np.sqrt(ref_v[name] / bc2) + config.eps)
+            for name, p in params:
+                assert p.data.tobytes() == ref[name].tobytes(), (t, name)
+                assert state.m[name].tobytes() == ref_m[name].tobytes(), (t, name)
+                assert state.v[name].tobytes() == ref_v[name].tobytes(), (t, name)
+
 
 def two_class_windows(n_per_class=10, t_len=8, seed=2, scale=1.0):
     rng = np.random.default_rng(seed)
