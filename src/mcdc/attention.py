@@ -1,17 +1,20 @@
-"""Attention over token columns, with conv-derived or matrix-projected Q/K/V.
+"""Attention over tokens, with conv-derived or matrix-projected Q/K/V.
 
-Inputs are oriented features-on-rows, tokens-on-columns: one matrix, or a
-stack of them with one matrix per sample. The conv variant
-slides one short kernel per projection along each token's feature vector;
-the matrix variant left-multiplies by a square learned matrix. Both feed the
-same scaled dot-product map, so they are shape-compatible drop-ins for each
-other at equal route and width.
+The conv variant slides one short kernel per projection along each token's
+feature vector, so it takes its input tokens-on-rows, features-on-columns
+(n x d): the rows the kernels slide along. The matrix variant left-multiplies
+by a square learned matrix, so it takes features-on-rows, tokens-on-columns
+(d x n). Either input is one matrix or a stack of them, one per sample. Both
+give Q, K and V as d x n and feed the same scaled dot-product map, so they
+are drop-ins for each other at equal route and width.
 
-The heads of a route run as one stack: their kernels (or matrices) are
-stacked into one bank per projection inside the forward pass, so a route
-costs one conv1d (or matmul) per projection, one attention map and one
-attend whatever its head count, and returns (..., H, d, n) with head h at
-index h. The heads themselves only hold their parameters.
+The heads of a route run as one stack, and each route returns (..., H, d, n)
+with head h at index h. The conv variant makes one conv1d per route: the q,
+k and v kernels of every head, taken from the heads' own parameters inside
+the forward pass, form one (3H, 1, k) bank. The matrix variant makes one
+matmul per projection. Either way a route has one attention map and one
+attend, whatever its head count. The heads themselves only hold their
+parameters.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .tensor import (
     matmul,
     scale,
     softmax_axis,
+    split,
     stack,
     transpose,
 )
@@ -99,18 +103,16 @@ def head_parameter_count(head) -> int:
 def cnn_qkv(inp: Tensor, heads: list[CnnAttentionHead]) -> tuple[Tensor, Tensor, Tensor]:
     """Convolve each token's feature vector with every head's three kernels.
 
-    `inp` is features x tokens (d x n, or a stack of those); the result is
-    one (..., H, d, n) stack per projection. The kernels slide along the
-    feature axis of every token, so the conv runs on the transposed input
-    row-wise, once per projection with all H kernels stacked, and the
-    result is transposed back. Same-padding keeps features' == features.
+    `inp` is tokens x features (n x d, or a stack of those). One conv1d per
+    route: all 3H kernels, the q kernels of every head, then the k and then
+    the v kernels, run as one bank over the rows of `inp`; one transpose
+    turns the (..., 3H, n, d) result into d x n matrices, which are split
+    into one (..., H, d, n) stack per projection. Same-padding keeps
+    features' == features.
     """
-    tokens_rows = transpose(inp)
-    pad = same_padding(heads[0].kernel_size)
-    q, k, v = (
-        transpose(conv1d(tokens_rows, stack([getattr(head, name) for head in heads]), padding=pad))
-        for name in ("kernel_q", "kernel_k", "kernel_v")
-    )
+    bank = stack([getattr(head, name) for name in ("kernel_q", "kernel_k", "kernel_v") for head in heads])
+    qkv = transpose(conv1d(inp, bank, padding=same_padding(heads[0].kernel_size)))
+    q, k, v = split(qkv, 3)
     return q, k, v
 
 
@@ -135,7 +137,7 @@ def attend(v: Tensor, amap: Tensor) -> Tensor:
 
 
 def cnn_attention(inp: Tensor, heads: list[CnnAttentionHead]) -> Tensor:
-    """All heads of a conv route on `inp` (d x n or a stack): (..., H, d, n)."""
+    """All heads of a conv route on `inp` (n x d or a stack): (..., H, d, n)."""
     q, k, v = cnn_qkv(inp, heads)
     return attend(v, attention_map(q, k))
 

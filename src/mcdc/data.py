@@ -144,11 +144,9 @@ def write_series_csv(series: list[GasSeries], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for s in sorted(series, key=lambda s: s.transformer_id):
-            for i, day in enumerate(s.days):
-                writer.writerow(
-                    [s.transformer_id, s.voltage_kv, s.condition.name, int(day)]
-                    + [repr(float(v)) for v in s.readings[:, i]]
-                )
+            head = [s.transformer_id, s.voltage_kv, s.condition.name]
+            # csv writes a Python float as its repr
+            writer.writerows(head + [day] + gases for day, gases in zip(s.days.tolist(), s.readings.T.tolist()))
 
 
 def interpolate_gaps(series: GasSeries) -> GasSeries:
@@ -187,14 +185,15 @@ def overlapping_sample(series: GasSeries, window_len: int) -> list[CdgdWindow]:
             window_len,
         )
         return []
+    # one copy of every window, (n, 5, T), from a strided view in which
+    # window i starts at column i (sliding_window_view costs 3x as much per call)
+    r = series.readings
+    step, row = r.strides[1], r.strides[0]
+    n = length - window_len + 1
+    cut = np.lib.stride_tricks.as_strided(r, shape=(n, r.shape[0], window_len), strides=(step, row, step)).copy()
     return [
-        CdgdWindow(
-            series.transformer_id,
-            int(series.days[start]),
-            series.readings[:, start:start + window_len].copy(),
-            series.condition,
-        )
-        for start in range(length - window_len + 1)
+        CdgdWindow(series.transformer_id, day, values, series.condition)
+        for day, values in zip(series.days.tolist(), cut)
     ]
 
 
@@ -225,8 +224,9 @@ def normalize(train_windows: list[CdgdWindow], all_windows: list[CdgdWindow]) ->
         raise DatasetError("cannot compute normalization stats from an empty training set")
     stacked = np.concatenate([w.values for w in train_windows], axis=1)
     stats = NormStats(stacked.mean(axis=1), np.maximum(stacked.std(axis=1), 1e-6))
+    scaled = stats.apply(np.stack([w.values for w in all_windows])) if all_windows else []
     normalized = [
-        CdgdWindow(w.transformer_id, w.start_day, stats.apply(w.values), w.label) for w in all_windows
+        CdgdWindow(w.transformer_id, w.start_day, values, w.label) for w, values in zip(all_windows, scaled)
     ]
     return normalized, stats
 

@@ -157,18 +157,21 @@ class McdcModel(Classifier):
             )
         return add(x, self._pe)
 
-    def _route(self, inp: Tensor, heads) -> Tensor:
-        """All heads of a route at once: (..., H, d, n) for a d x n input."""
+    def _route(self, x: Tensor, heads, tokens: str) -> Tensor:
+        """All heads of a route on the 5 x T map `x` (or a stack), whose tokens
+        are its "cols" (time steps) or its "rows" (channels): (..., H, d, n).
+        The conv route takes tokens on rows and the matrix route features on
+        rows, so `x` is transposed only when it arrives the other way round."""
         if self.hyper.attention == "conv":
-            return attention.cnn_attention(inp, heads)
-        return attention.matrix_attention(inp, heads)
+            return attention.cnn_attention(x if tokens == "rows" else transpose(x), heads)
+        return attention.matrix_attention(transpose(x) if tokens == "rows" else x, heads)
 
     def temporal_interaction(self, embedded: Tensor) -> Tensor:
-        heads = self._route(embedded, self.temporal_heads)
+        heads = self._route(embedded, self.temporal_heads, "cols")
         return matmul(self.mix_temporal, merge_stack(heads, "rows"))
 
     def channel_interaction(self, mixed: Tensor) -> Tensor:
-        heads = self._route(transpose(mixed), self.channel_heads)
+        heads = self._route(mixed, self.channel_heads, "rows")
         return matmul(merge_stack(transpose(heads), "cols"), self.mix_channel)
 
     def project_logits(self, z: Tensor) -> Tensor:

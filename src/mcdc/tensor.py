@@ -17,7 +17,6 @@ as plain numpy compute, which is the evaluation fast path.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -44,6 +43,7 @@ __all__ = [
     "scale",
     "sigmoid",
     "softmax_axis",
+    "split",
     "stack",
     "sum_all",
     "tensor",
@@ -331,6 +331,29 @@ def merge_stack(x: Tensor, axis: str) -> Tensor:
     return _record(out, (x,), bw)
 
 
+def split(x: Tensor, parts: int) -> list[Tensor]:
+    """Cut the innermost stack axis into `parts` equal runs, the inverse of
+    stack: (..., P*S, r, c) gives P views (..., S, r, c), part p holding
+    matrices p*S to p*S + S - 1. Each part is one node; their gradients are
+    added into one buffer of x's shape, each into its own run."""
+    if x.data.ndim < 3:
+        raise DimensionError(f"split needs a stack, got shape {x.shape}")
+    if parts < 1 or x.shape[-3] % parts:
+        raise DimensionError(f"cannot split {x.shape[-3]} stacked matrices into {parts} equal parts")
+    size = x.shape[-3] // parts
+    out = []
+    for lo in range(0, x.shape[-3], size):
+        run = (..., slice(lo, lo + size), slice(None), slice(None))
+
+        def bw(g, run=run):
+            if x.grad is None:
+                x.grad = np.zeros(x.shape)
+            x.grad[run] += g
+
+        out.append(_record(Tensor(x.data[run]), (x,), bw))
+    return out
+
+
 def _pad_pair(padding) -> tuple[int, int]:
     if isinstance(padding, tuple):
         left, right = int(padding[0]), int(padding[1])
@@ -349,9 +372,14 @@ def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1, padding=0) -> Tensor
     (K, 1, k) of K kernels, giving (..., K, rows, out_len) with kernel i's
     rows at index i. `padding` is a zero-pad count, either symmetric (int) or
     an explicit (left, right) pair; out_len is floor((L + pads - k)/stride) + 1.
-    Every (kernel, row) pair of a stack is computed exactly as that row with
-    that kernel on its own. Gradients w.r.t. both the signal and the kernel
-    are recorded.
+    Every output starts at zero and adds its taps' products in tap order, as
+    a naive tap loop does, so each (kernel, row) pair of a stack is computed
+    exactly as that row with that kernel on its own. Gradients w.r.t. both
+    the signal and the kernel are recorded.
+
+    The sums run with the convolved axis first, (L, ..., rows): a tap's
+    view of every output is then one slice of whole (..., rows) blocks, so
+    each step is one long elementwise run rather than one per row.
     """
     stacked = kernel.data.ndim == 3
     if stacked and kernel.shape[1] != 1:
@@ -367,66 +395,57 @@ def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1, padding=0) -> Tensor
         raise GeometryError(
             f"signal length {length} with padding {padding} is shorter than kernel {k}"
         )
-    taps, back_taps = _conv_taps(length, k, stride, left, right)
-    bank = kernel.data.reshape(-1, 1, 1, k)  # kernel i broadcasts over (rows, out_len)
-    # windows[..., 0, r, j, t] is padded row r under output j's tap t; its
-    # length-1 axis broadcasts over the kernels
-    extended = _with_zero_column(signal.data)
-    windows = extended[..., None, :, :][..., taps]
-    out = _tap_sum(windows * bank)
+    out_len = (length + left + right - k) // stride + 1
+    span = stride * (out_len - 1) + 1  # tap t covers padded columns t, t + stride, ..., t + span - 1
+    bank = kernel.data.reshape(-1, k)  # (K, k)
+    lead = signal.data.shape[:-1]  # (..., rows)
+    taps = bank.T.reshape((k, -1) + (1,) * len(lead))  # taps[t]: tap t of every kernel, (K, 1, ..., 1)
+    cols = np.zeros((left + length + right,) + lead)  # the zero-padded signal, convolved axis first
+    cols[left:left + length] = np.moveaxis(signal.data, -1, 0)
+    out = np.zeros((bank.shape[0], out_len) + lead)
+    term = np.empty(out.shape)
+    for t in range(k):
+        np.multiply(cols[t:t + span:stride], taps[t][:, None], out=term)
+        out += term
+    out = np.moveaxis(out, (0, 1), (-3, -1))  # (..., K, rows, out_len)
     out = Tensor(out if stacked else out[..., 0, :, :])
 
     def bw(g):
         if not stacked:
             g = g[..., None, :, :]
+        scratch = np.empty(g.size)  # one tap's products, for either gradient
         if kernel.requires_grad:
-            # per kernel, one contiguous row of g * tap-t window per tap,
-            # summed like a whole-array .sum() of that product
-            prods = windows * g[..., None]
-            lead = prods.ndim - 4
-            prods = np.ascontiguousarray(np.moveaxis(prods, (lead, prods.ndim - 1), (0, 1)))
-            dk = prods.reshape(bank.shape[0], k, -1).sum(axis=2)
+            # kernel i's tap-t gradient is the whole-array sum of g[..., i, :, :]
+            # times tap t's window; each tap's products are written kernel-major,
+            # so every kernel's are one contiguous row and summed as .sum() would
+            padded = np.zeros(lead + (left + length + right,))
+            padded[..., left:left + length] = signal.data
+            by_kernel = np.moveaxis(g, -3, 0)
+            prod = scratch.reshape(by_kernel.shape)
+            dk = np.empty(bank.shape)
+            for t in range(k):
+                np.multiply(by_kernel, np.ascontiguousarray(padded[..., t:t + span:stride]), out=prod)
+                dk[:, t] = prod.reshape(bank.shape[0], -1).sum(axis=1)
             if _FAULT == "conv-kernel-grad":
                 dk = dk * 1.01 + 1e-3
             _accum(kernel, dk.reshape(kernel.shape))
         if signal.requires_grad:
-            per_kernel = _tap_sum(_with_zero_column(g)[..., back_taps] * bank)
-            _accum(signal, per_kernel.sum(axis=-3))
+            # per kernel, g times tap t added tap by tap from zero into the
+            # padded signal, convolved axis first; then the kernels' gradients
+            # added in kernel order
+            g_cols = np.ascontiguousarray(np.moveaxis(g, (-1, -3), (0, 1)))  # (out_len, K, ..., rows)
+            d_cols = np.zeros((left + length + right,) + g_cols.shape[1:])
+            term = scratch.reshape(g_cols.shape)
+            for t in range(k):
+                np.multiply(g_cols, taps[t], out=term)
+                d_cols[t:t + span:stride] += term
+            d_cols = d_cols[left:left + length]
+            d_signal = d_cols[:, 0].copy()
+            for i in range(1, d_cols.shape[1]):
+                d_signal += d_cols[:, i]
+            _accum(signal, np.moveaxis(d_signal, 0, -1))
 
     return _record(out, (signal, kernel), bw)
-
-
-@functools.lru_cache(maxsize=256)
-def _conv_taps(length: int, k: int, stride: int, left: int, right: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather indices for conv1d over a row extended by one zero column.
-
-    taps[j, t] is the signal column under tap t of output j; back_taps[p, t]
-    is the output column whose tap t covers signal column p. Positions that
-    fall in the padding, or that no output covers, point at the zero column.
-    """
-    out_len = (length + left + right - k) // stride + 1
-    tap = np.arange(k)
-    col = np.arange(out_len)[:, None] * stride + tap - left
-    taps = np.where((col >= 0) & (col < length), col, length)
-    out_col, rem = np.divmod(np.arange(length)[:, None] + left - tap, stride)
-    back_taps = np.where((rem == 0) & (out_col >= 0) & (out_col < out_len), out_col, out_len)
-    taps.setflags(write=False)
-    back_taps.setflags(write=False)
-    return taps, back_taps
-
-
-def _with_zero_column(a: np.ndarray) -> np.ndarray:
-    return np.concatenate((a, np.zeros(a.shape[:-1] + (1,))), axis=-1)
-
-
-def _tap_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum the last axis in tap order, one running total per element.
-
-    That is the order of a naive tap loop started at zero, so the result is
-    elementwise bit-exact against it: terms from the zero column only add
-    signed zeros, and the final + 0.0 gives a zero total the loop's sign.
-    """
-    return np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
 
 
 def softmax_axis(x: Tensor, axis: str) -> Tensor:

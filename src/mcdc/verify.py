@@ -67,7 +67,17 @@ def _check_conv_oracle():
             for i in range(bank.shape[0]):
                 if not np.array_equal(ours[b, i], _naive_conv(sig[b], bank[i, 0], stride, pad)):
                     return False, f"kernel-stack mismatch at L={length} k={k} s={stride} p={pad} kernel {i}"
-    return True, "30 geometries and 30 kernel-stack geometries exact"
+    # a route's bank: the q, k and v kernels of H heads, (3H, 1, k)
+    for length, k, stride, pad in _conv_geometries(rng, 30):
+        heads = int(rng.integers(1, 5))
+        sig = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 13)), length))
+        bank = rng.normal(size=(3 * heads, 1, k))
+        ours = conv1d(tensor(sig), tensor(bank), stride, pad).data
+        for b in range(sig.shape[0]):
+            for i in range(bank.shape[0]):
+                if not np.array_equal(ours[b, i], _naive_conv(sig[b], bank[i, 0], stride, pad)):
+                    return False, f"route-bank mismatch at H={heads} L={length} k={k} s={stride} p={pad} kernel {i}"
+    return True, "30 geometries, 30 kernel-stack and 30 (3H, 1, k) route-bank geometries exact"
 
 
 def _check_matmul_oracle():
@@ -112,7 +122,7 @@ def _check_attention_stochastic():
     heads_c = [new_cnn_head(6, np.random.default_rng(10 + 2 * h)) for h in range(4)]
     for _ in range(20):
         x = rng.normal(scale=3.0, size=(10, 5, 8))
-        for inp, heads in ((x, heads_t), (x.swapaxes(-1, -2), heads_c)):
+        for inp, heads in ((x.swapaxes(-1, -2), heads_t), (x, heads_c)):
             q, k, _ = cnn_qkv(tensor(inp), heads)
             amap = attention_map(q, k).data
             if not np.allclose(amap.sum(axis=-2), 1.0, atol=1e-9):

@@ -72,7 +72,7 @@ def test_criterion_02_attention_map_stochasticity():
         channel_head = new_cnn_head(6, np.random.default_rng(5))
         for _ in range(1000):
             x = rng.normal(scale=4.0, size=(5, 8))
-            for inp, head in ((x, temporal_head), (x.T, channel_head)):
+            for inp, head in ((x.T, temporal_head), (x, channel_head)):
                 q, k, _ = cnn_qkv(tensor(inp), [head])
                 amap = attention_map(q, k).data[0]
                 assert np.allclose(amap.sum(axis=0), 1.0, atol=1e-9)

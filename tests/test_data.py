@@ -346,6 +346,78 @@ class TestFacilitySplitReference:
             assert split(windows, "facility", train_fraction, seed=seed, k=4).to_json() == expected
 
 
+def reference_overlapping_sample(series, window_len):
+    """The window cut as first written: one slice copy per window."""
+    return [
+        CdgdWindow(series.transformer_id, int(series.days[start]),
+                   series.readings[:, start:start + window_len].copy(), series.condition)
+        for start in range(series.days.size - window_len + 1)
+    ]
+
+
+def reference_normalize(train_windows, all_windows):
+    """Normalization as first written: one z-score per window."""
+    stacked = np.concatenate([w.values for w in train_windows], axis=1)
+    mean, std = stacked.mean(axis=1), np.maximum(stacked.std(axis=1), 1e-6)
+    return [
+        CdgdWindow(w.transformer_id, w.start_day, (w.values - mean[:, None]) / std[:, None], w.label)
+        for w in all_windows
+    ], mean, std
+
+
+def reference_write_series_csv(series, path):
+    """The CSV writer as first written: one row and one repr per value."""
+    import csv
+
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for s in sorted(series, key=lambda s: s.transformer_id):
+            for i, day in enumerate(s.days):
+                writer.writerow(
+                    [s.transformer_id, s.voltage_kv, s.condition.name, int(day)]
+                    + [repr(float(v)) for v in s.readings[:, i]]
+                )
+
+
+def _window_bytes(windows):
+    return [
+        (w.transformer_id, w.start_day, w.values.shape, w.values.tobytes(), w.label.code) for w in windows
+    ]
+
+
+class TestIngestReference:
+    """The vectorised ingest against copies of the per-window loops it replaced."""
+
+    @pytest.mark.parametrize("recipe", ["default", "facility_shift", "stability"])
+    def test_windows_and_normalization_match_the_reference_byte_for_byte(self, recipe):
+        series = synth_generate(load_recipe(recipe), seed=5, transformers_per_class=2, length_range=(8, 20))
+        # zero and signed-zero readings, and a series exactly one window long
+        series[0].readings[:, ::3] = 0.0
+        series[0].readings[:, 1::5] = -0.0
+        series.append(make_series("short", days=range(1, 9), readings=np.full((5, 8), 2.5)))
+        for t_len in (1, 8, 12):
+            windows, expected = [], []
+            for s in series:
+                windows += overlapping_sample(s, t_len)
+                expected += reference_overlapping_sample(s, t_len)
+            assert _window_bytes(windows) == _window_bytes(expected)
+            assert all(w.values.flags.c_contiguous for w in windows)
+            for train in (windows[::3], windows[:1], windows):
+                normalized, stats = normalize(train, windows)
+                ref, mean, std = reference_normalize(train, windows)
+                assert _window_bytes(normalized) == _window_bytes(ref)
+                assert stats.mean.tobytes() == mean.tobytes() and stats.std.tobytes() == std.tobytes()
+
+    def test_csv_matches_the_reference_byte_for_byte(self, tmp_path):
+        series = synth_generate(load_recipe("default"), seed=6, transformers_per_class=2)
+        series.append(make_series("tiny", days=[3, 7], readings=[[0.0, 1e-300], [1e300, 0.1], [2.0, 3.5],
+                                                                 [1 / 3, 7e-7], [123456789.125, 5e-324]]))
+        write_series_csv(series, tmp_path / "new.csv")
+        reference_write_series_csv(series, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
 class TestKfold:
     def test_four_equal_folds(self):
         folds = kfold(list(range(100)), 4, seed=8)

@@ -26,6 +26,7 @@ from mcdc.tensor import (
     scale,
     sigmoid,
     softmax_axis,
+    split,
     stack,
     sum_all,
     tensor,
@@ -100,8 +101,10 @@ class TestConv1d:
         assert out.shape == (1, 5)
 
     def test_matches_naive_oracle_on_random_geometries(self):
+        # odd cases: a stack of 12 kernels, a route's 3H bank at H = 4, over a
+        # (B, rows, L) stack of signals, every (kernel, row) pair
         rng = np.random.default_rng(2)
-        for _ in range(100):
+        for case in range(200):
             length = int(rng.integers(1, 12))
             k = int(rng.integers(1, 7))
             stride = int(rng.integers(1, 4))
@@ -109,10 +112,18 @@ class TestConv1d:
             if length + 2 * pad < k:
                 continue
             rows = int(rng.integers(1, 6))
-            sig = rng.normal(size=(rows, length))
-            kern = rng.normal(size=k)
-            out = conv1d(tensor(sig), tensor(kern), stride=stride, padding=pad)
-            assert np.array_equal(out.data, naive_conv1d(sig, kern, stride, pad, pad))
+            if case % 2 == 0:
+                sig = rng.normal(size=(rows, length))
+                kern = rng.normal(size=k)
+                out = conv1d(tensor(sig), tensor(kern), stride=stride, padding=pad)
+                assert np.array_equal(out.data, naive_conv1d(sig, kern, stride, pad, pad))
+                continue
+            sig = rng.normal(size=(int(rng.integers(1, 5)), rows, length))
+            bank = rng.normal(size=(12, 1, k))
+            out = conv1d(tensor(sig), tensor(bank), stride=stride, padding=pad).data
+            for b in range(sig.shape[0]):
+                for i in range(12):
+                    assert np.array_equal(out[b, i], naive_conv1d(sig[b], bank[i, 0], stride, pad, pad))
 
     def test_asymmetric_padding(self):
         rng = np.random.default_rng(3)
@@ -127,11 +138,14 @@ class TestConv1d:
             conv1d(tensor(np.ones((1, 2))), tensor(np.ones((1, 5))), stride=1, padding=1)
 
     def test_gradients_bit_exact_against_tap_loops(self):
-        # dkernel[t] is the whole-array sum of g times tap t's window; dsignal
-        # adds g * kernel[t] tap by tap from zero. Zeros and signed zeros check
-        # that padding terms leave every bit, zero signs included, unchanged.
+        # dkernel[i, t] is the whole-array sum of g[..., i, :, :] times tap t's
+        # window; dsignal adds g * kernel[i, t] tap by tap from zero for each
+        # kernel, then the kernels in order. Zeros and signed zeros check that
+        # padding terms leave every bit, zero signs included, unchanged. Every
+        # other case is a 12-kernel stack, a route's 3H bank at H = 4, over a
+        # (B, rows, L) stack of signals.
         rng = np.random.default_rng(4)
-        for case in range(300):
+        for case in range(400):
             length = int(rng.integers(1, 14))
             k = int(rng.integers(1, 8))
             stride = int(rng.integers(1, 4))
@@ -139,8 +153,10 @@ class TestConv1d:
             if length + left + right < k:
                 continue
             rows = int(rng.integers(1, 13))
-            sig = rng.normal(size=(rows, length))
-            kern = rng.normal(size=(1, k))
+            stacked = case % 2 == 1
+            lead = (int(rng.integers(1, 5)),) if stacked else ()
+            sig = rng.normal(size=lead + (rows, length))
+            kern = rng.normal(size=(12, 1, k) if stacked else (1, k))
             if case % 3 == 1:
                 sig[rng.random(sig.shape) < 0.5] = -0.0
                 kern[rng.random(kern.shape) < 0.3] = -0.0
@@ -151,15 +167,23 @@ class TestConv1d:
                 if case % 3 == 2:
                     g[rng.random(g.shape) < 0.5] = 0.0
                 backward(tape, sum_all(mul(out, tensor(g))))
-            padded = np.zeros((rows, length + left + right))
-            padded[:, left:left + length] = sig
-            stop = stride * (out.shape[1] - 1) + 1
-            dk = np.array([(g * padded[:, t:t + stop:stride]).sum() for t in range(k)])
-            dpad = np.zeros_like(padded)
-            for t in range(k):
-                dpad[:, t:t + stop:stride] += g * kern[0, t]
-            assert kt.grad.tobytes() == dk.reshape(1, k).tobytes()
-            assert s.grad.tobytes() == dpad[:, left:left + length].tobytes()
+            bank = kern.reshape(-1, k)
+            g_by_kernel = g.reshape(lead + (bank.shape[0], rows, -1))
+            padded = np.zeros(lead + (rows, length + left + right))
+            padded[..., left:left + length] = sig
+            stop = stride * (out.shape[-1] - 1) + 1
+            dk = np.array([
+                [(g_by_kernel[..., i, :, :] * padded[..., t:t + stop:stride]).sum() for t in range(k)]
+                for i in range(bank.shape[0])
+            ])
+            dsig = np.zeros_like(padded)
+            for i in range(bank.shape[0]):
+                dpad = np.zeros_like(padded)
+                for t in range(k):
+                    dpad[..., t:t + stop:stride] += g_by_kernel[..., i, :, :] * bank[i, t]
+                dsig += dpad
+            assert kt.grad.tobytes() == dk.reshape(kern.shape).tobytes()
+            assert s.grad.tobytes() == dsig[..., left:left + length].tobytes()
 
 
 class TestSoftmax:
@@ -442,6 +466,28 @@ class TestStackFiniteDifferences:
         assert err < 1e-4
 
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_split_parts(self, seed):
+        # three parts used differently, one of them also through the whole
+        # stack, so the parts' gradients land in a buffer x already fills
+        def f(x, w):
+            a, b, c = split(x, 3)
+            return add_n([sum_all(sigmoid(matmul(a, w))), sum_all(mul(b, c)), sum_all(mul(x, x))])
+
+        err = _fd_case(f, [(2, 6, 3, 4), (4, 2)], seed)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_split_part_without_gradient(self, seed):
+        # the middle part never reaches the loss: its run of the gradient is zero
+        def f(x):
+            a, _, c = split(x, 3)
+            return add(sum_all(sigmoid(a)), sum_all(mul(c, c)))
+
+        err = _fd_case(f, [(3, 2, 4)], seed)
+        assert err < 1e-4
+
+
 class TestStacks:
     def test_conv_rows_bit_exact_against_naive_loop(self):
         rng = np.random.default_rng(15)
@@ -515,6 +561,35 @@ class TestStacks:
         assert stack([tensor(a[0]), tensor(b[0])]).shape == (2, 2, 3)
         with pytest.raises(DimensionError):
             stack([tensor(a), tensor(b[0])])
+
+    def test_split_is_the_inverse_of_stack(self):
+        rng = np.random.default_rng(20)
+        parts = [rng.normal(size=(4, 2, 2, 3)) for _ in range(3)]
+        whole = np.concatenate(parts, axis=-3)
+        out = split(tensor(whole), 3)
+        assert [p.shape for p in out] == [(4, 2, 2, 3)] * 3
+        assert all(np.array_equal(p.data, q) for p, q in zip(out, parts))
+        assert [p.data.tobytes() for p in split(stack([tensor(q[0, 0]) for q in parts]), 3)] == [
+            q[0, :1].tobytes() for q in parts
+        ]
+
+    def test_split_records_one_node_per_part_and_one_gradient_buffer(self):
+        x = parameter(np.random.default_rng(21).normal(size=(2, 6, 3, 3)))
+        with Tape() as tape:
+            parts = split(x, 3)
+            loss = add_n([sum_all(scale(p, float(i + 1))) for i, p in enumerate(parts)])
+            backward(tape, loss)
+        assert tape.nodes[:3] == parts
+        assert x.grad.shape == x.shape
+        assert np.array_equal(x.grad, np.repeat([1.0, 2.0, 3.0], 2)[None, :, None, None] * np.ones(x.shape))
+
+    def test_split_shape_errors(self):
+        with pytest.raises(DimensionError, match="stack"):
+            split(tensor(np.zeros((6, 3))), 3)
+        with pytest.raises(DimensionError, match="7 stacked matrices into 3"):
+            split(tensor(np.zeros((7, 2, 2))), 3)
+        with pytest.raises(DimensionError, match="into 0"):
+            split(tensor(np.zeros((6, 2, 2))), 0)
 
     def test_label_vector_cross_entropy_is_the_mean(self):
         rng = np.random.default_rng(16)
