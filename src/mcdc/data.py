@@ -12,11 +12,12 @@ import csv
 import json
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import ConditionLabel, by_name
+from .conditions import CONDITIONS, ConditionLabel, by_name
 
 __all__ = [
     "CSV_HEADER",
@@ -83,12 +84,79 @@ class CdgdWindow:
     label: ConditionLabel
 
 
+# One CSV row as numpy's text reader parses it; ids and conditions stay str.
+_ROW_DTYPE = np.dtype(
+    [
+        ("tid", object),
+        ("voltage", np.int64),
+        ("condition", object),
+        ("day", np.int64),
+        ("gases", np.float64, (len(GAS_COLUMNS),)),
+    ]
+)
+_CONDITION_CODES = {c.name: c.code for c in CONDITIONS}
+
+
 def load_series(path) -> list[GasSeries]:
     """Parse a dataset CSV into per-transformer series, sorted by day.
 
-    Parse problems raise DatasetError naming the offending line. An empty
-    file yields an empty list.
+    Series come in the order of each transformer's first row. Quoting follows
+    Python's csv module, blank lines are skipped and `#` is data. The body is
+    parsed in one pass of numpy's text reader and checked on whole columns. A
+    file that this reader or a check rejects is read again row by row
+    (_load_series_rows), so a parse problem raises DatasetError naming the
+    offending line, and spellings that int() and float() take but numpy does
+    not (`1_000`, non-ASCII digits, days beyond int64) load as they always
+    have. An empty file yields an empty list.
     """
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            header = next(csv.reader(fh))
+        except StopIteration:
+            return []
+        rows = None
+        if tuple(h.strip() for h in header) == CSV_HEADER:
+            try:
+                # any warning (an empty body, or a deprecated float-as-int
+                # parse in older numpy) sends the file to the row reader
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    rows = np.loadtxt(fh, delimiter=",", quotechar='"', comments=None, ndmin=1, dtype=_ROW_DTYPE)
+            except (ValueError, OverflowError, Warning):
+                pass
+    series = None if rows is None else _bulk_series(rows)
+    return _load_series_rows(path) if series is None else series
+
+
+def _bulk_series(rows: np.ndarray) -> list[GasSeries] | None:
+    """The series of parsed rows, or None if any row fails a check that
+    _load_series_rows makes."""
+    ids: dict[str, int] = {}  # stripped id -> code, in first-row order
+    code = np.array([ids.setdefault(t.strip(), len(ids)) for t in rows["tid"].tolist()])
+    condition = np.array([_CONDITION_CODES.get(c.strip(), -1) for c in rows["condition"].tolist()])
+    voltage, day = rows["voltage"], rows["day"]
+    first = np.unique(code, return_index=True)[1]  # each id's first row
+    if (voltage != voltage[first][code]).any() or (condition != condition[first][code]).any():
+        return None  # a row disagrees with its id's first row
+    # so the first rows alone need a known condition and voltage level
+    voltages, conditions = voltage[first].tolist(), condition[first].tolist()
+    if -1 in conditions or not set(voltages) <= set(VOLTAGE_LEVELS):
+        return None
+    order = np.lexsort((day, code))
+    code, day, readings = code[order], day[order], rows["gases"][order]
+    if not ((readings >= 0.0) & (readings < np.inf)).all():
+        return None
+    if ((code[1:] == code[:-1]) & (day[1:] == day[:-1])).any():  # duplicate (id, day)
+        return None
+    ends = np.cumsum(np.bincount(code)).tolist()
+    return [
+        GasSeries(tid, v, CONDITIONS[c], day[lo:hi], readings[lo:hi].T)
+        for tid, v, c, lo, hi in zip(ids, voltages, conditions, [0] + ends[:-1], ends)
+    ]
+
+
+def _load_series_rows(path) -> list[GasSeries]:
+    """load_series one csv row at a time, naming the first bad line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:

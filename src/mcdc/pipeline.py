@@ -13,6 +13,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import product
 
+import numpy as np
+
 from .baselines import make_model
 from .checkpoint import load_checkpoint, save_checkpoint
 from .conditions import N_CONDITIONS
@@ -227,8 +229,10 @@ def run_eval(
     with _stage("evaluate"):
         indices = plan.test_indices if side == "test" else plan.train_indices
         chosen = [windows[i] for i in indices]
-        for w in chosen:
-            w.values = stats.apply(w.values)
+        # one z-score over the stack, as normalize does
+        scaled = stats.apply(np.stack([w.values for w in chosen])) if chosen else []
+        for w, values in zip(chosen, scaled):
+            w.values = values
         report = evaluate_model(model, chosen)
     with _stage("save"):
         os.makedirs(out_dir, exist_ok=True)

@@ -141,12 +141,15 @@ def glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` into t.grad. A first gradient is stored as it is, not copied,
+    so t.grad may alias another node's gradient: never add into it in place
+    without owning it first (see split)."""
     if t.requires_grad:
         if g.shape != t.data.shape:  # t was broadcast over stack axes
             lead = g.ndim - t.data.ndim
             ones = tuple(lead + i for i, n in enumerate(t.data.shape[:-2]) if n == 1 and g.shape[lead + i] != 1)
             g = g.sum(axis=tuple(range(lead)) + ones).reshape(t.data.shape)
-        t.grad = g.copy() if t.grad is None else t.grad + g
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _stacks_differ(a: Tensor, b: Tensor) -> bool:
@@ -341,13 +344,16 @@ def split(x: Tensor, parts: int) -> list[Tensor]:
     if parts < 1 or x.shape[-3] % parts:
         raise DimensionError(f"cannot split {x.shape[-3]} stacked matrices into {parts} equal parts")
     size = x.shape[-3] // parts
+    owned = None  # the buffer this split allocated or copied for x.grad
     out = []
     for lo in range(0, x.shape[-3], size):
         run = (..., slice(lo, lo + size), slice(None), slice(None))
 
         def bw(g, run=run):
-            if x.grad is None:
-                x.grad = np.zeros(x.shape)
+            nonlocal owned
+            if x.grad is None or x.grad is not owned:  # x.grad may alias another node's
+                owned = np.zeros(x.shape) if x.grad is None else x.grad.copy()
+                x.grad = owned
             x.grad[run] += g
 
         out.append(_record(Tensor(x.data[run]), (x,), bw))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from mcdc.baselines import make_model
-from mcdc.checkpoint import save_checkpoint
+from mcdc.checkpoint import load_checkpoint, save_checkpoint
 from mcdc.cli import main
-from mcdc.data import NormStats, load_series
-from mcdc.pipeline import PipelineError, RunConfig, run_eval, run_sweep
+from mcdc.data import NormStats, SplitPlan, load_series
+from mcdc.evaluation import evaluate_model, roc_csv
+from mcdc.pipeline import PipelineError, RunConfig, build_windows, run_eval, run_sweep
 
 TINY_FLAGS = [
     "--temporal-len", "8",
@@ -182,6 +183,22 @@ class TestDeterminism:
             dirs.append(tmp_path / name)
         assert (dirs[0] / "report.json").read_bytes() == (dirs[1] / "report.json").read_bytes()
         assert (dirs[0] / "roc.csv").read_bytes() == (dirs[1] / "roc.csv").read_bytes()
+
+    def test_eval_matches_per_window_z_scoring_byte_for_byte(self, tmp_path):
+        out = train_once(tmp_path, "run")
+        run_eval(str(out / "checkpoint.json"), str(out / "dataset.csv"), str(out / "split.json"), str(tmp_path / "e"))
+        # the evaluation as first written: one z-score per chosen window
+        model, stats = load_checkpoint(str(out / "checkpoint.json"))
+        plan = SplitPlan.from_json((out / "split.json").read_text())
+        windows = build_windows(load_series(out / "dataset.csv"), model.hyper.temporal_len)
+        chosen = [windows[i] for i in plan.test_indices]
+        for w in chosen:
+            w.values = stats.apply(w.values)
+        report = evaluate_model(model, chosen)
+        roc_csv(report.curves, str(tmp_path / "roc.csv"))
+        expected = json.dumps(report.to_dict(), sort_keys=True) + "\n"
+        assert (tmp_path / "e" / "report.json").read_text(encoding="utf-8") == expected
+        assert (tmp_path / "e" / "roc.csv").read_bytes() == (tmp_path / "roc.csv").read_bytes()
 
     def test_input_dataset_not_mutated(self, tmp_path):
         data = tmp_path / "data.csv"

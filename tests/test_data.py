@@ -1,17 +1,26 @@
 """Dataset pipeline: parsing, interpolation, windowing, splits, generator."""
 
+import csv
+import io
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from mcdc.conditions import by_name
+from mcdc import data
+from mcdc.conditions import CONDITIONS, by_name
 from mcdc.data import (
     CSV_HEADER,
     FACILITY_RETRIES,
+    VOLTAGE_LEVELS,
     CdgdWindow,
     DatasetError,
     GasSeries,
     SplitPlan,
     fold0_sets,
+    _load_series_rows,
     interpolate_gaps,
     kfold,
     load_series,
@@ -416,6 +425,201 @@ class TestIngestReference:
         write_series_csv(series, tmp_path / "new.csv")
         reference_write_series_csv(series, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def _loaded(load, path):
+    """Everything `load` returns, bytes and strides included, or its error."""
+    try:
+        series = load(path)
+    except Exception as exc:  # whatever the row reader raises, the bulk path must raise too
+        return type(exc).__name__, str(exc)
+    return [
+        (
+            type(s.transformer_id), s.transformer_id, type(s.voltage_kv), s.voltage_kv, s.condition,
+            s.days.dtype.str, s.days.shape, s.days.strides, s.days.tobytes(),
+            s.readings.dtype.str, s.readings.shape, s.readings.strides, s.readings.tobytes(),
+        )
+        for s in series
+    ]
+
+
+def _load_both(path):
+    """(load_series's result, _load_series_rows's, whether load_series fell back)."""
+    with mock.patch.object(data, "_load_series_rows", wraps=_load_series_rows) as rows_reader:
+        got = _loaded(load_series, path)
+    return got, _loaded(_load_series_rows, path), rows_reader.called
+
+
+# Spellings that int() and float() take and numpy's text reader does not.
+ODD_SPELLINGS = ("underscore", "full-width", "huge-day")
+# Layout changes that the row reader takes, and changes meant to make it raise.
+LAYOUTS = ("pad", "blank-line")
+BREAKS = (
+    "nan", "inf", "negative", "space-line", "missing-field", "extra-field",
+    "unknown-condition", "unknown-voltage", "voltage-conflict", "condition-conflict", "duplicate-day",
+)
+GAS_VALUES = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 1e300, 123456789.125]),
+)
+NUMERIC_COLUMNS = (1, 3, 4, 5, 6, 7, 8)
+CONDITION_NAMES = [c.name for c in CONDITIONS]
+
+
+@st.composite
+def dataset_csvs(draw, change):
+    """A valid dataset CSV as text, written with varied quoting and line ends,
+    with up to three layout changes and then `change` (an odd spelling, a
+    breaking change or None) made to one row; returns the text."""
+    ids = draw(st.lists(st.text('ab#,"\n \t', min_size=1, max_size=5), min_size=1, max_size=4, unique_by=str.strip))
+    rows = []
+    for tid in ids:
+        voltage, condition = draw(st.sampled_from(VOLTAGE_LEVELS)), draw(st.sampled_from(CONDITION_NAMES))
+        for day in draw(st.lists(st.integers(-3, 40), min_size=1, max_size=5, unique=True)):
+            gases = draw(st.lists(GAS_VALUES, min_size=5, max_size=5))
+            rows.append([tid, str(voltage), condition, str(day)] + [repr(g) for g in gases])
+    rows = [list(row) for row in draw(st.permutations(rows))]
+    mutations = draw(st.lists(st.sampled_from(LAYOUTS), max_size=3)) + ([change] if change else [])
+    after = {}  # row index -> extra lines written after it
+    for kind in mutations:
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i]
+        col = draw(st.sampled_from(NUMERIC_COLUMNS))
+        gas = draw(st.integers(4, 8))
+        if kind == "underscore":
+            digits = [k for k in range(1, len(row[col])) if row[col][k - 1 : k + 1].isdigit()]
+            if digits:
+                k = draw(st.sampled_from(digits))
+                row[col] = row[col][:k] + "_" + row[col][k:]
+        elif kind == "full-width":
+            row[col] = row[col].translate(str.maketrans("0123456789", "０１２３４５６７８９"))
+        elif kind == "huge-day":
+            row[3] = str(draw(st.sampled_from([2**63, 2**63 + 7, 2**64 + 1, -(2**63) - 1])))
+        elif kind == "nan":
+            row[gas] = draw(st.sampled_from(["nan", "NaN", "-nan"]))
+        elif kind == "inf":
+            row[gas] = draw(st.sampled_from(["inf", "-Infinity", "1e400"]))
+        elif kind == "negative":
+            row[gas] = draw(st.sampled_from(["-0.5", "-1e-300", "-7"]))
+        elif kind == "pad":  # the id, the condition and one number
+            for c in (0, 2, col):
+                row[c] = draw(st.sampled_from([" ", "\t", "  "])) + row[c] + draw(st.sampled_from(["", " ", "\t"]))
+        elif kind in ("blank-line", "space-line"):
+            after.setdefault(i, []).append("" if kind == "blank-line" else draw(st.sampled_from([" ", "\t", "  "])))
+        elif kind == "missing-field":
+            row.pop()
+        elif kind == "extra-field":
+            row.append(draw(st.sampled_from(["", "1"])))
+        elif kind == "unknown-condition":
+            row[2] = draw(st.sampled_from(["XX", "nc", "", "N C"]))
+        elif kind == "unknown-voltage":
+            row[1] = draw(st.sampled_from(["99", "0", "-110"]))
+        elif kind == "voltage-conflict":
+            row[1] = str(draw(st.sampled_from([v for v in VOLTAGE_LEVELS if str(v) != row[1]])))
+        elif kind == "condition-conflict":
+            row[2] = draw(st.sampled_from([c for c in CONDITION_NAMES if c != row[2]]))
+        elif kind == "duplicate-day":
+            same = [j for j, other in enumerate(rows) if j != i and other[0] == row[0]]
+            if same:
+                row[3] = rows[draw(st.sampled_from(same))][3]
+            else:
+                rows.append(list(row))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    out = io.StringIO()
+    writer = csv.writer(out, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])), lineterminator=newline)
+    writer.writerow(CSV_HEADER)
+    for i, row in enumerate(rows):
+        writer.writerow(row)
+        for line in after.get(i, []):
+            out.write(line + newline)
+    text = out.getvalue()
+    return text.rstrip(newline) if draw(st.booleans()) else text
+
+
+def _write_gappy(series, path, drop, seed):
+    """Write series with a share of interior days removed, as the eval-fleet
+    benchmark writes its fleet CSV."""
+    rng = np.random.default_rng([seed, 1])
+    gappy = []
+    for s in series:
+        keep = rng.random(s.days.size) >= drop
+        keep[0] = keep[-1] = True
+        gappy.append(GasSeries(s.transformer_id, s.voltage_kv, s.condition, s.days[keep], s.readings[:, keep]))
+    write_series_csv(gappy, path)
+
+
+class TestLoadSeriesBulk:
+    """load_series's one-pass reader against the row reader it falls back on."""
+
+    @pytest.mark.parametrize("recipe", ["default", "facility_shift", "stability"])
+    def test_recipe_csvs_load_in_bulk_byte_for_byte(self, tmp_path, recipe):
+        path = tmp_path / "d.csv"
+        write_series_csv(synth_generate(load_recipe(recipe), seed=7), path)
+        got, expected, fell_back = _load_both(path)
+        assert not fell_back
+        assert got == expected
+
+    def test_gappy_fleet_csv_loads_in_bulk_byte_for_byte(self, tmp_path):
+        path = tmp_path / "fleet.csv"
+        _write_gappy(synth_generate(load_recipe("default"), seed=8, transformers_per_class=8), path, 0.1, 8)
+        got, expected, fell_back = _load_both(path)
+        assert not fell_back
+        assert got == expected
+        assert all(s.readings.strides == (8, 40) and s.days.strides == (8,) for s in load_series(path))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")  # days beyond int64
+    @pytest.mark.parametrize("change", (None,) + ODD_SPELLINGS + BREAKS)
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_generated_csvs_match_the_row_reader(self, tmp_path, change, data):
+        path = tmp_path / "d.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(data.draw(dataset_csvs(change)))
+        got, expected, fell_back = _load_both(path)
+        assert got == expected
+        # a file the row reader loads is read in bulk unless it spells a number oddly
+        if isinstance(expected, list) and change not in ODD_SPELLINGS:
+            assert not fell_back
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("t0,1_10,NC,1,1,2,3,4,5\nt0,110,NC,2,1_000,2,3,4,5", None),
+            ("t0,１１０,NC,１,1.5,2,3,4,5", None),
+            ("t0,110,NC,1,1,2,3,4,5\n  \nt0,110,NC,2,1,2,3,4,5", "line 3: expected 9 fields, got 1"),
+            ("t0,110,NC,1,1,2,3,4,5\nt0,220,NC,2,1,2,3,4,5", "line 3: conflicting voltage for transformer t0"),
+            ("t0,110,NC,1,1,2,3,4,5\nt0,110,HD,2,1,2,3,4,5", "line 3: conflicting condition for transformer t0"),
+            ("t0,110,NC,1,1,2,3,4,5\nt1,110,NC,1,1,2,3,4,5\nt0,110,NC,1,1,2,3,4,5", "line 4: duplicate day 1"),
+            ("t0,110,NC,1,1,2,3,4,5\nt0,110,NC,2,1,2,3,4", "line 3: expected 9 fields, got 8"),
+            ("t0,110,NC,1,1,2,nan,4,5", "line 2: non-finite c2h6 concentration nan"),
+            ("t0,110,NC,1,1,2,3,4,1e400", "line 2: non-finite c2h2 concentration inf"),
+            ("t0,110,NC,1,1,2,3,-0.5,5", "line 2: negative c2h4 concentration -0.5"),
+            ("t0,110,NC,1.0,1,2,3,4,5", "line 2: invalid literal for int"),
+        ],
+    )
+    def test_row_reader_names_the_line_or_takes_the_odd_spelling(self, tmp_path, body, message):
+        path = tmp_path / "d.csv"
+        path.write_text(csv_text(body.split("\n")))
+        got, expected, fell_back = _load_both(path)
+        assert fell_back and got == expected
+        if message is None:
+            assert isinstance(got, list) and got
+        else:
+            assert got[0] == "DatasetError" and message in got[1]
+
+    def test_hash_quotes_padding_and_blank_lines_load_in_bulk(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(
+            b'transformer_id,voltage_kv,condition,day,h2,ch4,c2h6,c2h4,c2h2\r\n'
+            b'"t#1, ""a""", 110 ,\tNC ,2,1,2,3,4,5\r\n\r\n'
+            b'"t#1, ""a""",110,NC,1,-0.0,2e-3,3,4,5e-324\r\n'
+        )
+        got, expected, fell_back = _load_both(path)
+        assert not fell_back and got == expected
+        (s,) = load_series(path)
+        assert s.transformer_id == 't#1, "a"' and s.days.tolist() == [1, 2]
+        assert s.readings[:, 0].tolist() == [-0.0, 2e-3, 3.0, 4.0, 5e-324]
 
 
 class TestKfold:

@@ -487,6 +487,18 @@ class TestStackFiniteDifferences:
         err = _fd_case(f, [(3, 2, 4)], seed)
         assert err < 1e-4
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_split_input_shared_with_a_later_op(self, seed):
+        # add(x, y), taped after the split, hands x and y one gradient array;
+        # the split must add its parts into a buffer of its own, not into that
+        # array, or y's gradient takes in the parts' too
+        def f(x, y):
+            a, b = split(x, 2)
+            return add(add(sum_all(sigmoid(add(x, y))), sum_all(mul(a, a))), sum_all(sigmoid(b)))
+
+        err = _fd_case(f, [(2, 4, 3, 2), (2, 4, 3, 2)], seed)
+        assert err < 1e-4
+
 
 class TestStacks:
     def test_conv_rows_bit_exact_against_naive_loop(self):
