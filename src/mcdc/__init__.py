@@ -1,67 +1,28 @@
 """Multichannel consecutive dissolved-gas diagnosis: model, pipeline, evaluation."""
 
-from .baselines import AnnHyper, AnnModel, make_model
+# evaluation exports nothing here, but `import mcdc` loads it with the other
+# modules, so tools that patch functions by module (perfbench/tracing.py) find it
+from . import evaluation  # noqa: F401
+from .baselines import make_model
 from .checkpoint import load_checkpoint, save_checkpoint
-from .conditions import CONDITIONS, ConditionLabel, N_CONDITIONS
-from .data import (
-    CdgdWindow,
-    GasSeries,
-    NormStats,
-    SplitPlan,
-    interpolate_gaps,
-    kfold,
-    load_series,
-    normalize,
-    overlapping_sample,
-    split,
-)
-from .evaluation import EvalReport, compare, confusion, evaluate_model, metrics, roc_auc, wilcoxon_rank_sum
-from .model import McdcModel, ModelHyper, positional_encoding
+from .data import GasSeries, NormStats, load_series, normalize, split
+from .model import McdcModel
 from .synth import load_recipe, synth_generate
-from .tensor import Tape, Tensor, backward, grad_check
-from .training import TrainConfig, TrainHistory, adam_step, cross_validate, lr_schedule, train_fold
+from .training import TrainConfig
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnnHyper",
-    "AnnModel",
-    "CONDITIONS",
-    "CdgdWindow",
-    "ConditionLabel",
-    "EvalReport",
     "GasSeries",
     "McdcModel",
-    "ModelHyper",
-    "N_CONDITIONS",
     "NormStats",
-    "SplitPlan",
-    "Tape",
-    "Tensor",
     "TrainConfig",
-    "TrainHistory",
-    "adam_step",
-    "backward",
-    "compare",
-    "confusion",
-    "cross_validate",
-    "evaluate_model",
-    "grad_check",
-    "interpolate_gaps",
-    "kfold",
     "load_checkpoint",
     "load_recipe",
     "load_series",
-    "lr_schedule",
     "make_model",
-    "metrics",
     "normalize",
-    "overlapping_sample",
-    "positional_encoding",
-    "roc_auc",
     "save_checkpoint",
     "split",
     "synth_generate",
-    "train_fold",
-    "wilcoxon_rank_sum",
 ]

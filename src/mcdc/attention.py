@@ -11,10 +11,11 @@ are drop-ins for each other at equal route and width.
 The heads of a route run as one stack, and each route returns (..., H, d, n)
 with head h at index h. The conv variant makes one conv1d per route: the q,
 k and v kernels of every head, taken from the heads' own parameters inside
-the forward pass, form one (3H, 1, k) bank. The matrix variant makes one
-matmul per projection. Either way a route has one attention map and one
-attend, whatever its head count. The heads themselves only hold their
-parameters.
+the forward pass, form one (3H, 1, k) bank, which conv1d slides at stride 1
+with same-length padding, so features' == features. The matrix variant
+makes one matmul per projection. Either way a route has one attention map
+and one attend, whatever its head count. The heads themselves only hold
+their parameters.
 """
 
 from __future__ import annotations
@@ -48,17 +49,7 @@ __all__ = [
     "matrix_attention",
     "new_cnn_head",
     "new_matrix_head",
-    "same_padding",
 ]
-
-
-def same_padding(kernel_size: int) -> tuple[int, int]:
-    """Zero-pad counts keeping output length equal to input at stride 1.
-
-    Even kernels need one more pad on the right than on the left.
-    """
-    left = (kernel_size - 1) // 2
-    return left, kernel_size - 1 - left
 
 
 @dataclass
@@ -68,7 +59,6 @@ class CnnAttentionHead:
     kernel_q: Tensor
     kernel_k: Tensor
     kernel_v: Tensor
-    kernel_size: int
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [("kq", self.kernel_q), ("kk", self.kernel_k), ("kv", self.kernel_v)]
@@ -88,7 +78,7 @@ class MatrixAttentionHead:
 
 def new_cnn_head(kernel_size: int, rng: np.random.Generator) -> CnnAttentionHead:
     kq, kk, kv = (glorot(rng, 1, kernel_size) for _ in range(3))
-    return CnnAttentionHead(kq, kk, kv, kernel_size)
+    return CnnAttentionHead(kq, kk, kv)
 
 
 def new_matrix_head(feature_dim: int, rng: np.random.Generator) -> MatrixAttentionHead:
@@ -107,11 +97,10 @@ def cnn_qkv(inp: Tensor, heads: list[CnnAttentionHead]) -> tuple[Tensor, Tensor,
     route: all 3H kernels, the q kernels of every head, then the k and then
     the v kernels, run as one bank over the rows of `inp`; one transpose
     turns the (..., 3H, n, d) result into d x n matrices, which are split
-    into one (..., H, d, n) stack per projection. Same-padding keeps
-    features' == features.
+    into one (..., H, d, n) stack per projection.
     """
     bank = stack([getattr(head, name) for name in ("kernel_q", "kernel_k", "kernel_v") for head in heads])
-    qkv = transpose(conv1d(inp, bank, padding=same_padding(heads[0].kernel_size)))
+    qkv = transpose(conv1d(inp, bank))
     q, k, v = split(qkv, 3)
     return q, k, v
 

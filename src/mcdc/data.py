@@ -95,6 +95,7 @@ _ROW_DTYPE = np.dtype(
     ]
 )
 _CONDITION_CODES = {c.name: c.code for c in CONDITIONS}
+_DAY_MIN, _DAY_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 def load_series(path) -> list[GasSeries]:
@@ -106,8 +107,8 @@ def load_series(path) -> list[GasSeries]:
     file that this reader or a check rejects is read again row by row
     (_load_series_rows), so a parse problem raises DatasetError naming the
     offending line, and spellings that int() and float() take but numpy does
-    not (`1_000`, non-ASCII digits, days beyond int64) load as they always
-    have. An empty file yields an empty list.
+    not (`1_000`, non-ASCII digits) load as they always have. A day beyond
+    int64 raises DatasetError. An empty file yields an empty list.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         try:
@@ -183,6 +184,8 @@ def _load_series_rows(path) -> list[GasSeries]:
                 gases = [float(v) for v in row[4:]]
             except ValueError as exc:
                 raise DatasetError(f"{path}: line {lineno}: {exc}") from None
+            if not _DAY_MIN <= day <= _DAY_MAX:
+                raise DatasetError(f"{path}: line {lineno}: day {day} outside int64")
             if voltage not in VOLTAGE_LEVELS:
                 raise DatasetError(f"{path}: line {lineno}: voltage {voltage} not in {VOLTAGE_LEVELS}")
             for name, value in zip(GAS_COLUMNS, gases):

@@ -7,7 +7,9 @@ leading ones as the stack, so a batch of windows is one graph, not one graph
 per window. The stack axes of `add` and `matmul` operands broadcast as in
 numpy (a 2-D parameter over a batch, an (H, r, c) head stack over a
 (B, 1, r, c) batch); a broadcast operand's gradient is summed back to its
-shape before it reaches the operand.
+shape before it reaches the operand. `conv1d` has one form, the one the
+attention routes build: a (K, 1, k) kernel bank slid one column at a time
+over a signal zero-padded to keep its length.
 
 Operations executed while a Tape is active record themselves onto it in
 creation order, which is automatically a topological order; backward()
@@ -23,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "DimensionError",
-    "GeometryError",
     "Tape",
     "Tensor",
     "add",
@@ -53,10 +54,6 @@ __all__ = [
 
 class DimensionError(ValueError):
     """Raised when operand shapes are incompatible."""
-
-
-class GeometryError(ValueError):
-    """Raised when a convolution geometry admits no output."""
 
 
 _TAPE_STACK: list["Tape"] = []
@@ -116,12 +113,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 def tensor(data) -> Tensor:
@@ -360,98 +351,72 @@ def split(x: Tensor, parts: int) -> list[Tensor]:
     return out
 
 
-def _pad_pair(padding) -> tuple[int, int]:
-    if isinstance(padding, tuple):
-        left, right = int(padding[0]), int(padding[1])
-    else:
-        left = right = int(padding)
-    if left < 0 or right < 0:
-        raise GeometryError(f"negative padding {padding}")
-    return left, right
+def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
+    """Correlate every row of `signal` with each kernel of a (K, 1, k) bank.
 
-
-def conv1d(signal: Tensor, kernel: Tensor, stride: int = 1, padding=0) -> Tensor:
-    """Correlate every row of `signal` with the 1-D `kernel`, or with each
-    kernel of a stack.
-
-    `kernel` is one 1 x k kernel, giving (..., rows, out_len), or a stack
-    (K, 1, k) of K kernels, giving (..., K, rows, out_len) with kernel i's
-    rows at index i. `padding` is a zero-pad count, either symmetric (int) or
-    an explicit (left, right) pair; out_len is floor((L + pads - k)/stride) + 1.
-    Every output starts at zero and adds its taps' products in tap order, as
-    a naive tap loop does, so each (kernel, row) pair of a stack is computed
+    The result is (..., K, rows, L), kernel i's rows at index i, as long as
+    the signal: the signal is zero-padded by (k - 1) // 2 on the left and the
+    rest of k - 1 on the right, so an even kernel has one more pad on the
+    right. Every output starts at zero and adds its taps' products in tap
+    order, as a naive tap loop does, so each (kernel, row) pair is computed
     exactly as that row with that kernel on its own. Gradients w.r.t. both
-    the signal and the kernel are recorded.
+    the signal and the bank are recorded.
 
     The sums run with the convolved axis first, (L, ..., rows): a tap's
     view of every output is then one slice of whole (..., rows) blocks, so
     each step is one long elementwise run rather than one per row.
     """
-    stacked = kernel.data.ndim == 3
-    if stacked and kernel.shape[1] != 1:
-        raise DimensionError(f"a kernel stack must be (K, 1, k), got {kernel.shape}")
-    k = kernel.data.shape[-1] if stacked else kernel.data.size
-    if k < 1:
-        raise GeometryError("kernel must have length >= 1")
-    if stride < 1:
-        raise GeometryError(f"stride must be >= 1, got {stride}")
-    left, right = _pad_pair(padding)
+    if bank.data.ndim != 3 or bank.shape[1] != 1 or 0 in bank.shape:
+        raise DimensionError(f"conv1d needs a (K, 1, k) kernel bank with K, k >= 1, got shape {bank.shape}")
+    k = bank.shape[-1]
+    left = (k - 1) // 2
     length = signal.data.shape[-1]
-    if length + left + right < k:
-        raise GeometryError(
-            f"signal length {length} with padding {padding} is shorter than kernel {k}"
-        )
-    out_len = (length + left + right - k) // stride + 1
-    span = stride * (out_len - 1) + 1  # tap t covers padded columns t, t + stride, ..., t + span - 1
-    bank = kernel.data.reshape(-1, k)  # (K, k)
+    kernels = bank.data.reshape(-1, k)  # (K, k)
     lead = signal.data.shape[:-1]  # (..., rows)
-    taps = bank.T.reshape((k, -1) + (1,) * len(lead))  # taps[t]: tap t of every kernel, (K, 1, ..., 1)
-    cols = np.zeros((left + length + right,) + lead)  # the zero-padded signal, convolved axis first
+    taps = kernels.T.reshape((k, -1) + (1,) * len(lead))  # taps[t]: tap t of every kernel, (K, 1, ..., 1)
+    cols = np.zeros((length + k - 1,) + lead)  # the zero-padded signal, convolved axis first
     cols[left:left + length] = np.moveaxis(signal.data, -1, 0)
-    out = np.zeros((bank.shape[0], out_len) + lead)
+    out = np.zeros((kernels.shape[0], length) + lead)
     term = np.empty(out.shape)
     for t in range(k):
-        np.multiply(cols[t:t + span:stride], taps[t][:, None], out=term)
+        np.multiply(cols[t:t + length], taps[t][:, None], out=term)
         out += term
-    out = np.moveaxis(out, (0, 1), (-3, -1))  # (..., K, rows, out_len)
-    out = Tensor(out if stacked else out[..., 0, :, :])
+    out = Tensor(np.moveaxis(out, (0, 1), (-3, -1)))  # (..., K, rows, L)
 
     def bw(g):
-        if not stacked:
-            g = g[..., None, :, :]
         scratch = np.empty(g.size)  # one tap's products, for either gradient
-        if kernel.requires_grad:
+        if bank.requires_grad:
             # kernel i's tap-t gradient is the whole-array sum of g[..., i, :, :]
             # times tap t's window; each tap's products are written kernel-major,
             # so every kernel's are one contiguous row and summed as .sum() would
-            padded = np.zeros(lead + (left + length + right,))
+            padded = np.zeros(lead + (length + k - 1,))
             padded[..., left:left + length] = signal.data
             by_kernel = np.moveaxis(g, -3, 0)
             prod = scratch.reshape(by_kernel.shape)
-            dk = np.empty(bank.shape)
+            dk = np.empty(kernels.shape)
             for t in range(k):
-                np.multiply(by_kernel, np.ascontiguousarray(padded[..., t:t + span:stride]), out=prod)
-                dk[:, t] = prod.reshape(bank.shape[0], -1).sum(axis=1)
+                np.multiply(by_kernel, np.ascontiguousarray(padded[..., t:t + length]), out=prod)
+                dk[:, t] = prod.reshape(kernels.shape[0], -1).sum(axis=1)
             if _FAULT == "conv-kernel-grad":
                 dk = dk * 1.01 + 1e-3
-            _accum(kernel, dk.reshape(kernel.shape))
+            _accum(bank, dk.reshape(bank.shape))
         if signal.requires_grad:
             # per kernel, g times tap t added tap by tap from zero into the
             # padded signal, convolved axis first; then the kernels' gradients
             # added in kernel order
-            g_cols = np.ascontiguousarray(np.moveaxis(g, (-1, -3), (0, 1)))  # (out_len, K, ..., rows)
-            d_cols = np.zeros((left + length + right,) + g_cols.shape[1:])
+            g_cols = np.ascontiguousarray(np.moveaxis(g, (-1, -3), (0, 1)))  # (L, K, ..., rows)
+            d_cols = np.zeros((length + k - 1,) + g_cols.shape[1:])
             term = scratch.reshape(g_cols.shape)
             for t in range(k):
                 np.multiply(g_cols, taps[t], out=term)
-                d_cols[t:t + span:stride] += term
+                d_cols[t:t + length] += term
             d_cols = d_cols[left:left + length]
             d_signal = d_cols[:, 0].copy()
             for i in range(1, d_cols.shape[1]):
                 d_signal += d_cols[:, i]
             _accum(signal, np.moveaxis(d_signal, 0, -1))
 
-    return _record(out, (signal, kernel), bw)
+    return _record(out, (signal, bank), bw)
 
 
 def softmax_axis(x: Tensor, axis: str) -> Tensor:

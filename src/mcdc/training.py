@@ -57,8 +57,9 @@ class TrainConfig:
         epochs_at = [e for e, _ in self.lr_decay]
         if epochs_at != sorted(set(epochs_at)):
             raise ValueError(f"decay epochs must be strictly increasing, got {epochs_at}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        for name in ("epochs", "batch_size", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def to_dict(self) -> dict:
         return {

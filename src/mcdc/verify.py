@@ -25,59 +25,36 @@ from .training import TrainConfig, train_fold
 __all__ = ["run_checks"]
 
 
-def _naive_conv(signal, kernel, stride, pad):
+def _naive_conv(signal, kernel):
+    """The tap loop of a same-length correlation: (k - 1) // 2 zeros on the
+    left of each row, the rest of k - 1 on the right."""
     rows, length = signal.shape
-    padded = np.zeros((rows, length + 2 * pad))
-    padded[:, pad:pad + length] = signal
-    out_len = (padded.shape[1] - kernel.size) // stride + 1
-    out = np.zeros((rows, out_len))
+    left = (kernel.size - 1) // 2
+    padded = np.zeros((rows, length + kernel.size - 1))
+    padded[:, left:left + length] = signal
+    out = np.zeros((rows, length))
     for r in range(rows):
-        for j in range(out_len):
+        for j in range(length):
             for t in range(kernel.size):
-                out[r, j] += padded[r, j * stride + t] * kernel[t]
+                out[r, j] += padded[r, j + t] * kernel[t]
     return out
 
 
-def _conv_geometries(rng, count):
-    """(length, k, stride, pad) draws that admit an output."""
-    while count:
-        length = int(rng.integers(1, 12))
-        k = int(rng.integers(1, 7))
-        stride = int(rng.integers(1, 4))
-        pad = int(rng.integers(0, 4))
-        if length + 2 * pad >= k:
-            count -= 1
-            yield length, k, stride, pad
-
-
 def _check_conv_oracle():
+    """Banks of 1 to 12 kernels (so K = 1 and a route's 3H bank at H <= 4)
+    over signals with or without a stack axis: every (kernel, row) pair."""
     rng = np.random.default_rng(100)
-    for length, k, stride, pad in _conv_geometries(rng, 30):
-        sig = rng.normal(size=(int(rng.integers(1, 5)), length))
-        kern = rng.normal(size=k)
-        ours = conv1d(tensor(sig), tensor(kern), stride, pad).data
-        if not np.array_equal(ours, _naive_conv(sig, kern, stride, pad)):
-            return False, f"conv mismatch at L={length} k={k} s={stride} p={pad}"
-    # a stack of K kernels over a stack of signals: every (kernel, row) pair
-    for length, k, stride, pad in _conv_geometries(rng, 30):
-        sig = rng.normal(size=(int(rng.integers(1, 4)), int(rng.integers(1, 5)), length))
-        bank = rng.normal(size=(int(rng.integers(1, 5)), 1, k))
-        ours = conv1d(tensor(sig), tensor(bank), stride, pad).data
-        for b in range(sig.shape[0]):
-            for i in range(bank.shape[0]):
-                if not np.array_equal(ours[b, i], _naive_conv(sig[b], bank[i, 0], stride, pad)):
-                    return False, f"kernel-stack mismatch at L={length} k={k} s={stride} p={pad} kernel {i}"
-    # a route's bank: the q, k and v kernels of H heads, (3H, 1, k)
-    for length, k, stride, pad in _conv_geometries(rng, 30):
-        heads = int(rng.integers(1, 5))
-        sig = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 13)), length))
-        bank = rng.normal(size=(3 * heads, 1, k))
-        ours = conv1d(tensor(sig), tensor(bank), stride, pad).data
-        for b in range(sig.shape[0]):
-            for i in range(bank.shape[0]):
-                if not np.array_equal(ours[b, i], _naive_conv(sig[b], bank[i, 0], stride, pad)):
-                    return False, f"route-bank mismatch at H={heads} L={length} k={k} s={stride} p={pad} kernel {i}"
-    return True, "30 geometries, 30 kernel-stack and 30 (3H, 1, k) route-bank geometries exact"
+    for _ in range(90):
+        length, k, kernels = int(rng.integers(1, 12)), int(rng.integers(1, 7)), int(rng.integers(1, 13))
+        lead = (int(rng.integers(1, 5)),) * int(rng.integers(0, 2))
+        sig = rng.normal(size=lead + (int(rng.integers(1, 9)), length))
+        bank = rng.normal(size=(kernels, 1, k))
+        ours = conv1d(tensor(sig), tensor(bank)).data
+        for b in np.ndindex(*lead):
+            for i in range(kernels):
+                if not np.array_equal(ours[b + (i,)], _naive_conv(sig[b], bank[i, 0])):
+                    return False, f"mismatch at K={kernels} L={length} k={k} kernel {i}"
+    return True, "90 banks of 1 to 12 kernels exact, over stacked and unstacked signals"
 
 
 def _check_matmul_oracle():

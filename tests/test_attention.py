@@ -15,7 +15,6 @@ from mcdc.attention import (
     matrix_attention,
     new_cnn_head,
     new_matrix_head,
-    same_padding,
 )
 from mcdc import attention, tensor as tz
 from mcdc.baselines import make_model
@@ -31,6 +30,8 @@ from mcdc.tensor import (
     conv1d,
     cross_entropy,
     matmul,
+    merge_stack,
+    stack,
     tensor,
     transpose,
 )
@@ -52,20 +53,7 @@ def naive_attention_map(q, k):
 
 
 def _head_from_kernels(kq, kk, kv):
-    size = len(kq)
-    return CnnAttentionHead(tensor([kq]), tensor([kk]), tensor([kv]), size)
-
-
-class TestSamePadding:
-    @pytest.mark.parametrize("k,expected", [(1, (0, 0)), (3, (1, 1)), (5, (2, 2)), (6, (2, 3)), (8, (3, 4))])
-    def test_pairs(self, k, expected):
-        assert same_padding(k) == expected
-
-    @pytest.mark.parametrize("k", range(1, 9))
-    def test_preserves_length(self, k):
-        left, right = same_padding(k)
-        length = 10
-        assert (length + left + right - k) + 1 == length
+    return CnnAttentionHead(tensor([kq]), tensor([kk]), tensor([kv]))
 
 
 class TestCnnQkv:
@@ -203,9 +191,9 @@ class TestVariants:
 
 def reference_cnn_head(inp, head):
     tokens_rows = transpose(inp)
-    pad = same_padding(head.kernel_size)
     kernels = (head.kernel_q, head.kernel_k, head.kernel_v)
-    q, k, v = (transpose(conv1d(tokens_rows, kern, padding=pad)) for kern in kernels)
+    # each kernel alone as a one-kernel bank; merge_stack drops the bank axis
+    q, k, v = (transpose(merge_stack(conv1d(tokens_rows, stack([kern])), "rows")) for kern in kernels)
     return attend(v, attention_map(q, k))
 
 

@@ -81,6 +81,13 @@ class TestTrainCommand:
         assert (out / "checkpoint.json").exists()
         assert not (tmp_path / "from_file").exists()
 
+    def test_non_positive_batch_size_saves_no_checkpoint(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["train", "--seed", "4", "--out", str(out), *TINY_FLAGS, "--batch-size", "-5"])
+        assert code == 1
+        assert "batch_size must be >= 1, got -5" in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
+
     def test_missing_data_file_fails_with_stage(self, tmp_path, capsys):
         code = main(
             ["train", "--seed", "4", "--out", str(tmp_path / "x"), "--data", str(tmp_path / "nope.csv")]

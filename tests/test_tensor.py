@@ -8,7 +8,6 @@ import pytest
 from mcdc import tensor as tz
 from mcdc.tensor import (
     DimensionError,
-    GeometryError,
     Tape,
     add,
     add_n,
@@ -45,18 +44,23 @@ def naive_matmul(a, b):
     return out
 
 
-def naive_conv1d(signal, kernel, stride, pad_left, pad_right):
+def naive_conv1d(signal, kernel, pad_left, pad_right):
     rows, length = signal.shape
     padded = np.zeros((rows, length + pad_left + pad_right))
     padded[:, pad_left:pad_left + length] = signal
     k = len(kernel)
-    out_len = (padded.shape[1] - k) // stride + 1
+    out_len = padded.shape[1] - k + 1
     out = np.zeros((rows, out_len))
     for r in range(rows):
         for j in range(out_len):
             for t in range(k):
-                out[r, j] += padded[r, j * stride + t] * kernel[t]
+                out[r, j] += padded[r, j + t] * kernel[t]
     return out
+
+
+def naive_same(signal, kernel):
+    """naive_conv1d with conv1d's padding: (k - 1) // 2 left, k // 2 right."""
+    return naive_conv1d(signal, kernel, (len(kernel) - 1) // 2, len(kernel) // 2)
 
 
 class TestMatmul:
@@ -86,19 +90,34 @@ class TestMatmul:
 class TestConv1d:
     def test_hand_example(self):
         sig = tensor([[1.0, 2.0, 3.0, 4.0, 5.0]])
-        kern = tensor([[1.0, 0.0, -1.0]])
-        out = conv1d(sig, kern, stride=1, padding=1)
-        assert np.allclose(out.data, [[-2.0, -2.0, -2.0, -2.0, 4.0]])
+        kern = tensor([[[1.0, 0.0, -1.0]]])
+        out = conv1d(sig, kern)
+        assert np.allclose(out.data, [[[-2.0, -2.0, -2.0, -2.0, 4.0]]])
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(1)
         sig = rng.normal(size=(4, 9))
-        out = conv1d(tensor(sig), tensor([[1.0]]), stride=1, padding=0)
-        assert np.array_equal(out.data, sig)
+        out = conv1d(tensor(sig), tensor([[[1.0]]]))
+        assert np.array_equal(out.data[0], sig)
 
     def test_same_padding_length(self):
-        out = conv1d(tensor(np.ones((1, 5))), tensor(np.ones((1, 5))), stride=1, padding=2)
-        assert out.shape == (1, 5)
+        out = conv1d(tensor(np.ones((1, 5))), tensor(np.ones((1, 1, 5))))
+        assert out.shape == (1, 1, 5)
+
+    @pytest.mark.parametrize("k,pads", [(1, (0, 0)), (3, (1, 1)), (5, (2, 2)), (6, (2, 3)), (8, (3, 4))])
+    def test_same_length_padding(self, k, pads):
+        # an even kernel takes one more zero on the right than on the left
+        rng = np.random.default_rng(3)
+        sig = rng.normal(size=(2, 10))
+        kern = rng.normal(size=k)
+        out = conv1d(tensor(sig), tensor(kern.reshape(1, 1, k)))
+        assert out.shape == (1, 2, 10)
+        assert np.array_equal(out.data[0], naive_conv1d(sig, kern, *pads))
+
+    @pytest.mark.parametrize("shape", [(5,), (1, 5), (3, 2, 2), (2, 1, 0)])
+    def test_refuses_anything_but_a_k_by_1_by_taps_bank(self, shape):
+        with pytest.raises(DimensionError, match=r"\(K, 1, k\)"):
+            conv1d(tensor(np.ones((2, 6))), tensor(np.ones(shape)))
 
     def test_matches_naive_oracle_on_random_geometries(self):
         # odd cases: a stack of 12 kernels, a route's 3H bank at H = 4, over a
@@ -107,35 +126,19 @@ class TestConv1d:
         for case in range(200):
             length = int(rng.integers(1, 12))
             k = int(rng.integers(1, 7))
-            stride = int(rng.integers(1, 4))
-            pad = int(rng.integers(0, 4))
-            if length + 2 * pad < k:
-                continue
             rows = int(rng.integers(1, 6))
             if case % 2 == 0:
                 sig = rng.normal(size=(rows, length))
                 kern = rng.normal(size=k)
-                out = conv1d(tensor(sig), tensor(kern), stride=stride, padding=pad)
-                assert np.array_equal(out.data, naive_conv1d(sig, kern, stride, pad, pad))
+                out = conv1d(tensor(sig), tensor(kern.reshape(1, 1, k)))
+                assert np.array_equal(out.data[0], naive_same(sig, kern))
                 continue
             sig = rng.normal(size=(int(rng.integers(1, 5)), rows, length))
             bank = rng.normal(size=(12, 1, k))
-            out = conv1d(tensor(sig), tensor(bank), stride=stride, padding=pad).data
+            out = conv1d(tensor(sig), tensor(bank)).data
             for b in range(sig.shape[0]):
                 for i in range(12):
-                    assert np.array_equal(out[b, i], naive_conv1d(sig[b], bank[i, 0], stride, pad, pad))
-
-    def test_asymmetric_padding(self):
-        rng = np.random.default_rng(3)
-        sig = rng.normal(size=(2, 8))
-        kern = rng.normal(size=6)
-        out = conv1d(tensor(sig), tensor(kern), stride=1, padding=(2, 3))
-        assert out.shape == (2, 8)
-        assert np.array_equal(out.data, naive_conv1d(sig, kern, 1, 2, 3))
-
-    def test_invalid_geometry(self):
-        with pytest.raises(GeometryError):
-            conv1d(tensor(np.ones((1, 2))), tensor(np.ones((1, 5))), stride=1, padding=1)
+                    assert np.array_equal(out[b, i], naive_same(sig[b], bank[i, 0]))
 
     def test_gradients_bit_exact_against_tap_loops(self):
         # dkernel[i, t] is the whole-array sum of g[..., i, :, :] times tap t's
@@ -143,44 +146,39 @@ class TestConv1d:
         # kernel, then the kernels in order. Zeros and signed zeros check that
         # padding terms leave every bit, zero signs included, unchanged. Every
         # other case is a 12-kernel stack, a route's 3H bank at H = 4, over a
-        # (B, rows, L) stack of signals.
+        # (B, rows, L) stack of signals; the rest are one-kernel banks.
         rng = np.random.default_rng(4)
         for case in range(400):
             length = int(rng.integers(1, 14))
             k = int(rng.integers(1, 8))
-            stride = int(rng.integers(1, 4))
-            left, right = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-            if length + left + right < k:
-                continue
+            left, right = (k - 1) // 2, k // 2
             rows = int(rng.integers(1, 13))
             stacked = case % 2 == 1
             lead = (int(rng.integers(1, 5)),) if stacked else ()
             sig = rng.normal(size=lead + (rows, length))
-            kern = rng.normal(size=(12, 1, k) if stacked else (1, k))
+            kern = rng.normal(size=(12 if stacked else 1, 1, k))
             if case % 3 == 1:
                 sig[rng.random(sig.shape) < 0.5] = -0.0
                 kern[rng.random(kern.shape) < 0.3] = -0.0
             s, kt = parameter(sig), parameter(kern)
             with Tape() as tape:
-                out = conv1d(s, kt, stride=stride, padding=(left, right))
+                out = conv1d(s, kt)
                 g = rng.normal(size=out.shape)
                 if case % 3 == 2:
                     g[rng.random(g.shape) < 0.5] = 0.0
                 backward(tape, sum_all(mul(out, tensor(g))))
             bank = kern.reshape(-1, k)
-            g_by_kernel = g.reshape(lead + (bank.shape[0], rows, -1))
             padded = np.zeros(lead + (rows, length + left + right))
             padded[..., left:left + length] = sig
-            stop = stride * (out.shape[-1] - 1) + 1
             dk = np.array([
-                [(g_by_kernel[..., i, :, :] * padded[..., t:t + stop:stride]).sum() for t in range(k)]
+                [(g[..., i, :, :] * padded[..., t:t + length]).sum() for t in range(k)]
                 for i in range(bank.shape[0])
             ])
             dsig = np.zeros_like(padded)
             for i in range(bank.shape[0]):
                 dpad = np.zeros_like(padded)
                 for t in range(k):
-                    dpad[..., t:t + stop:stride] += g_by_kernel[..., i, :, :] * bank[i, t]
+                    dpad[..., t:t + length] += g[..., i, :, :] * bank[i, t]
                 dsig += dpad
             assert kt.grad.tobytes() == dk.reshape(kern.shape).tobytes()
             assert s.grad.tobytes() == dsig[..., left:left + length].tobytes()
@@ -325,20 +323,13 @@ class TestFiniteDifferences:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_conv(self, seed):
-        err = _fd_case(
-            lambda s, k: sum_all(sigmoid(conv1d(s, k, stride=1, padding=1))),
-            [(3, 7), (1, 3)],
-            seed,
-        )
+        err = _fd_case(lambda s, k: sum_all(sigmoid(conv1d(s, k))), [(3, 7), (1, 1, 3)], seed)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_conv_strided_asymmetric(self, seed):
-        err = _fd_case(
-            lambda s, k: sum_all(mul(conv1d(s, k, stride=2, padding=(1, 2)), conv1d(s, k, stride=2, padding=(1, 2)))),
-            [(2, 8), (1, 4)],
-            seed,
-        )
+    def test_conv_even_kernel(self, seed):
+        # k = 4 pads one zero on the left and two on the right
+        err = _fd_case(lambda s, k: sum_all(mul(conv1d(s, k), conv1d(s, k))), [(2, 8), (1, 1, 4)], seed)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
@@ -415,7 +406,7 @@ class TestStackFiniteDifferences:
     @pytest.mark.parametrize("seed", range(5))
     def test_conv_kernel(self, seed):
         err = _fd_case(
-            lambda s, k: sum_all(sigmoid(conv1d(s, k, stride=1, padding=(1, 2)))), [(3, 4, 7), (1, 4)], seed
+            lambda s, k: sum_all(sigmoid(conv1d(s, k))), [(3, 4, 7), (1, 1, 4)], seed
         )
         assert err < 1e-4
 
@@ -447,8 +438,7 @@ class TestStackFiniteDifferences:
     @pytest.mark.parametrize("seed", range(5))
     def test_conv_kernel_stack_and_signal(self, seed):
         def f(sig, k0, k1, k2):
-            out = conv1d(sig, stack([k0, k1, k2]), stride=1 + seed % 2, padding=(seed % 3, 2))
-            return sum_all(sigmoid(out))
+            return sum_all(sigmoid(conv1d(sig, stack([k0, k1, k2]))))
 
         err = _fd_case(f, [(2, 3, 7), (1, 4), (1, 4), (1, 4)], seed)
         assert err < 1e-4
@@ -506,51 +496,38 @@ class TestStacks:
         for _ in range(40):
             length = int(rng.integers(1, 12))
             k = int(rng.integers(1, 7))
-            stride = int(rng.integers(1, 4))
-            left, right = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-            if length + left + right < k:
-                continue
             sig = rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(1, 5)), length))
             kern = rng.normal(size=k)
-            out = conv1d(tensor(sig), tensor(kern), stride=stride, padding=(left, right)).data
-            assert out.shape[:2] == sig.shape[:2]
+            out = conv1d(tensor(sig), tensor(kern.reshape(1, 1, k))).data
+            assert out.shape == sig.shape[:1] + (1,) + sig.shape[1:]
             for b in range(sig.shape[0]):
-                assert np.array_equal(out[b], naive_conv1d(sig[b], kern, stride, left, right))
+                assert np.array_equal(out[b, 0], naive_same(sig[b], kern))
 
     def test_conv_kernel_stack_bit_exact_against_naive_loop(self):
-        # every (kernel, row) pair of a kernel stack over a signal stack, with
-        # strides and uneven padding; each kernel's gradient is also the one
-        # that kernel gets when convolved on its own
+        # every (kernel, row) pair of a kernel stack over a signal stack, odd
+        # and even kernels; each kernel's gradient is also the one that
+        # kernel gets when convolved on its own, as a one-kernel bank
         rng = np.random.default_rng(17)
         for case in range(60):
             length = int(rng.integers(1, 12))
             k = int(rng.integers(1, 7))
-            stride = int(rng.integers(1, 4))
-            left, right = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-            if length + left + right < k:
-                continue
             lead = (int(rng.integers(1, 4)),) * (case % 2)
             sig = rng.normal(size=lead + (int(rng.integers(1, 5)), length))
             bank = rng.normal(size=(int(rng.integers(1, 5)), 1, k))
             s, kt = parameter(sig), parameter(bank)
             with Tape() as tape:
-                out = conv1d(s, kt, stride=stride, padding=(left, right))
+                out = conv1d(s, kt)
                 g = rng.normal(size=out.shape)
                 backward(tape, sum_all(mul(out, tensor(g))))
-            assert out.shape == lead + (bank.shape[0],) + sig.shape[-2:-1] + out.shape[-1:]
+            assert out.shape == lead + (bank.shape[0],) + sig.shape[-2:]
             for i in range(bank.shape[0]):
                 for b in np.ndindex(*lead):
-                    naive = naive_conv1d(sig[b], bank[i, 0], stride, left, right)
-                    assert np.array_equal(out.data[b + (i,)], naive)
-                alone = parameter(bank[i])
+                    assert np.array_equal(out.data[b + (i,)], naive_same(sig[b], bank[i, 0]))
+                alone = parameter(bank[i:i + 1])
                 with Tape() as tape:
-                    one = conv1d(tensor(sig), alone, stride=stride, padding=(left, right))
-                    backward(tape, sum_all(mul(one, tensor(g[..., i, :, :]))))
-                assert kt.grad[i].tobytes() == alone.grad.tobytes()
-
-    def test_kernel_stack_must_be_k_by_1_by_taps(self):
-        with pytest.raises(DimensionError):
-            conv1d(tensor(np.ones((2, 6))), tensor(np.ones((3, 2, 2))))
+                    one = conv1d(tensor(sig), alone)
+                    backward(tape, sum_all(mul(one, tensor(g[..., i:i + 1, :, :]))))
+                assert kt.grad[i].tobytes() == alone.grad[0].tobytes()
 
     def test_merge_stack_equals_concat_of_the_parts(self):
         rng = np.random.default_rng(18)
@@ -646,10 +623,10 @@ class TestFiniteness:
         rng = np.random.default_rng(12)
         for _ in range(50):
             x = rng.uniform(-100, 100, size=(4, 5))
-            k = rng.uniform(-5, 5, size=3)
+            k = rng.uniform(-5, 5, size=(1, 1, 3))
             assert np.all(np.isfinite(softmax_axis(tensor(x), "col").data))
             assert np.all(np.isfinite(sigmoid(tensor(x)).data))
-            assert np.all(np.isfinite(conv1d(tensor(x), tensor(k), 1, 1).data))
+            assert np.all(np.isfinite(conv1d(tensor(x), tensor(k)).data))
             assert np.all(np.isfinite(matmul(tensor(x), tensor(x.T)).data))
 
 
@@ -684,10 +661,10 @@ class TestFaultInjection:
     def test_corrupted_conv_gradient_is_caught(self):
         rng = np.random.default_rng(13)
         s = parameter(rng.normal(size=(2, 6)))
-        k = parameter(rng.normal(size=(1, 3)))
+        k = parameter(rng.normal(size=(1, 1, 3)))
         tz.set_fault_injection("conv-kernel-grad")
         try:
-            err = grad_check(lambda: sum_all(sigmoid(conv1d(s, k, 1, 1))), [s, k])
+            err = grad_check(lambda: sum_all(sigmoid(conv1d(s, k))), [s, k])
         finally:
             tz.set_fault_injection(None)
         assert err > 1e-4

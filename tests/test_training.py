@@ -49,6 +49,12 @@ class TestLrSchedule:
         with pytest.raises(ValueError):
             TrainConfig(seed=0, patience=0)
 
+    @pytest.mark.parametrize("field,value", [("epochs", 0), ("epochs", -3), ("batch_size", 0), ("batch_size", -5)])
+    def test_epochs_and_batch_size_validated(self, field, value):
+        # either would leave an untrained model, and mcdc train would save it
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
+            TrainConfig(seed=0, **{field: value})
+
 
 class TestAdamStep:
     def test_first_step_magnitude(self):
