@@ -8,7 +8,7 @@ variant of the staged model is built by the shared factory below.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,8 +29,10 @@ class AnnHyper:
     hidden2: int = 16
     n_classes: int = N_CONDITIONS
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def __post_init__(self):
+        for name in ("hidden1", "hidden2"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 class AnnModel(Classifier):

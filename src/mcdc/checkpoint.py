@@ -6,7 +6,7 @@ exactly, so load(save(model)) reproduces parameters bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -29,7 +29,7 @@ def save_checkpoint(path, model, norm_stats: NormStats | None = None) -> None:
         "format_version": FORMAT_VERSION,
         "model_kind": model.kind,
         "seed": model.seed,
-        "hyper": model.hyper.to_dict(),
+        "hyper": asdict(model.hyper),
         "norm_stats": norm_stats.to_dict() if norm_stats else None,
         "params": {name: arr.tolist() for name, arr in model.parameter_arrays().items()},
     }

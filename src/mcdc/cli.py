@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import tensor
 from .pipeline import (
+    DEFAULT_SWEEP_GRID,
     PipelineError,
     RunConfig,
     run_compare,
@@ -19,8 +21,7 @@ from .pipeline import (
     run_sweep,
     run_train,
 )
-
-TRAIN_KEYS = ("epochs", "batch_size", "lr0", "patience", "folds")
+from .training import TrainConfig
 
 
 def _add_config_flags(parser):
@@ -44,31 +45,16 @@ def _add_config_flags(parser):
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {
-        key: getattr(args, key, None)
-        for key in (
-            "seed",
-            "out_dir",
-            "data_csv",
-            "recipe",
-            "model",
-            "temporal_len",
-            "heads",
-            "kernel_temporal",
-            "kernel_channel",
-            "split_mode",
-            "train_fraction",
-        )
+    """The --config file, if any, under every config flag given: a flag named
+    after a RunConfig field sets it, one named after a TrainConfig field
+    merges into `train`."""
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    overrides["train"] = {
+        f.name: getattr(args, f.name)
+        for f in fields(TrainConfig)
+        if f.name != "seed" and getattr(args, f.name, None) is not None
     }
-    train = {key: getattr(args, key) for key in TRAIN_KEYS if getattr(args, key, None) is not None}
-    if args.config:
-        config = RunConfig.from_file(args.config, overrides)
-        if train:
-            config.train = {**config.train, **train}
-        return config
-    if train:
-        overrides["train"] = train
-    return RunConfig.from_overrides(overrides)
+    return RunConfig.load(args.config, overrides)
 
 
 def _int_list(text: str) -> list[int]:
@@ -108,10 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="accuracy grid over kernel sizes, heads and window length")
     _add_config_flags(p)
-    p.add_argument("--grid-kernel-temporal", type=_int_list, dest="grid_kt")
-    p.add_argument("--grid-kernel-channel", type=_int_list, dest="grid_kc")
-    p.add_argument("--grid-heads", type=_int_list, dest="grid_heads")
-    p.add_argument("--grid-temporal-len", type=_int_list, dest="grid_t")
+    for axis in DEFAULT_SWEEP_GRID:
+        p.add_argument(f"--grid-{axis.replace('_', '-')}", type=_int_list, dest=f"grid_{axis}")
     p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("verify", help="run the self-verification suite")
@@ -172,12 +156,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _config_from_args(args)
-    grid = {
-        "kernel_temporal": args.grid_kt,
-        "kernel_channel": args.grid_kc,
-        "heads": args.grid_heads,
-        "temporal_len": args.grid_t,
-    }
+    grid = {axis: getattr(args, f"grid_{axis}") for axis in DEFAULT_SWEEP_GRID}
     result = run_sweep(config, grid, workers=args.workers)
     print(f"{len(result['rows'])} cells -> {result['paths']['sweep']}")
     return 0

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import combinations
 
 import numpy as np
@@ -65,21 +65,8 @@ class EvalReport:
     curves: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        d = {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "macro_precision": self.macro_precision,
-            "macro_recall": self.macro_recall,
-            "macro_f1": self.macro_f1,
-            "confusion": self.confusion,
-            "n_samples": self.n_samples,
-            "per_class_auc": self.per_class_auc,
-            "macro_auc": self.macro_auc,
-            "micro_auc": self.micro_auc,
-        }
-        return d
+        """Every field but the ROC curves, which roc_csv writes."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "curves"}
 
 
 def metrics(cm: np.ndarray) -> EvalReport:
@@ -269,9 +256,6 @@ class ModelComparison:
     macro_recall: float
     macro_f1: float
 
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
-
 
 @dataclass
 class ComparisonResult:
@@ -281,12 +265,7 @@ class ComparisonResult:
     p_values: dict[str, float]  # "name_a|name_b" -> two-sided p
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "repetitions": self.repetitions,
-            "models": [m.to_dict() for m in self.models],
-            "p_values": self.p_values,
-        }
+        return asdict(self)
 
 
 def compare(

@@ -6,7 +6,7 @@ stage passes its input through unchanged.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,8 +42,10 @@ class ModelHyper:
     n_classes: int = N_CONDITIONS
     attention: str = "conv"  # "conv" or "matrix"
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def __post_init__(self):
+        for name in ("temporal_len", "heads", "kernel_temporal", "kernel_channel", "ffn_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def positional_encoding(d_channel: int, length: int) -> np.ndarray:

@@ -10,12 +10,13 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 
 import numpy as np
 
-from .baselines import make_model
+from .baselines import AnnHyper, make_model
 from .checkpoint import load_checkpoint, save_checkpoint
 from .conditions import N_CONDITIONS
 from .data import (
@@ -29,6 +30,7 @@ from .data import (
     write_series_csv,
 )
 from .evaluation import compare, evaluate_model, roc_csv
+from .model import ModelHyper
 from .synth import load_recipe, synth_generate
 from .training import TrainConfig, cross_validate, history_to_csv, train_fold
 
@@ -54,74 +56,82 @@ class PipelineError(RuntimeError):
     """A pipeline stage failure, prefixed with the stage name."""
 
 
+@contextmanager
 def _stage(name):
-    class _Ctx:
-        def __enter__(self):
-            return self
+    """Re-raise the stage's errors, but not interrupts, as a PipelineError naming it."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except Exception as exc:
+        raise PipelineError(f"stage '{name}': {exc}") from exc
 
-        def __exit__(self, exc_type, exc, tb):
-            if exc is not None and not isinstance(exc, PipelineError):
-                raise PipelineError(f"stage '{name}': {exc}") from exc
-            return False
 
-    return _Ctx()
+def _unknown_keys(block: dict, cls, *excluded: str) -> list[str]:
+    return sorted(set(block) - ({f.name for f in fields(cls)} - set(excluded)))
 
 
 @dataclass
 class RunConfig:
+    """One run's settings. The model hyperparameters default to the hyper
+    classes' own defaults; `train` holds TrainConfig fields other than seed."""
+
     seed: int
     out_dir: str = "runs/out"
     data_csv: str | None = None
     recipe: str = "default"
     model: str = "mcdc"
-    temporal_len: int = 12
-    heads: int = 4
-    kernel_temporal: int = 5
-    kernel_channel: int = 6
-    ffn_hidden: int = 64
-    ann_hidden1: int = 32
-    ann_hidden2: int = 16
-    ann_input_mode: str = "last_day"
+    temporal_len: int = ModelHyper.temporal_len
+    heads: int = ModelHyper.heads
+    kernel_temporal: int = ModelHyper.kernel_temporal
+    kernel_channel: int = ModelHyper.kernel_channel
+    ffn_hidden: int = ModelHyper.ffn_hidden
+    ann_hidden1: int = AnnHyper.hidden1
+    ann_hidden2: int = AnnHyper.hidden2
+    ann_input_mode: str = AnnHyper.input_mode
     split_mode: str = "sample"
     train_fraction: float = 0.8
     train: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.seed is None:
-            raise ValueError("seed is mandatory; there is no wall-clock default")
+            raise ValueError("seed is mandatory; pass --seed or set it in the config file")
         if self.data_csv and not os.path.exists(self.data_csv):
             raise ValueError(f"data file {self.data_csv} does not exist")
+        # build once what the stages build, so bad settings fail before any stage runs
+        self.train_config()
+        for kind in (self.model, "mcdc", "ann"):
+            self.make_model(kind, self.seed)
+
+    @classmethod
+    def load(cls, path: str | None, overrides: dict) -> "RunConfig":
+        """The JSON config at `path` (if any) with every non-None override on
+        top; a `train` override merges into the file's `train` block."""
+        raw = {}
+        if path:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        for key, value in overrides.items():
+            if value is not None:
+                raw[key] = {**raw.get("train", {}), **value} if key == "train" else value
+        unknown = _unknown_keys(raw, cls) + [
+            f"train.{key}" for key in _unknown_keys(raw.get("train", {}), TrainConfig, "seed")
+        ]
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}")
+        raw.setdefault("seed", None)  # refused by name in __post_init__
+        return cls(**raw)
 
     def train_config(self) -> TrainConfig:
         return TrainConfig(seed=self.seed, **self.train)
 
-    def model_overrides(self, kind: str) -> dict:
-        if kind == "ann":
-            return {
-                "hidden1": self.ann_hidden1,
-                "hidden2": self.ann_hidden2,
-                "input_mode": self.ann_input_mode,
-            }
-        return {
-            "heads": self.heads,
-            "kernel_temporal": self.kernel_temporal,
-            "kernel_channel": self.kernel_channel,
-            "ffn_hidden": self.ffn_hidden,
-        }
-
-    @classmethod
-    def from_file(cls, path: str, overrides: dict | None = None) -> "RunConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        raw.update({k: v for k, v in (overrides or {}).items() if v is not None})
-        return cls(**raw)
-
-    @classmethod
-    def from_overrides(cls, overrides: dict) -> "RunConfig":
-        clean = {k: v for k, v in overrides.items() if v is not None}
-        if "seed" not in clean:
-            raise ValueError("seed is mandatory; pass --seed or set it in the config file")
-        return cls(**clean)
+    def make_model(self, kind: str, seed: int):
+        """A fresh `kind` model whose hyperparameters are this config's fields
+        of the same name, prefixed `ann_` for the ANN."""
+        hyper, prefix = (AnnHyper, "ann_") if kind == "ann" else (ModelHyper, "")
+        own = {f.name for f in fields(self)} - {"temporal_len"}
+        overrides = {f.name: getattr(self, prefix + f.name) for f in fields(hyper) if prefix + f.name in own}
+        return make_model(kind, self.temporal_len, seed, **overrides)
 
 
 def build_series(config: RunConfig):
@@ -163,9 +173,7 @@ def run_train(config: RunConfig) -> dict:
         normalized, stats = normalize([windows[i] for i in plan.train_indices], windows)
     with _stage("train"):
         result = cross_validate(
-            lambda fold: make_model(
-                config.model, config.temporal_len, config.seed + fold, **config.model_overrides(config.model)
-            ),
+            lambda fold: config.make_model(config.model, config.seed + fold),
             normalized,
             plan,
             train_cfg,
@@ -247,7 +255,7 @@ def run_eval(
 
 def _fitter_for(config: RunConfig, kind: str):
     def fit(train_windows, val_windows, seed):
-        model = make_model(kind, config.temporal_len, seed, **config.model_overrides(kind))
+        model = config.make_model(kind, seed)
         train_fold(model, train_windows, val_windows, replace(config.train_config(), seed=seed))
         return model
 
@@ -283,43 +291,28 @@ def run_compare(config: RunConfig, kinds: list[str], repetitions: int, modes: li
 
 def _sweep_cell(args) -> tuple:
     """One fully seeded grid cell: train a single fold model, score the test side."""
-    config_dict, cell = args
-    config = RunConfig(**config_dict)
-    config = replace(
-        config,
-        kernel_temporal=cell["kernel_temporal"],
-        kernel_channel=cell["kernel_channel"],
-        heads=cell["heads"],
-        temporal_len=cell["temporal_len"],
-    )
+    config, cell = args
+    config = replace(config, **cell)
     windows = build_windows(build_series(config), config.temporal_len)
     train_cfg = config.train_config()
     plan = split(windows, config.split_mode, config.train_fraction, seed=config.seed, k=train_cfg.folds)
     train_windows, val_windows, test_windows = fold0_sets(windows, plan)
-    model = make_model(config.model, config.temporal_len, config.seed, **config.model_overrides(config.model))
+    model = config.make_model(config.model, config.seed)
     train_fold(model, train_windows, val_windows, train_cfg)
     report = evaluate_model(model, test_windows)
-    return (
-        cell["kernel_temporal"],
-        cell["kernel_channel"],
-        cell["heads"],
-        cell["temporal_len"],
-        config.seed,
-        report.accuracy,
-    )
+    return (*cell.values(), config.seed, report.accuracy)
 
 
 def run_sweep(config: RunConfig, grid: dict | None = None, workers: int = 1) -> dict:
-    """Cartesian grid over kernel sizes, head count and window length; one
+    """Cartesian grid over the axes of DEFAULT_SWEEP_GRID (kernel sizes, head
+    count, window length); an axis missing from `grid` takes its default. One
     seeded train+eval per cell, rows written to sweep.csv in grid order."""
-    merged = dict(DEFAULT_SWEEP_GRID)
-    merged.update({k: v for k, v in (grid or {}).items() if v is not None})
-    axes = ["kernel_temporal", "kernel_channel", "heads", "temporal_len"]
-    if any(not merged[a] for a in axes):
+    merged = {**DEFAULT_SWEEP_GRID, **{k: v for k, v in (grid or {}).items() if v is not None}}
+    if merged.keys() != DEFAULT_SWEEP_GRID.keys():
+        raise PipelineError(f"unknown sweep axes {sorted(merged.keys() - DEFAULT_SWEEP_GRID.keys())}")
+    if not all(merged.values()):
         raise PipelineError("sweep grid is empty")
-    cells = [dict(zip(axes, combo)) for combo in product(*(merged[a] for a in axes))]
-    config_dict = dict(config.__dict__)
-    jobs = [(config_dict, cell) for cell in cells]
+    jobs = [(config, dict(zip(merged, combo))) for combo in product(*merged.values())]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_cell, jobs))
@@ -328,7 +321,7 @@ def run_sweep(config: RunConfig, grid: dict | None = None, workers: int = 1) -> 
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "sweep.csv")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("kernel_temporal,kernel_channel,heads,temporal_len,seed,test_accuracy\n")
+        fh.write(",".join([*DEFAULT_SWEEP_GRID, "seed", "test_accuracy"]) + "\n")
         for row in rows:
             fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
     return {"rows": rows, "paths": {"sweep": path}}

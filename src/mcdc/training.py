@@ -60,27 +60,9 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr0": self.lr0,
-            "lr_decay": [list(p) for p in self.lr_decay],
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "patience": self.patience,
-            "folds": self.folds,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "lr_decay" in d:
-            d["lr_decay"] = tuple((int(e), float(lr)) for e, lr in d["lr_decay"])
-        return cls(**d)
+        for name, rate in [("lr0", self.lr0), *((f"lr_decay rate at epoch {e}", lr) for e, lr in self.lr_decay)]:
+            if not rate > 0:
+                raise ValueError(f"{name} must be > 0, got {rate}")
 
 
 def lr_schedule(epoch: int, config: TrainConfig) -> float:

@@ -9,6 +9,7 @@ armed (verify --inject-fault conv-kernel-grad) it must fail.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -82,9 +83,7 @@ def _check_gradients():
     hyper = ModelHyper(temporal_len=8, heads=2, kernel_temporal=3, kernel_channel=4, ffn_hidden=4)
     worst = 0.0
     for variant in ("conv", "matrix"):
-        model = McdcModel(
-            ModelHyper(**{**hyper.to_dict(), "attention": variant}), seed=7
-        )
+        model = McdcModel(replace(hyper, attention=variant), seed=7)
         worst = max(worst, _grad_check_model(model, window, 2))
         worst = max(worst, _grad_check_model(model, stack, np.array([2, 0, 6])))
     ann = AnnModel(AnnHyper(temporal_len=8, hidden1=4, hidden2=3), seed=8)

@@ -61,6 +61,11 @@ class TestAnnForward:
         with pytest.raises(DimensionError):
             model.forward(np.zeros((5, 9)))
 
+    @pytest.mark.parametrize("name", ["hidden1", "hidden2"])
+    def test_hidden_sizes_below_one_refused(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
+            AnnHyper(**{name: 0})
+
 
 class TestMatrixVariant:
     def test_parameter_count_exceeds_conv(self):

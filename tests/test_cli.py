@@ -1,16 +1,21 @@
 """CLI and pipeline behavior on deliberately tiny configurations."""
 
+import argparse
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from mcdc.baselines import make_model
 from mcdc.checkpoint import load_checkpoint, save_checkpoint
-from mcdc.cli import main
+from mcdc.cli import _add_config_flags, build_parser, main
 from mcdc.data import NormStats, SplitPlan, load_series
 from mcdc.evaluation import evaluate_model, roc_csv
-from mcdc.pipeline import PipelineError, RunConfig, build_windows, run_eval, run_sweep
+from mcdc.pipeline import (
+    DEFAULT_SWEEP_GRID, PipelineError, RunConfig, _stage, build_windows, run_eval, run_sweep,
+)
+from mcdc.training import TrainConfig
 
 TINY_FLAGS = [
     "--temporal-len", "8",
@@ -88,12 +93,89 @@ class TestTrainCommand:
         assert "batch_size must be >= 1, got -5" in capsys.readouterr().err
         assert not (out / "checkpoint.json").exists()
 
+    def test_non_positive_lr0_saves_no_checkpoint(self, tmp_path, capsys):
+        # it used to run gradient ascent and save that checkpoint
+        out = tmp_path / "x"
+        code = main(["train", "--seed", "7", "--out", str(out), *TINY_FLAGS, "--lr0", "-1"])
+        assert code == 1
+        assert "lr0 must be > 0, got -1.0" in capsys.readouterr().err
+        assert not (out / "checkpoint.json").exists()
+
+    def test_zero_heads_refused_before_load(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["train", "--seed", "7", "--out", str(out), *TINY_FLAGS, "--heads", "0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "heads must be >= 1, got 0" in err
+        assert "stage" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            ({"seed": 9, "bogus": 1}, "unknown config keys ['bogus']"),
+            ({"seed": 9, "train": {"epochs": 2, "bogus": 1}}, "unknown config keys ['train.bogus']"),
+        ],
+    )
+    def test_unknown_config_key_refused(self, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_train_flag_merges_into_file_train_block(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seed": 9, "train": {"epochs": 3, "folds": 2}}))
+        out = tmp_path / "merged"
+        flags = ["--temporal-len", "8", "--heads", "1", "--kernel-temporal", "3", "--kernel-channel", "4",
+                 "--batch-size", "64", "--recipe", "stability", "--epochs", "2"]
+        assert main(["train", "--config", str(path), "--out", str(out), *flags]) == 0
+        rows = (out / "history.csv").read_text().splitlines()[1:]
+        assert sorted({tuple(row.split(",")[:2]) for row in rows}) == [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+
     def test_missing_data_file_fails_with_stage(self, tmp_path, capsys):
         code = main(
             ["train", "--seed", "4", "--out", str(tmp_path / "x"), "--data", str(tmp_path / "nope.csv")]
         )
         assert code == 1
         assert "does not exist" in capsys.readouterr().err
+
+
+class TestRunConfig:
+    @pytest.mark.parametrize("kind", ["mcdc", "mcdc-matrix", "ann"])
+    def test_defaults_are_the_hyper_defaults(self, kind):
+        assert RunConfig(seed=1).make_model(kind, 1).hyper == make_model(kind, 12, 1).hyper
+
+    def test_load_without_seed_refused(self):
+        with pytest.raises(ValueError, match="seed is mandatory"):
+            RunConfig.load(None, {"recipe": "stability"})
+
+    def test_stage_wraps_errors_with_its_name(self):
+        with pytest.raises(PipelineError, match="^stage 'train': boom$"):
+            with _stage("train"):
+                raise ValueError("boom")
+
+    def test_stage_leaves_keyboard_interrupt_unwrapped(self):
+        with pytest.raises(KeyboardInterrupt):
+            with _stage("train"):
+                raise KeyboardInterrupt
+
+    def test_every_config_flag_sets_a_config_field(self):
+        # the flags are read back by field name, so a flag without a field would be dropped
+        parser = argparse.ArgumentParser()
+        _add_config_flags(parser)
+        dests = {action.dest for action in parser._actions} - {"help"}
+        train_fields = {f.name for f in fields(TrainConfig)} - {"seed"}
+        assert dests <= {"config"} | {f.name for f in fields(RunConfig)} | train_fields
+
+    def test_every_grid_flag_is_a_sweep_axis(self):
+        sweep = build_parser()._subparsers._group_actions[0].choices["sweep"]
+        grid = {a.option_strings[0]: a.dest for a in sweep._actions if a.dest.startswith("grid_")}
+        assert grid == {f"--grid-{axis.replace('_', '-')}": f"grid_{axis}" for axis in DEFAULT_SWEEP_GRID}
 
 
 class TestEvalCommand:
@@ -335,6 +417,12 @@ class TestSweepCommand:
         config = RunConfig(seed=1, out_dir=str(tmp_path))
         with pytest.raises(PipelineError):
             run_sweep(config, {"kernel_temporal": [], "kernel_channel": [], "heads": [], "temporal_len": []})
+
+    def test_unknown_axis_rejected(self, tmp_path):
+        # a RunConfig field outside the grid would add a column the header lacks
+        config = RunConfig(seed=1, out_dir=str(tmp_path))
+        with pytest.raises(PipelineError, match=r"unknown sweep axes \['ffn_hidden'\]"):
+            run_sweep(config, {"ffn_hidden": [8]})
 
 
 class TestVerifyCommand:

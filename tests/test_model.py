@@ -1,6 +1,7 @@
 """Staged forward pass: shapes, residual wiring, probabilities, gradients."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,6 +38,15 @@ class TestPositionalEncoding:
     def test_range(self):
         pe = positional_encoding(5, 50)
         assert np.all(pe >= -1.0) and np.all(pe <= 1.0)
+
+
+class TestHyper:
+    @pytest.mark.parametrize("value", [0, -2])
+    @pytest.mark.parametrize("name", ["temporal_len", "heads", "kernel_temporal", "kernel_channel", "ffn_hidden"])
+    def test_sizes_below_one_refused(self, name, value):
+        # heads=0 used to build a model whose first forward failed
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+            ModelHyper(**{name: value})
 
 
 class TestEmbed:
@@ -238,7 +248,7 @@ class TestExportActivations:
 
     @pytest.mark.parametrize("variant", ["conv", "matrix"])
     def test_softmax_of_logits_is_forward(self, variant):
-        model = McdcModel(ModelHyper(**{**TINY.to_dict(), "attention": variant}), seed=34)
+        model = McdcModel(replace(TINY, attention=variant), seed=34)
         x = np.random.default_rng(35).normal(size=(5, 8))
         logits = model.export_activations(x)["logits"]
         assert np.array_equal(softmax_axis(tensor(logits), "row").data, model.forward(x).data)

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,21 @@ class TestLrSchedule:
         # either would leave an untrained model, and mcdc train would save it
         with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
             TrainConfig(seed=0, **{field: value})
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"lr0": 0.0}, "lr0 must be > 0, got 0.0"),
+            ({"lr0": -1.0}, "lr0 must be > 0, got -1.0"),
+            ({"lr0": math.nan}, "lr0 must be > 0, got nan"),
+            ({"lr_decay": ((500, 0.001), (750, 0.0))}, "lr_decay rate at epoch 750 must be > 0, got 0.0"),
+            ({"lr_decay": ((500, -0.001),)}, "lr_decay rate at epoch 500 must be > 0, got -0.001"),
+        ],
+    )
+    def test_learning_rates_must_be_positive(self, overrides, message):
+        # a negative rate runs gradient ascent, and mcdc train would save the result
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(seed=0, **overrides)
 
 
 class TestAdamStep:
