@@ -8,20 +8,19 @@ by a square learned matrix, so it takes features-on-rows, tokens-on-columns
 give Q, K and V as d x n and feed the same scaled dot-product map, so they
 are drop-ins for each other at equal route and width.
 
-The heads of a route run as one stack, and each route returns (..., H, d, n)
-with head h at index h. The conv variant makes one conv1d per route: the q,
-k and v kernels of every head, taken from the heads' own parameters inside
-the forward pass, form one (3H, 1, k) bank, which conv1d slides at stride 1
-with same-length padding, so features' == features. The matrix variant
-makes one matmul per projection. Either way a route has one attention map
-and one attend, whatever its head count. The heads themselves only hold
-their parameters.
+A route's parameter is the one (3H, rows, cols) stack its forward consumes,
+the q entries of every head first, then the k and then the v entries, and
+each route returns (..., H, d, n) with head h at index h. The conv variant's
+stack is the (3H, 1, k) kernel bank of its one conv1d, which slides it at
+stride 1 with same-length padding, so features' == features. The matrix
+variant splits its (3H, d, d) stack into one (H, d, d) part per projection
+and makes one matmul per projection. Either way a route has one attention
+map and one attend, whatever its head count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .tensor import (
     conv1d,
     glorot,
     matmul,
+    parameter,
     scale,
     softmax_axis,
     split,
@@ -39,67 +39,35 @@ from .tensor import (
 )
 
 __all__ = [
-    "CnnAttentionHead",
-    "MatrixAttentionHead",
     "attend",
     "attention_map",
     "cnn_attention",
     "cnn_qkv",
-    "head_parameter_count",
     "matrix_attention",
-    "new_cnn_head",
-    "new_matrix_head",
+    "new_qkv",
 ]
 
 
-@dataclass
-class CnnAttentionHead:
-    """Three independent conv kernels producing Query, Key and Value."""
+def new_qkv(rng: np.random.Generator, heads: int, rows: int, cols: int) -> Tensor:
+    """A route's Q/K/V parameter: a (3H, rows, cols) stack holding the q entry
+    of every head, then the k entries, then the v entries; (1, k) kernels for
+    the conv route, (d, d) matrices for the matrix route.
 
-    kernel_q: Tensor
-    kernel_k: Tensor
-    kernel_v: Tensor
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return [("kq", self.kernel_q), ("kk", self.kernel_k), ("kv", self.kernel_v)]
-
-
-@dataclass
-class MatrixAttentionHead:
-    """Square projection matrices over the feature axis (conventional attention)."""
-
-    w_q: Tensor
-    w_k: Tensor
-    w_v: Tensor
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return [("wq", self.w_q), ("wk", self.w_k), ("wv", self.w_v)]
+    The entries are drawn head by head, q, k and v within a head, each a
+    Glorot draw of its own (rows, cols) fans, and then reordered."""
+    drawn = glorot(rng, heads, 3, rows, cols).data
+    return parameter(drawn.swapaxes(0, 1).reshape(3 * heads, rows, cols))
 
 
-def new_cnn_head(kernel_size: int, rng: np.random.Generator) -> CnnAttentionHead:
-    kq, kk, kv = (glorot(rng, 1, kernel_size) for _ in range(3))
-    return CnnAttentionHead(kq, kk, kv)
-
-
-def new_matrix_head(feature_dim: int, rng: np.random.Generator) -> MatrixAttentionHead:
-    wq, wk, wv = (glorot(rng, feature_dim, feature_dim) for _ in range(3))
-    return MatrixAttentionHead(wq, wk, wv)
-
-
-def head_parameter_count(head) -> int:
-    return sum(p.data.size for _, p in head.parameters())
-
-
-def cnn_qkv(inp: Tensor, heads: list[CnnAttentionHead]) -> tuple[Tensor, Tensor, Tensor]:
-    """Convolve each token's feature vector with every head's three kernels.
+def cnn_qkv(inp: Tensor, bank: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """Convolve each token's feature vector with every kernel of a route's
+    (3H, 1, k) bank (see new_qkv).
 
     `inp` is tokens x features (n x d, or a stack of those). One conv1d per
-    route: all 3H kernels, the q kernels of every head, then the k and then
-    the v kernels, run as one bank over the rows of `inp`; one transpose
-    turns the (..., 3H, n, d) result into d x n matrices, which are split
-    into one (..., H, d, n) stack per projection.
+    route runs the whole bank over the rows of `inp`; one transpose turns the
+    (..., 3H, n, d) result into d x n matrices, which are split into one
+    (..., H, d, n) stack per projection.
     """
-    bank = stack([getattr(head, name) for name in ("kernel_q", "kernel_k", "kernel_v") for head in heads])
     qkv = transpose(conv1d(inp, bank))
     q, k, v = split(qkv, 3)
     return q, k, v
@@ -125,20 +93,19 @@ def attend(v: Tensor, amap: Tensor) -> Tensor:
     return matmul(v, amap)
 
 
-def cnn_attention(inp: Tensor, heads: list[CnnAttentionHead]) -> Tensor:
+def cnn_attention(inp: Tensor, bank: Tensor) -> Tensor:
     """All heads of a conv route on `inp` (n x d or a stack): (..., H, d, n)."""
-    q, k, v = cnn_qkv(inp, heads)
+    q, k, v = cnn_qkv(inp, bank)
     return attend(v, attention_map(q, k))
 
 
-def matrix_attention(inp: Tensor, heads: list[MatrixAttentionHead]) -> Tensor:
+def matrix_attention(inp: Tensor, weights: Tensor) -> Tensor:
     """All heads of a matrix route on `inp` (d x n or a stack): (..., H, d, n).
 
-    Each projection is one matmul of the (H, d, d) matrix stack with the
-    input given a head axis of length 1, which broadcasts it over the heads.
+    `weights` is the route's (3H, d, d) stack (see new_qkv). Each projection
+    is one matmul of its (H, d, d) part with the input given a head axis of
+    length 1, which broadcasts it over the heads.
     """
     x = stack([inp])
-    q, k, v = (
-        matmul(stack([getattr(head, name) for head in heads]), x) for name in ("w_q", "w_k", "w_v")
-    )
+    q, k, v = (matmul(w, x) for w in split(weights, 3))
     return attend(v, attention_map(q, k))

@@ -16,7 +16,7 @@ from .model import McdcModel, ModelHyper
 
 __all__ = ["CheckpointError", "load_checkpoint", "save_checkpoint"]
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _KINDS = {"mcdc": (ModelHyper, McdcModel), "mcdc-matrix": (ModelHyper, McdcModel), "ann": (AnnHyper, AnnModel)}
 
 

@@ -11,6 +11,7 @@ import sys
 from dataclasses import fields
 
 from . import tensor
+from .data import SPLIT_MODES
 from .pipeline import (
     DEFAULT_SWEEP_GRID,
     PipelineError,
@@ -35,7 +36,7 @@ def _add_config_flags(parser):
     parser.add_argument("--heads", type=int)
     parser.add_argument("--kernel-temporal", type=int, dest="kernel_temporal")
     parser.add_argument("--kernel-channel", type=int, dest="kernel_channel")
-    parser.add_argument("--split-mode", choices=["sample", "facility"], dest="split_mode")
+    parser.add_argument("--split-mode", choices=SPLIT_MODES, dest="split_mode")
     parser.add_argument("--train-fraction", type=float, dest="train_fraction")
     parser.add_argument("--epochs", type=int)
     parser.add_argument("--batch-size", type=int, dest="batch_size")

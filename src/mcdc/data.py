@@ -42,6 +42,7 @@ GAS_COLUMNS = ("h2", "ch4", "c2h6", "c2h4", "c2h2")
 CSV_HEADER = ("transformer_id", "voltage_kv", "condition", "day") + GAS_COLUMNS
 VOLTAGE_LEVELS = (35, 110, 220, 500)
 FACILITY_RETRIES = 1000  # shuffles a facility split tries before giving up
+SPLIT_MODES = ("sample", "facility")
 
 
 class DatasetError(ValueError):
@@ -395,7 +396,7 @@ def split(
         train_idx = [i for i, w in enumerate(windows) if w.transformer_id in train_set]
         test_idx = [i for i, w in enumerate(windows) if w.transformer_id not in train_set]
     else:
-        raise DatasetError(f"unknown split mode {mode!r}, expected 'sample' or 'facility'")
+        raise DatasetError(f"unknown split mode {mode!r}, expected one of {SPLIT_MODES}")
 
     folds = kfold(train_idx, k, seed)
     return SplitPlan(

@@ -115,11 +115,16 @@ class McdcModel(Classifier):
         rng = np.random.default_rng(seed)
         h = hyper.heads
         t_len = hyper.temporal_len
+
+        def qkv_entry(kernel: int, features: int) -> tuple[int, int]:
+            """A head's q, k or v: a 1 x kernel conv kernel or a square projection."""
+            return (1, kernel) if hyper.attention == "conv" else (features, features)
+
         # temporal route: tokens are time steps, features are the 5 channels
-        self.temporal_heads = [self._new_head(rng, hyper.kernel_temporal, N_CHANNELS) for _ in range(h)]
+        self.temporal_qkv = attention.new_qkv(rng, h, *qkv_entry(hyper.kernel_temporal, N_CHANNELS))
         self.mix_temporal = glorot(rng, N_CHANNELS, h * N_CHANNELS)
         # channel route: tokens are the 5 channels, features are time steps
-        self.channel_heads = [self._new_head(rng, hyper.kernel_channel, t_len) for _ in range(h)]
+        self.channel_qkv = attention.new_qkv(rng, h, *qkv_entry(hyper.kernel_channel, t_len))
         self.mix_channel = glorot(rng, h * t_len, t_len)
         flat = N_CHANNELS * t_len
         self.ffn_w1 = glorot(rng, hyper.ffn_hidden, flat)
@@ -128,27 +133,21 @@ class McdcModel(Classifier):
         self.ffn_b2 = parameter(np.zeros((hyper.n_classes, 1)))
         self._pe = tensor(positional_encoding(N_CHANNELS, t_len))
 
-    def _new_head(self, rng, kernel_size, feature_dim):
-        if self.hyper.attention == "conv":
-            return attention.new_cnn_head(kernel_size, rng)
-        return attention.new_matrix_head(feature_dim, rng)
-
     @property
     def kind(self) -> str:
         return "mcdc" if self.hyper.attention == "conv" else "mcdc-matrix"
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, head in enumerate(self.temporal_heads):
-            out.extend((f"temporal_head_{i}_{s}", p) for s, p in head.parameters())
-        out.append(("temporal_mix", self.mix_temporal))
-        for i, head in enumerate(self.channel_heads):
-            out.extend((f"channel_head_{i}_{s}", p) for s, p in head.parameters())
-        out.append(("channel_mix", self.mix_channel))
-        out.extend(
-            [("ffn_w1", self.ffn_w1), ("ffn_b1", self.ffn_b1), ("ffn_w2", self.ffn_w2), ("ffn_b2", self.ffn_b2)]
-        )
-        return out
+        return [
+            ("temporal_qkv", self.temporal_qkv),
+            ("temporal_mix", self.mix_temporal),
+            ("channel_qkv", self.channel_qkv),
+            ("channel_mix", self.mix_channel),
+            ("ffn_w1", self.ffn_w1),
+            ("ffn_b1", self.ffn_b1),
+            ("ffn_w2", self.ffn_w2),
+            ("ffn_b2", self.ffn_b2),
+        ]
 
     # stage operations
 
@@ -159,21 +158,21 @@ class McdcModel(Classifier):
             )
         return add(x, self._pe)
 
-    def _route(self, x: Tensor, heads, tokens: str) -> Tensor:
+    def _route(self, x: Tensor, qkv: Tensor, tokens: str) -> Tensor:
         """All heads of a route on the 5 x T map `x` (or a stack), whose tokens
         are its "cols" (time steps) or its "rows" (channels): (..., H, d, n).
         The conv route takes tokens on rows and the matrix route features on
         rows, so `x` is transposed only when it arrives the other way round."""
         if self.hyper.attention == "conv":
-            return attention.cnn_attention(x if tokens == "rows" else transpose(x), heads)
-        return attention.matrix_attention(transpose(x) if tokens == "rows" else x, heads)
+            return attention.cnn_attention(x if tokens == "rows" else transpose(x), qkv)
+        return attention.matrix_attention(transpose(x) if tokens == "rows" else x, qkv)
 
     def temporal_interaction(self, embedded: Tensor) -> Tensor:
-        heads = self._route(embedded, self.temporal_heads, "cols")
+        heads = self._route(embedded, self.temporal_qkv, "cols")
         return matmul(self.mix_temporal, merge_stack(heads, "rows"))
 
     def channel_interaction(self, mixed: Tensor) -> Tensor:
-        heads = self._route(mixed, self.channel_heads, "rows")
+        heads = self._route(mixed, self.channel_qkv, "rows")
         return matmul(merge_stack(transpose(heads), "cols"), self.mix_channel)
 
     def project_logits(self, z: Tensor) -> Tensor:

@@ -20,6 +20,7 @@ from .baselines import AnnHyper, make_model
 from .checkpoint import load_checkpoint, save_checkpoint
 from .conditions import N_CONDITIONS
 from .data import (
+    SPLIT_MODES,
     SplitPlan,
     fold0_sets,
     interpolate_gaps,
@@ -96,6 +97,12 @@ class RunConfig:
     def __post_init__(self):
         if self.seed is None:
             raise ValueError("seed is mandatory; pass --seed or set it in the config file")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if self.split_mode not in SPLIT_MODES:
+            raise ValueError(f"split_mode must be one of {SPLIT_MODES}, got {self.split_mode!r}")
+        if not 0 < self.train_fraction < 1:
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.data_csv and not os.path.exists(self.data_csv):
             raise ValueError(f"data file {self.data_csv} does not exist")
         # build once what the stages build, so bad settings fail before any stage runs

@@ -8,7 +8,7 @@ per window. The stack axes of `add` and `matmul` operands broadcast as in
 numpy (a 2-D parameter over a batch, an (H, r, c) head stack over a
 (B, 1, r, c) batch); a broadcast operand's gradient is summed back to its
 shape before it reaches the operand. `conv1d` has one form, the one the
-attention routes build: a (K, 1, k) kernel bank slid one column at a time
+attention routes hold: a (K, 1, k) kernel bank slid one column at a time
 over a signal zero-padded to keep its length.
 
 Operations executed while a Tape is active record themselves onto it in
@@ -125,10 +125,12 @@ def parameter(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def glorot(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
-    """Glorot-uniform parameter: one draw of U(-b, b) with b = sqrt(6 / (rows + cols))."""
-    bound = math.sqrt(6.0 / (rows + cols))
-    return parameter(rng.uniform(-bound, bound, size=(rows, cols)))
+def glorot(rng: np.random.Generator, *shape: int) -> Tensor:
+    """Glorot-uniform parameter of `shape` (..., rows, cols): one draw of
+    U(-b, b) with b = sqrt(6 / (rows + cols)), the fans of one matrix. A stack
+    draws its matrices in order, so it equals that many single draws stacked."""
+    bound = math.sqrt(6.0 / (shape[-2] + shape[-1]))
+    return parameter(rng.uniform(-bound, bound, size=shape))
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
@@ -286,8 +288,8 @@ def stack(parts: list[Tensor]) -> Tensor:
     for p in parts:
         if p.shape != shape:
             raise DimensionError(f"stack shapes differ: {shape} vs {p.shape}")
-    # np.array of 2-D parts (the per-forward kernel and matrix banks) is
-    # several times faster than np.stack; parts with stack axes move the
+    # np.array of 2-D parts (a matrix route's one-window input) is several
+    # times faster than np.stack; parts with stack axes move the
     # new axis from the front to just before the matrix axes
     data = np.array([p.data for p in parts])  # (S, ..., r, c)
     if data.ndim > 3:

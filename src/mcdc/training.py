@@ -288,7 +288,8 @@ def cross_validate(make_model, windows: list[CdgdWindow], plan, config: TrainCon
         except ValueError as exc:
             raise ValueError(f"fold {fold_index}: {exc}") from exc
         histories.append(history)
-        _, val_acc = evaluate_windows(model, val_windows)
+        # train_fold left the model holding the parameters this row scored
+        val_acc = history.rows[history.best_epoch].val_accuracy
         accuracies.append(val_acc)
         if val_acc > best[0]:
             best = (val_acc, fold_index, model)

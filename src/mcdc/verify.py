@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .attention import attention_map, cnn_qkv, new_cnn_head
+from .attention import attention_map, cnn_qkv, new_qkv
 from .baselines import AnnHyper, AnnModel
 from .conditions import by_code
 from .data import CdgdWindow
@@ -94,12 +94,12 @@ def _check_gradients():
 def _check_attention_stochastic():
     """Both conv routes with all four heads at once, on stacks of 10 inputs."""
     rng = np.random.default_rng(103)
-    heads_t = [new_cnn_head(5, np.random.default_rng(9 + 2 * h)) for h in range(4)]
-    heads_c = [new_cnn_head(6, np.random.default_rng(10 + 2 * h)) for h in range(4)]
+    bank_t = new_qkv(np.random.default_rng(9), 4, 1, 5)
+    bank_c = new_qkv(np.random.default_rng(10), 4, 1, 6)
     for _ in range(20):
         x = rng.normal(scale=3.0, size=(10, 5, 8))
-        for inp, heads in ((x.swapaxes(-1, -2), heads_t), (x, heads_c)):
-            q, k, _ = cnn_qkv(tensor(inp), heads)
+        for inp, bank in ((x.swapaxes(-1, -2), bank_t), (x, bank_c)):
+            q, k, _ = cnn_qkv(tensor(inp), bank)
             amap = attention_map(q, k).data
             if not np.allclose(amap.sum(axis=-2), 1.0, atol=1e-9):
                 return False, "column sums off"

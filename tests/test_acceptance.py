@@ -11,7 +11,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mcdc.attention import attention_map, cnn_qkv, head_parameter_count, new_cnn_head, new_matrix_head
+from mcdc.attention import attention_map, cnn_qkv, new_qkv
 from mcdc.baselines import make_model
 from mcdc.cli import main
 from mcdc.data import fold0_sets, interpolate_gaps, normalize, overlapping_sample, split
@@ -68,12 +68,12 @@ def test_criterion_01_gradient_correctness():
 def test_criterion_02_attention_map_stochasticity():
     with criterion(2, "attention maps column-stochastic over 1000 inputs per route"):
         rng = np.random.default_rng(3)
-        temporal_head = new_cnn_head(5, np.random.default_rng(4))
-        channel_head = new_cnn_head(6, np.random.default_rng(5))
+        temporal_qkv = new_qkv(np.random.default_rng(4), 1, 1, 5)
+        channel_qkv = new_qkv(np.random.default_rng(5), 1, 1, 6)
         for _ in range(1000):
             x = rng.normal(scale=4.0, size=(5, 8))
-            for inp, head in ((x.T, temporal_head), (x, channel_head)):
-                q, k, _ = cnn_qkv(tensor(inp), [head])
+            for inp, qkv in ((x.T, temporal_qkv), (x, channel_qkv)):
+                q, k, _ = cnn_qkv(tensor(inp), qkv)
                 amap = attention_map(q, k).data[0]
                 assert np.allclose(amap.sum(axis=0), 1.0, atol=1e-9)
                 assert amap.min() >= 0.0 and amap.max() <= 1.0
@@ -201,9 +201,12 @@ def test_criterion_06_mechanism_stability_comparison():
             f"mean-accuracy delta {delta:+.5f} (recorded, no margin asserted)"
         )
         assert conv_std <= matrix_std, f"conv std {conv_std:.5f} > matrix std {matrix_std:.5f}"
-        rng = np.random.default_rng(0)
-        assert head_parameter_count(new_cnn_head(5, rng)) < head_parameter_count(new_matrix_head(5, rng))
-        assert head_parameter_count(new_cnn_head(6, rng)) < head_parameter_count(new_matrix_head(8, rng))
+        # the compared models' routes: kernel 5 vs width 5 (temporal), kernel 6 vs width 8 (channel)
+        conv, matrix = (config.make_model(kind, 0) for kind in ("mcdc", "mcdc-matrix"))
+        assert (conv.temporal_qkv.shape, matrix.temporal_qkv.shape) == ((12, 1, 5), (12, 5, 5))
+        assert (conv.channel_qkv.shape, matrix.channel_qkv.shape) == ((12, 1, 6), (12, 8, 8))
+        assert conv.temporal_qkv.data.size < matrix.temporal_qkv.data.size
+        assert conv.channel_qkv.data.size < matrix.channel_qkv.data.size
 
 
 def test_criterion_07_facility_generalization():

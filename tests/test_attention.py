@@ -6,15 +6,12 @@ import numpy as np
 import pytest
 
 from mcdc.attention import (
-    CnnAttentionHead,
     attend,
     attention_map,
     cnn_attention,
     cnn_qkv,
-    head_parameter_count,
     matrix_attention,
-    new_cnn_head,
-    new_matrix_head,
+    new_qkv,
 )
 from mcdc import attention, tensor as tz
 from mcdc.baselines import make_model
@@ -29,9 +26,10 @@ from mcdc.tensor import (
     concat_rows,
     conv1d,
     cross_entropy,
+    glorot,
     matmul,
     merge_stack,
-    stack,
+    split,
     tensor,
     transpose,
 )
@@ -52,30 +50,42 @@ def naive_attention_map(q, k):
     return out
 
 
-def _head_from_kernels(kq, kk, kv):
-    return CnnAttentionHead(tensor([kq]), tensor([kk]), tensor([kv]))
+def _one_head_bank(kq, kk, kv):
+    return tensor([[kq], [kk], [kv]])
+
+
+class TestNewQkv:
+    @pytest.mark.parametrize("heads,rows,cols", [(1, 1, 5), (4, 1, 6), (2, 5, 5), (3, 12, 12)])
+    def test_equals_per_head_draws_restacked_projection_major(self, heads, rows, cols):
+        stacked = new_qkv(np.random.default_rng(14), heads, rows, cols)
+        rng = np.random.default_rng(14)
+        drawn = [[glorot(rng, rows, cols).data for _ in "qkv"] for _ in range(heads)]
+        expected = np.array([drawn[h][p] for p in range(3) for h in range(heads)])
+        assert stacked.requires_grad
+        assert stacked.data.tobytes() == expected.tobytes()
+        assert stacked.shape == (3 * heads, rows, cols)
 
 
 class TestCnnQkv:
     def test_temporal_route_shapes(self):
         rng = np.random.default_rng(0)
-        head = new_cnn_head(5, rng)
+        bank = new_qkv(rng, 1, 1, 5)
         # temporal route feeds the gas map transposed: tokens=time on rows
-        q, k, v = cnn_qkv(tensor(rng.normal(size=(8, 5))), [head])
+        q, k, v = cnn_qkv(tensor(rng.normal(size=(8, 5))), bank)
         assert q.shape == k.shape == v.shape == (1, 5, 8)
 
     def test_channel_route_shapes(self):
         # channel route feeds the gas map as it is: tokens=channels on rows
         rng = np.random.default_rng(1)
-        head = new_cnn_head(6, rng)
-        q, k, v = cnn_qkv(tensor(rng.normal(size=(5, 8))), [head])
+        bank = new_qkv(rng, 1, 1, 6)
+        q, k, v = cnn_qkv(tensor(rng.normal(size=(5, 8))), bank)
         assert q.shape == k.shape == v.shape == (1, 8, 5)
 
     def test_identity_and_zero_kernels(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 8))
-        head = _head_from_kernels([1.0], [0.0], [0.0])
-        q, k, v = cnn_qkv(tensor(x.T), [head])
+        bank = _one_head_bank([1.0], [0.0], [0.0])
+        q, k, v = cnn_qkv(tensor(x.T), bank)
         assert np.array_equal(q.data[0], x)
         assert np.all(k.data == 0.0)
         assert np.all(v.data == 0.0)
@@ -141,25 +151,22 @@ class TestAttend:
 class TestVariants:
     def test_cnn_attention_shape_and_determinism(self):
         rng = np.random.default_rng(8)
-        head = new_cnn_head(5, np.random.default_rng(42))
+        bank = new_qkv(np.random.default_rng(42), 1, 1, 5)
         x = rng.normal(size=(5, 8))
-        a = cnn_attention(tensor(x.T), [head])
-        b = cnn_attention(tensor(x.T), [head])
+        a = cnn_attention(tensor(x.T), bank)
+        b = cnn_attention(tensor(x.T), bank)
         assert a.shape == (1, 5, 8)
         assert np.array_equal(a.data, b.data)
 
     def test_zero_kernels_give_zero_output(self):
-        head = _head_from_kernels([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
-        out = cnn_attention(tensor(np.random.default_rng(9).normal(size=(5, 8))), [head])
+        bank = _one_head_bank([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+        out = cnn_attention(tensor(np.random.default_rng(9).normal(size=(5, 8))), bank)
         assert np.all(out.data == 0.0)
 
     def test_identity_matrix_projections(self):
         rng = np.random.default_rng(10)
         x = rng.normal(size=(5, 8))
-        eye = tensor(np.eye(5))
-        from mcdc.attention import MatrixAttentionHead
-
-        out = matrix_attention(tensor(x), [MatrixAttentionHead(eye, eye, eye)])
+        out = matrix_attention(tensor(x), tensor([np.eye(5)] * 3))
         assert out.shape == (1, 5, 8)
         expected = attend(tensor(x), attention_map(tensor(x), tensor(x)))
         assert np.allclose(out.data[0], expected.data, atol=1e-12)
@@ -167,48 +174,54 @@ class TestVariants:
     def test_drop_in_shapes_match(self):
         rng = np.random.default_rng(11)
         x = tensor(rng.normal(size=(5, 8)))
-        conv_out = cnn_attention(transpose(x), [new_cnn_head(5, rng)])
-        mat_out = matrix_attention(x, [new_matrix_head(5, rng)])
+        conv_out = cnn_attention(transpose(x), new_qkv(rng, 1, 1, 5))
+        mat_out = matrix_attention(x, new_qkv(rng, 1, 5, 5))
         assert conv_out.shape == mat_out.shape
 
     def test_parameter_counts(self):
         rng = np.random.default_rng(12)
-        assert head_parameter_count(new_cnn_head(5, rng)) == 15
-        assert head_parameter_count(new_matrix_head(5, rng)) == 75
+        assert new_qkv(rng, 1, 1, 5).data.size == 15
+        assert new_qkv(rng, 1, 5, 5).data.size == 75
 
     @pytest.mark.parametrize("feature_dim,kernel", [(5, 5), (5, 6), (8, 6), (12, 8)])
     def test_conv_has_fewer_parameters_when_kernel_below_dim_squared(self, feature_dim, kernel):
         rng = np.random.default_rng(13)
         assert kernel < feature_dim**2
-        assert head_parameter_count(new_cnn_head(kernel, rng)) < head_parameter_count(
-            new_matrix_head(feature_dim, rng)
-        )
+        assert new_qkv(rng, 1, 1, kernel).data.size < new_qkv(rng, 1, feature_dim, feature_dim).data.size
 
 
 # The per-head computation the stacked routes replaced, kept as the
 # independent reference: one conv1d (or matmul) per head and projection.
 
 
-def reference_cnn_head(inp, head):
+def heads_of(qkv):
+    """Each head's (q, k, v) entries of a route's (3H, rows, cols) stack, as
+    (1, rows, cols) parts, so a gradient through any of them reaches the stack."""
+    parts = split(qkv, qkv.shape[0])
+    heads = len(parts) // 3
+    return [(parts[h], parts[heads + h], parts[2 * heads + h]) for h in range(heads)]
+
+
+def reference_cnn_head(inp, kernels):
     tokens_rows = transpose(inp)
-    kernels = (head.kernel_q, head.kernel_k, head.kernel_v)
     # each kernel alone as a one-kernel bank; merge_stack drops the bank axis
-    q, k, v = (transpose(merge_stack(conv1d(tokens_rows, stack([kern])), "rows")) for kern in kernels)
+    q, k, v = (transpose(merge_stack(conv1d(tokens_rows, kern), "rows")) for kern in kernels)
     return attend(v, attention_map(q, k))
 
 
-def reference_matrix_head(inp, head):
-    q, k, v = (matmul(w, inp) for w in (head.w_q, head.w_k, head.w_v))
+def reference_matrix_head(inp, matrices):
+    # merge_stack turns each (1, d, d) part into its d x d matrix
+    q, k, v = (matmul(merge_stack(w, "rows"), inp) for w in matrices)
     return attend(v, attention_map(q, k))
 
 
 def reference_forward(model, x):
     head_fn = reference_cnn_head if model.hyper.attention == "conv" else reference_matrix_head
     embedded = model.embed(tensor(x))
-    temporal = matmul(model.mix_temporal, concat_rows([head_fn(embedded, h) for h in model.temporal_heads]))
+    temporal = matmul(model.mix_temporal, concat_rows([head_fn(embedded, h) for h in heads_of(model.temporal_qkv)]))
     mixed = add(temporal, embedded)
     tokens_channels = transpose(mixed)
-    outs = [transpose(head_fn(tokens_channels, h)) for h in model.channel_heads]
+    outs = [transpose(head_fn(tokens_channels, h)) for h in heads_of(model.channel_qkv)]
     channel = matmul(concat_cols(outs), model.mix_channel)
     return model.project(add(channel, temporal))
 
@@ -232,13 +245,13 @@ class TestStackedRoutes:
             route, head_fn = attention.matrix_attention, reference_matrix_head
         rng = np.random.default_rng(32)
         for x in (rng.normal(size=(5, 8)), rng.normal(size=(6, 5, 8))):
-            routes = ((tensor(x), model.temporal_heads), (tensor(x.swapaxes(-1, -2)), model.channel_heads))
-            for inp, route_heads in routes:
+            routes = ((tensor(x), model.temporal_qkv), (tensor(x.swapaxes(-1, -2)), model.channel_qkv))
+            for inp, qkv in routes:
                 # the conv route takes its d x n input transposed, tokens on rows
-                out = route(transpose(inp) if kind == "mcdc" else inp, route_heads)
+                out = route(transpose(inp) if kind == "mcdc" else inp, qkv)
                 assert out.shape == inp.shape[:-2] + (heads,) + inp.shape[-2:]
-                for h, head in enumerate(route_heads):
-                    assert np.array_equal(out.data[..., h, :, :], head_fn(inp, head).data)
+                for h, entries in enumerate(heads_of(qkv)):
+                    assert np.array_equal(out.data[..., h, :, :], head_fn(inp, entries).data)
 
     @pytest.mark.parametrize("kind,heads", ROUTE_CASES)
     def test_predict_proba_equals_per_head_reference(self, kind, heads):
@@ -272,7 +285,7 @@ class TestStackedRoutes:
 class TestStockModelOpCount:
     """Guard: a route is one stack, so a per-head loop would show here."""
 
-    @pytest.mark.parametrize("kind,nodes", [("mcdc", 38), ("mcdc-matrix", 40)])
+    @pytest.mark.parametrize("kind,nodes", [("mcdc", 36), ("mcdc-matrix", 40)])
     def test_tape_nodes_per_batch(self, kind, nodes):
         model = make_model(kind, 12, 0)
         rng = np.random.default_rng(35)

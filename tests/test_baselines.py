@@ -163,6 +163,26 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: .*{match}"):
             load_checkpoint(path)
 
+    def test_format_1_per_head_checkpoint_rejected(self, tmp_path):
+        import json
+
+        from mcdc.checkpoint import CheckpointError
+
+        path = tmp_path / "v1.json"
+        save_checkpoint(path, make_model("mcdc", temporal_len=8, seed=21))
+        payload = json.loads(path.read_text())
+        # format 1 kept each head's q, k and v kernels under their own names
+        for route in ("temporal", "channel"):
+            bank = payload["params"].pop(f"{route}_qkv")
+            heads = len(bank) // 3
+            for h in range(heads):
+                for p, suffix in enumerate(("kq", "kk", "kv")):
+                    payload["params"][f"{route}_head_{h}_{suffix}"] = bank[p * heads + h]
+        payload["format_version"] = 1
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: unsupported checkpoint version 1$"):
+            load_checkpoint(path)
+
     def test_unknown_version_rejected(self, tmp_path):
         import json
 

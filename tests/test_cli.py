@@ -111,6 +111,44 @@ class TestTrainCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--train-fraction", "1.5"], "train_fraction must be in (0, 1), got 1.5"),
+            # 1.0 used to write a split.json with no test windows
+            (["--train-fraction", "1.0"], "train_fraction must be in (0, 1), got 1.0"),
+            (["--train-fraction", "0"], "train_fraction must be in (0, 1), got 0.0"),
+            (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        ],
+    )
+    def test_bad_run_flag_refused_before_load(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x"
+        code = main(["train", "--seed", "7", "--out", str(out), *TINY_FLAGS, *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "stage" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config,message",
+        [
+            # the CLI's --split-mode choices cannot send this one
+            ({"seed": 9, "split_mode": "by-day"}, "split_mode must be one of ('sample', 'facility'), got 'by-day'"),
+            # it used to end in numpy's TypeError traceback
+            ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        ],
+    )
+    def test_bad_config_value_refused_before_load(self, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "x"
+        assert main(["train", "--config", str(path), "--out", str(out), *TINY_FLAGS]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "stage" not in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "config,message",
         [
             ({"seed": 9, "bogus": 1}, "unknown config keys ['bogus']"),

@@ -89,7 +89,7 @@ class TestStages:
 
         model = McdcModel(TINY, seed=6)
         x = tensor(np.random.default_rng(7).normal(size=(5, 8)))
-        q, k, _ = cnn_qkv(x, model.channel_heads)
+        q, k, _ = cnn_qkv(x, model.channel_qkv)
         assert attention_map(q, k).shape == (TINY.heads, 5, 5)
 
     def test_single_head_with_identity_mix_equals_head_output(self):
@@ -102,7 +102,7 @@ class TestStages:
         x = tensor(np.random.default_rng(41).normal(size=(5, 8)))
         embedded = model.embed(x)
         stage = model.temporal_interaction(embedded)
-        head_out = cnn_attention(transpose(embedded), model.temporal_heads)
+        head_out = cnn_attention(transpose(embedded), model.temporal_qkv)
         assert head_out.shape == (1, 5, 8)
         assert np.allclose(stage.data, head_out.data[0], atol=1e-12)
 
@@ -186,7 +186,7 @@ class TestGradients:
 
     def test_gradient_reaches_every_parameter_group(self):
         rng = np.random.default_rng(23)
-        groups = ("temporal_head", "temporal_mix", "channel_head", "channel_mix", "ffn")
+        groups = ("temporal_qkv", "temporal_mix", "channel_qkv", "channel_mix", "ffn")
         hits = {g: 0 for g in groups}
         trials = 100
         model = McdcModel(TINY, seed=24)

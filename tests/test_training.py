@@ -293,7 +293,7 @@ class TestCrossValidate:
         def make(fold):
             model = tiny_model(seed=400 + fold)
             if fold == 1:
-                model.channel_heads[0].kernel_q.data[0, 0] = np.nan
+                model.channel_qkv.data[0, 0, 0] = np.nan
             return model
 
         with pytest.raises(ValueError, match=r"^fold 1: training diverged at epoch 0, batch 0"):
@@ -307,6 +307,28 @@ class TestCrossValidate:
         assert len(accs) == 4
         assert result.best_val_accuracy == max(accs)
         assert result.best_fold == accs.index(max(accs))
+
+    def test_fold_accuracy_is_the_best_epoch_row_and_the_restored_models_score(self):
+        # unlearnable labels, so accuracy moves from epoch to epoch and every fold stops early
+        rng = np.random.default_rng(23)
+        windows = [CdgdWindow("t", i, rng.normal(size=(5, 8)), by_code(i % 3)) for i in range(40)]
+        plan = split(windows, "sample", 0.8, seed=17, k=4)
+        models = []
+
+        def make(fold):
+            models.append(tiny_model(seed=500 + fold))
+            return models[-1]
+
+        config = TrainConfig(seed=22, epochs=10, batch_size=16, patience=2, lr0=0.05)
+        result = cross_validate(make, windows, plan, config)
+        moved = 0
+        for fold, history in enumerate(result.fold_histories):
+            row = history.rows[history.best_epoch]
+            assert result.fold_val_accuracies[fold] == row.val_accuracy
+            val_windows = [windows[i] for i in plan.folds[fold]]
+            assert evaluate_windows(models[fold], val_windows)[1] == row.val_accuracy
+            moved += history.rows[-1].val_accuracy != row.val_accuracy
+        assert moved, "no fold's last epoch scored differently from its best"
 
 
 class TestHistoryCsv:
