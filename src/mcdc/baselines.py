@@ -18,7 +18,7 @@ from .tensor import (
     DimensionError, Tensor, add, glorot, matmul, parameter, reshape, sigmoid, softmax_axis, tensor, transpose,
 )
 
-__all__ = ["AnnHyper", "AnnModel", "make_model"]
+__all__ = ["AnnHyper", "AnnModel", "MODEL_KINDS", "make_model"]
 
 
 @dataclass(frozen=True)
@@ -80,11 +80,13 @@ class AnnModel(Classifier):
         return transpose(softmax_axis(logits, "col"))
 
 
+MODEL_KINDS = ("mcdc", "mcdc-matrix", "ann")
+
+
 def make_model(kind: str, temporal_len: int, seed: int, **overrides):
     """Shared factory for the comparison harness and the CLI.
 
-    kind is one of "mcdc", "mcdc-matrix", "ann"; overrides feed the matching
-    hyper dataclass.
+    kind is one of MODEL_KINDS; overrides feed the matching hyper dataclass.
     """
     if kind in ("mcdc", "mcdc-matrix"):
         hyper = ModelHyper(
@@ -95,4 +97,4 @@ def make_model(kind: str, temporal_len: int, seed: int, **overrides):
         return McdcModel(hyper, seed)
     if kind == "ann":
         return AnnModel(AnnHyper(temporal_len=temporal_len, **overrides), seed)
-    raise ValueError(f"unknown model kind {kind!r}, expected mcdc, mcdc-matrix or ann")
+    raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")

@@ -11,6 +11,7 @@ import sys
 from dataclasses import fields
 
 from . import tensor
+from .baselines import MODEL_KINDS
 from .data import SPLIT_MODES
 from .pipeline import (
     DEFAULT_SWEEP_GRID,
@@ -31,7 +32,7 @@ def _add_config_flags(parser):
     parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--data", dest="data_csv", help="dataset CSV (omit to generate synthetically)")
     parser.add_argument("--recipe", help="synthetic recipe name or path (default: default)")
-    parser.add_argument("--model", choices=["mcdc", "mcdc-matrix", "ann"], help="model kind")
+    parser.add_argument("--model", choices=MODEL_KINDS, help="model kind")
     parser.add_argument("--temporal-len", type=int, dest="temporal_len")
     parser.add_argument("--heads", type=int)
     parser.add_argument("--kernel-temporal", type=int, dest="kernel_temporal")
@@ -89,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="repeat-train several model kinds on identical splits")
     _add_config_flags(p)
-    p.add_argument("--models", default="mcdc,mcdc-matrix,ann", help="comma-separated kinds")
+    p.add_argument("--models", default=",".join(MODEL_KINDS), help="comma-separated kinds")
     p.add_argument("--repetitions", type=int, default=10)
     p.add_argument("--modes", default="sample,facility", help="comma-separated split modes")
 

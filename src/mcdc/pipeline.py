@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from .baselines import AnnHyper, make_model
+from .baselines import MODEL_KINDS, AnnHyper, make_model
 from .checkpoint import load_checkpoint, save_checkpoint
 from .conditions import N_CONDITIONS
 from .data import (
@@ -271,7 +271,16 @@ def _fitter_for(config: RunConfig, kind: str):
 
 def run_compare(config: RunConfig, kinds: list[str], repetitions: int, modes: list[str]) -> dict:
     """Repeated train/evaluate comparison across model kinds and split modes,
-    written to comparison.json."""
+    written to comparison.json. The kinds, the repetition count and the
+    modes are checked before the data are loaded."""
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    for flag, given, known in (("models", kinds, MODEL_KINDS), ("modes", modes, SPLIT_MODES)):
+        if not given:
+            raise ValueError(f"{flag} must name at least one of {known}")
+        unknown = [v for v in given if v not in known]
+        if unknown:
+            raise ValueError(f"{flag} must be among {known}, got unknown {unknown}")
     with _stage("load"):
         series = build_series(config)
         windows = build_windows(series, config.temporal_len)

@@ -54,10 +54,11 @@ def _validate(recipe: dict) -> dict:
     lo, hi = recipe.get("length_range", (0, 0))
     if not 2 <= lo <= hi:
         raise RecipeError(f"length_range {recipe.get('length_range')} invalid")
-    if recipe.get("transformers_per_class", 0) < 1:
-        raise RecipeError("transformers_per_class must be >= 1")
-    if recipe.get("noise_level", 0) < 0:
-        raise RecipeError("noise_level must be >= 0")
+    per_class = recipe.get("transformers_per_class", 0)
+    if not isinstance(per_class, (int, np.integer)) or per_class < 1:
+        raise RecipeError(f"transformers_per_class must be an integer >= 1, got {per_class!r}")
+    if not recipe.get("noise_level", 0) >= 0:  # NaN fails too
+        raise RecipeError(f"noise_level must be >= 0, got {recipe.get('noise_level')!r}")
     return recipe
 
 
@@ -70,13 +71,21 @@ def synth_generate(
 ) -> list[GasSeries]:
     """Generate one series per (class, transformer index), bit-reproducible per seed.
 
-    Keyword overrides replace the matching recipe fields. Negative draws are
-    clamped to zero, keeping concentrations physical.
+    Keyword overrides that are not None replace the matching recipe fields
+    and are checked as the recipe's own are. Negative draws are clamped to
+    zero, keeping concentrations physical.
     """
-    recipe = _validate(dict(recipe))
-    n_per_class = transformers_per_class or recipe["transformers_per_class"]
-    lo, hi = length_range or recipe["length_range"]
-    noise = recipe["noise_level"] if noise_level is None else noise_level
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    overrides = {
+        "transformers_per_class": transformers_per_class,
+        "length_range": length_range,
+        "noise_level": noise_level,
+    }
+    recipe = _validate({**recipe, **{k: v for k, v in overrides.items() if v is not None}})
+    n_per_class = recipe["transformers_per_class"]
+    lo, hi = recipe["length_range"]
+    noise = recipe["noise_level"]
     level_spread = recipe.get("level_spread", 0.0)
     channel_spread = recipe.get("channel_spread", 0.0)
     voltage_scale = recipe.get("voltage_scale", [1.0, 1.0, 1.0, 1.0])

@@ -306,8 +306,11 @@ def stack(parts: list[Tensor]) -> Tensor:
 def merge_stack(x: Tensor, axis: str) -> Tensor:
     """Join the S matrices of the innermost stack axis into one matrix:
     (..., S, r, c) gives (..., S*r, c) for "rows", with matrix s in row block
-    s, or (..., r, S*c) for "cols", with matrix s in column block s. The
-    result is C-contiguous, as concat_rows/concat_cols of the S parts is."""
+    s, or (..., r, S*c) for "cols", with matrix s in column block s. For a
+    C-contiguous stack, what matmul and transpose give, the result is
+    C-contiguous, as concat_rows/concat_cols of the S parts is: "rows" is a
+    reshape copy, "cols" the reshape of the (..., r, S, c) swapaxes view,
+    and the "cols" gradient swaps the same two axes back."""
     if axis not in ("rows", "cols"):
         raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
     if x.data.ndim < 3:
@@ -316,13 +319,13 @@ def merge_stack(x: Tensor, axis: str) -> Tensor:
     if axis == "rows":
         out = Tensor(x.data.reshape(*lead, s * r, c).copy())
     else:
-        out = Tensor(np.ascontiguousarray(np.moveaxis(x.data, -3, -2)).reshape(*lead, r, s * c))
+        out = Tensor(x.data.swapaxes(-3, -2).reshape(*lead, r, s * c))
 
     def bw(g):
         if axis == "rows":
             _accum(x, g.reshape(x.shape))
         else:
-            _accum(x, np.moveaxis(g.reshape(*lead, r, s, c), -2, -3))
+            _accum(x, g.reshape(*lead, r, s, c).swapaxes(-3, -2))
 
     return _record(out, (x,), bw)
 
@@ -364,26 +367,33 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
     exactly as that row with that kernel on its own. Gradients w.r.t. both
     the signal and the bank are recorded.
 
-    The sums run with the convolved axis first, (L, ..., rows): a tap's
-    view of every output is then one slice of whole (..., rows) blocks, so
-    each step is one long elementwise run rather than one per row.
+    Layouts: the signal's n = prod(..., rows) rows are one (n, L) block,
+    zero-padded and transposed into (L + k - 1, n) columns, the convolved
+    axis first. The sums run in a (K, L, n) buffer against a (k, K, 1, 1)
+    view of the bank's taps, so a tap is one product of an (L, n) column
+    slice with one scalar per kernel and one add. The result is a transpose
+    view of that buffer, and the columns are kept for the kernel gradient.
+    The signal gradient runs in the same (K, L, n) layout and adds the
+    kernels' parts with one reduce over the kernel axis.
     """
     if bank.data.ndim != 3 or bank.shape[1] != 1 or 0 in bank.shape:
         raise DimensionError(f"conv1d needs a (K, 1, k) kernel bank with K, k >= 1, got shape {bank.shape}")
-    k = bank.shape[-1]
+    n_kernels, _, k = bank.shape
     left = (k - 1) // 2
     length = signal.data.shape[-1]
-    kernels = bank.data.reshape(-1, k)  # (K, k)
     lead = signal.data.shape[:-1]  # (..., rows)
-    taps = kernels.T.reshape((k, -1) + (1,) * len(lead))  # taps[t]: tap t of every kernel, (K, 1, ..., 1)
-    cols = np.zeros((length + k - 1,) + lead)  # the zero-padded signal, convolved axis first
-    cols[left:left + length] = np.moveaxis(signal.data, -1, 0)
-    out = np.zeros((kernels.shape[0], length) + lead)
+    n = math.prod(lead)
+    nd = len(lead) + 2  # the result's rank; its axes are (..., K, rows, L)
+    taps = bank.data.reshape(n_kernels, k).T[:, :, None, None]  # taps[t]: tap t of every kernel
+    cols = np.zeros((length + k - 1, n))
+    cols[left:left + length] = signal.data.reshape(n, length).T
+    out = np.zeros((n_kernels, length, n))
     term = np.empty(out.shape)
     for t in range(k):
-        np.multiply(cols[t:t + length], taps[t][:, None], out=term)
+        np.multiply(cols[t:t + length], taps[t], out=term)
         out += term
-    out = Tensor(np.moveaxis(out, (0, 1), (-3, -1)))  # (..., K, rows, L)
+    # (K, L, ..., rows) -> (..., K, rows, L)
+    out = Tensor(out.reshape((n_kernels, length) + lead).transpose(tuple(range(2, nd - 1)) + (0, nd - 1, 1)))
 
     def bw(g):
         scratch = np.empty(g.size)  # one tap's products, for either gradient
@@ -391,32 +401,34 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
             # kernel i's tap-t gradient is the whole-array sum of g[..., i, :, :]
             # times tap t's window; each tap's products are written kernel-major,
             # so every kernel's are one contiguous row and summed as .sum() would
-            padded = np.zeros(lead + (length + k - 1,))
-            padded[..., left:left + length] = signal.data
-            by_kernel = np.moveaxis(g, -3, 0)
+            # (..., K, rows, L) -> (K, ..., rows, L)
+            by_kernel = np.ascontiguousarray(g.transpose((nd - 3,) + tuple(range(nd - 3)) + (nd - 2, nd - 1)))
             prod = scratch.reshape(by_kernel.shape)
-            dk = np.empty(kernels.shape)
+            dk = np.empty((n_kernels, k))
             for t in range(k):
-                np.multiply(by_kernel, np.ascontiguousarray(padded[..., t:t + length]), out=prod)
-                dk[:, t] = prod.reshape(kernels.shape[0], -1).sum(axis=1)
+                window = np.ascontiguousarray(cols[t:t + length].T).reshape(lead + (length,))
+                np.multiply(by_kernel, window, out=prod)
+                dk[:, t] = prod.reshape(n_kernels, -1).sum(axis=1)
             if _FAULT == "conv-kernel-grad":
                 dk = dk * 1.01 + 1e-3
             _accum(bank, dk.reshape(bank.shape))
         if signal.requires_grad:
             # per kernel, g times tap t added tap by tap from zero into the
-            # padded signal, convolved axis first; then the kernels' gradients
-            # added in kernel order
-            g_cols = np.ascontiguousarray(np.moveaxis(g, (-1, -3), (0, 1)))  # (L, K, ..., rows)
-            d_cols = np.zeros((length + k - 1,) + g_cols.shape[1:])
+            # padded columns; then the kernels' gradients added in kernel
+            # order by one reduce. d_cols has one spare zero row past the
+            # padding so that the reduced window keeps two or more elements:
+            # numpy adds a reduce axis in order across an output of two or
+            # more elements, but sums it pairwise into a lone element.
+            # (..., K, rows, L) -> (K, L, ..., rows), the forward's layout
+            to_cols = (nd - 3, nd - 1) + tuple(range(nd - 3)) + (nd - 2,)
+            g_cols = np.ascontiguousarray(g.transpose(to_cols)).reshape(n_kernels, length, n)
+            d_cols = np.zeros((n_kernels, length + k, n))
             term = scratch.reshape(g_cols.shape)
             for t in range(k):
                 np.multiply(g_cols, taps[t], out=term)
-                d_cols[t:t + length] += term
-            d_cols = d_cols[left:left + length]
-            d_signal = d_cols[:, 0].copy()
-            for i in range(1, d_cols.shape[1]):
-                d_signal += d_cols[:, i]
-            _accum(signal, np.moveaxis(d_signal, 0, -1))
+                d_cols[:, t:t + length] += term
+            d_signal = np.add.reduce(d_cols[:, left:left + length + 1], axis=0)[:length]
+            _accum(signal, d_signal.T.reshape(signal.shape))
 
     return _record(out, (signal, bank), bw)
 
@@ -439,12 +451,14 @@ def softmax_axis(x: Tensor, axis: str) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
+    """1 / (1 + e^-x), from e = exp(-|x|) so that no exp overflows: 1 / (1 + e)
+    where x >= 0 and e / (1 + e) elsewhere. That is the same bytes as the
+    masked form, which takes exp(-x) on the x >= 0 entries and exp(x) on the
+    rest, with one exp over the whole array and no boolean indexing."""
     d = x.data
-    y = np.empty_like(d)
-    pos = d >= 0
-    y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    y[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(d))
+    denom = 1.0 + e
+    y = np.where(d >= 0, 1.0 / denom, e / denom)
     out = Tensor(y)
 
     def bw(g):

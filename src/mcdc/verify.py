@@ -3,8 +3,9 @@ equivalences and determinism, runnable from a fresh checkout in a couple of
 minutes. Each check returns (name, passed, detail); the CLI turns any failure
 into a nonzero exit code.
 
-The conv gradient check doubles as a negative control: with fault injection
-armed (verify --inject-fault conv-kernel-grad) it must fail.
+The conv gradient checks double as a negative control: with fault injection
+armed (verify --inject-fault conv-kernel-grad) the finite-difference check
+and the conv oracle's kernel-gradient comparison must both fail.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .conditions import by_code
 from .data import CdgdWindow
 from .evaluation import roc_auc, wilcoxon_rank_sum
 from .model import McdcModel, ModelHyper
-from .tensor import Tape, backward, conv1d, cross_entropy, grad_check, matmul, sum_all, sigmoid, tensor
+from .tensor import Tape, backward, conv1d, cross_entropy, grad_check, matmul, mul, parameter, sigmoid, sum_all, tensor
 from .training import TrainConfig, train_fold
 
 __all__ = ["run_checks"]
@@ -41,21 +42,54 @@ def _naive_conv(signal, kernel):
     return out
 
 
+def _naive_conv_grads(signal, bank, g):
+    """Both gradients of conv1d(signal, bank) under the output gradient `g`,
+    as tap loops: kernel i's tap t is the whole-array sum of g[..., i, :, :]
+    times tap t's window of the padded signal; the signal's is, per kernel,
+    g times each tap added tap by tap from zero into the padded signal, then
+    the kernels added in order."""
+    kernels = bank.reshape(bank.shape[0], -1)
+    k, length = kernels.shape[1], signal.shape[-1]
+    left = (k - 1) // 2
+    padded = np.zeros(signal.shape[:-1] + (length + k - 1,))
+    padded[..., left:left + length] = signal
+    d_bank = np.array([
+        [(g[..., i, :, :] * padded[..., t:t + length]).sum() for t in range(k)] for i in range(kernels.shape[0])
+    ])
+    d_padded = np.zeros_like(padded)
+    for i in range(kernels.shape[0]):
+        one = np.zeros_like(padded)
+        for t in range(k):
+            one[..., t:t + length] += g[..., i, :, :] * kernels[i, t]
+        d_padded += one
+    return d_padded[..., left:left + length], d_bank.reshape(bank.shape)
+
+
 def _check_conv_oracle():
     """Banks of 1 to 12 kernels (so K = 1 and a route's 3H bank at H <= 4)
-    over signals with or without a stack axis: every (kernel, row) pair."""
+    over signals with or without a stack axis: every (kernel, row) pair of
+    the forward, and both gradients byte for byte."""
     rng = np.random.default_rng(100)
     for _ in range(90):
         length, k, kernels = int(rng.integers(1, 12)), int(rng.integers(1, 7)), int(rng.integers(1, 13))
         lead = (int(rng.integers(1, 5)),) * int(rng.integers(0, 2))
         sig = rng.normal(size=lead + (int(rng.integers(1, 9)), length))
         bank = rng.normal(size=(kernels, 1, k))
-        ours = conv1d(tensor(sig), tensor(bank)).data
-        for b in np.ndindex(*lead):
+        s, b = parameter(sig), parameter(bank)
+        with Tape() as tape:
+            out = conv1d(s, b)
+            g = rng.normal(size=out.shape)
+            backward(tape, sum_all(mul(out, tensor(g))))
+        for idx in np.ndindex(*lead):
             for i in range(kernels):
-                if not np.array_equal(ours[b + (i,)], _naive_conv(sig[b], bank[i, 0])):
-                    return False, f"mismatch at K={kernels} L={length} k={k} kernel {i}"
-    return True, "90 banks of 1 to 12 kernels exact, over stacked and unstacked signals"
+                if not np.array_equal(out.data[idx + (i,)], _naive_conv(sig[idx], bank[i, 0])):
+                    return False, f"forward mismatch at K={kernels} L={length} k={k} kernel {i}"
+        d_sig, d_bank = _naive_conv_grads(sig, bank, g)
+        if b.grad.tobytes() != d_bank.tobytes():
+            return False, f"kernel gradient mismatch at K={kernels} L={length} k={k}"
+        if s.grad.tobytes() != d_sig.tobytes():
+            return False, f"signal gradient mismatch at K={kernels} L={length} k={k}"
+    return True, "90 banks of 1 to 12 kernels exact, forward and both gradients, over stacked and unstacked signals"
 
 
 def _check_matmul_oracle():

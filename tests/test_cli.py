@@ -52,6 +52,23 @@ class TestGenData:
         with pytest.raises(SystemExit):
             main(["gen-data", "--out", "/tmp/x.csv"])
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            # it used to end in numpy's bare "expected non-negative integer"
+            (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+            # 0 used to fall back to the recipe's count and write 28 series
+            (["--seed", "3", "--transformers-per-class", "0"], "transformers_per_class must be an integer >= 1, got 0"),
+            (["--seed", "3", "--noise", "-0.5"], "noise_level must be >= 0, got -0.5"),
+            (["--seed", "3", "--noise", "nan"], "noise_level must be >= 0, got nan"),
+        ],
+    )
+    def test_bad_override_refused_before_writing(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "data.csv"
+        assert main(["gen-data", "--out", str(out), "--recipe", "stability", *flags]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainCommand:
     def test_artifacts_written(self, tmp_path):
@@ -415,6 +432,27 @@ class TestCompareCommand:
         assert set(payload) == {"sample", "facility"}
 
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            # 0 used to load the data, warn twice and fail on an empty max()
+            (["--repetitions", "0"], "repetitions must be >= 1, got 0"),
+            (["--modes", "sample,bogus"], "modes must be among ('sample', 'facility'), got unknown ['bogus']"),
+            (["--models", "mcdc,bogus"], "models must be among ('mcdc', 'mcdc-matrix', 'ann'), got unknown ['bogus']"),
+            (["--models", ","], "models must name at least one of"),
+            (["--modes", ""], "modes must name at least one of"),
+        ],
+    )
+    def test_bad_flag_refused_before_load(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "cmp"
+        code = main(["compare", "--seed", "31", "--out", str(out), *TINY_FLAGS, *flags])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "stage" not in err
+        assert not out.exists()
+
+
 class TestSweepCommand:
     def test_tiny_grid(self, tmp_path):
         out = tmp_path / "sweep"
@@ -474,6 +512,9 @@ class TestVerifyCommand:
         assert "FAIL" not in out
 
     def test_fault_injection_caught(self, capsys):
+        # both the finite differences and the conv oracle's byte-for-byte
+        # kernel-gradient comparison catch the corrupted backward
         assert main(["verify", "--inject-fault", "conv-kernel-grad"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  gradient-finite-differences" in out
+        assert "FAIL  conv-naive-oracle: kernel gradient mismatch" in out

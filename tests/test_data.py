@@ -666,6 +666,26 @@ class TestSynthGenerate:
         with pytest.raises(RecipeError, match="empty class set"):
             synth_generate({"classes": {}}, seed=14)
 
+    @pytest.mark.parametrize(
+        "overrides,error,message",
+        [
+            ({"seed": -1}, ValueError, r"seed must be an integer >= 0, got -1"),
+            ({"seed": 1.5}, ValueError, r"seed must be an integer >= 0, got 1.5"),
+            ({"transformers_per_class": 0}, RecipeError, r"transformers_per_class must be an integer >= 1, got 0"),
+            ({"transformers_per_class": 2.5}, RecipeError, r"transformers_per_class must be an integer >= 1, got 2.5"),
+            ({"noise_level": -0.1}, RecipeError, r"noise_level must be >= 0, got -0.1"),
+            ({"noise_level": float("nan")}, RecipeError, r"noise_level must be >= 0, got nan"),
+            ({"length_range": (5, 4)}, RecipeError, r"length_range \(5, 4\) invalid"),
+        ],
+    )
+    def test_bad_override_refused_naming_the_field(self, overrides, error, message):
+        with pytest.raises(error, match=message):
+            synth_generate(load_recipe("stability"), **{"seed": 3, **overrides})
+
+    def test_overrides_replace_the_recipe_fields(self):
+        series = synth_generate(load_recipe("default"), seed=3, transformers_per_class=1, length_range=(9, 9))
+        assert len(series) == 7 and {s.days.size for s in series} == {9}
+
     def test_noise_free_windows_nearest_centroid_perfect(self):
         recipe = load_recipe("default")
         series = synth_generate(recipe, seed=15, noise_level=0.0)

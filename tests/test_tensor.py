@@ -1,6 +1,7 @@
 """Core tensor ops against naive oracles and finite differences."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,20 @@ class TestConv1d:
             assert kt.grad.tobytes() == dk.reshape(kern.shape).tobytes()
             assert s.grad.tobytes() == dsig[..., left:left + length].tobytes()
 
+    @pytest.mark.parametrize("lead", [(), (1,)])
+    def test_signal_gradient_of_a_lone_sample_adds_the_kernels_in_order(self, lead):
+        # a 1 x 1 signal under twelve 1-tap kernels: the signal's gradient is
+        # one element, the kernels' products added one after another from
+        # zero, as the tap loops add them; a pairwise sum rounds otherwise
+        taps = np.array([1e16, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, -1e16])
+        s, kt = parameter(np.ones(lead + (1, 1))), parameter(taps.reshape(12, 1, 1))
+        with Tape() as tape:
+            backward(tape, sum_all(conv1d(s, kt)))
+        expected = 0.0
+        for tap in taps:
+            expected += tap
+        assert s.grad.tobytes() == np.full(lead + (1, 1), expected).tobytes()
+
 
 class TestSoftmax:
     def test_equal_scores(self):
@@ -234,6 +249,28 @@ class TestSigmoid:
         out = sigmoid(tensor([[-1000.0, 1000.0]]))
         assert np.all(np.isfinite(out.data))
         assert 0.0 <= out.data[0, 0] <= 1.0
+
+    def test_same_bytes_as_the_masked_two_branch_form(self):
+        # exp(-x) where x >= 0 and exp(x) / (1 + exp(x)) elsewhere, each
+        # branch on its own masked entries; RuntimeWarning is an error here
+        def masked(d):
+            y = np.empty_like(d)
+            pos = d >= 0
+            y[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+            ex = np.exp(d[~pos])
+            y[~pos] = ex / (1.0 + ex)
+            return y
+
+        edges = np.array([0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 745.0, -745.0, 1e308, -1e308])
+        rng = np.random.default_rng(22)
+        matrix = np.concatenate([edges, rng.normal(scale=5.0, size=30)]).reshape(5, 8)
+        batch = np.concatenate([edges, rng.normal(size=50)]).reshape(3, 4, 5)
+        for d in (matrix, batch):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = sigmoid(tensor(d)).data
+            assert out.shape == d.shape
+            assert out.tobytes() == masked(d).tobytes()
 
 
 class TestCrossEntropy:
