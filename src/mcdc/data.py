@@ -338,9 +338,9 @@ class SplitPlan:
 def kfold(indices: list[int], k: int, seed: int) -> list[list[int]]:
     """Shuffled near-equal partition (fold sizes differ by at most one)."""
     if k < 2:
-        raise DatasetError(f"k={k} leaves no validation part, need k >= 2")
+        raise DatasetError(f"folds={k} leaves no validation part, need folds >= 2")
     if k > len(indices):
-        raise DatasetError(f"k={k} exceeds training size {len(indices)}")
+        raise DatasetError(f"folds={k} exceeds training size {len(indices)}")
     order = np.random.default_rng(seed).permutation(len(indices))
     shuffled = [indices[i] for i in order]
     return [sorted(part.tolist()) for part in np.array_split(np.array(shuffled), k)]

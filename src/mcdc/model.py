@@ -46,6 +46,12 @@ class ModelHyper:
         for name in ("temporal_len", "heads", "kernel_temporal", "kernel_channel", "ffn_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # a longer kernel has taps that only ever see padding and never get a gradient
+        for name, features in (("kernel_temporal", N_CHANNELS), ("kernel_channel", self.temporal_len)):
+            if getattr(self, name) > features:
+                raise ValueError(
+                    f"{name} must be <= {features}, the feature length its route slides along, got {getattr(self, name)}"
+                )
 
 
 def positional_encoding(d_channel: int, length: int) -> np.ndarray:

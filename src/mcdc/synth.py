@@ -31,12 +31,19 @@ _CHANNEL_FIELDS = ("base", "slope", "sin_amp")
 
 def load_recipe(name_or_path: str) -> dict:
     """Load a recipe by packaged name ("default", "facility_shift", ...) or path."""
-    packaged = resources.files("mcdc").joinpath("recipes", f"{name_or_path}.json")
+    shipped = resources.files("mcdc").joinpath("recipes")
+    packaged = shipped.joinpath(f"{name_or_path}.json")
     if packaged.is_file():
         text = packaged.read_text(encoding="utf-8")
     else:
-        with open(name_or_path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(name_or_path, encoding="utf-8") as fh:
+                text = fh.read()
+        except FileNotFoundError:
+            names = ", ".join(sorted(p.name[:-5] for p in shipped.iterdir() if p.name.endswith(".json")))
+            raise RecipeError(
+                f"--recipe {name_or_path!r} is neither a shipped recipe ({names}) nor a recipe file"
+            ) from None
     return _validate(json.loads(text))
 
 

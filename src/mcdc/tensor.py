@@ -88,7 +88,7 @@ class Tape:
 class Tensor:
     """A float64 matrix or stack of matrices, optionally carrying a gradient accumulator."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -220,14 +220,39 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bw)
 
 
+def _fold(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The sum over the stack of x_s^T @ y_s, for stacks x (..., r, m) and
+    y (..., r, n) of equal stack shape, as one (m, r*S) @ (r*S, n) product."""
+    return x.reshape(-1, x.shape[-1]).T @ y.reshape(-1, y.shape[-1])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b on every matrix of the stack.
+
+    A 2-D operand broadcast over the other's stack (a parameter over a
+    batch) gets its gradient as one product that contracts the stack axes
+    and the inner axis together, so no per-sample stack of gradients is
+    formed and summed: for a, g (..., m, p) against b (..., n, p); for b,
+    a (..., m, n) against g (..., m, p). A one-column g makes a's product
+    g[..., 0].T @ b[..., 0], with no copy. Any other operand's gradient is
+    the stacked product, summed over the axes it was broadcast on. An
+    operand that tracks no gradient gets none computed.
+    """
     if a.data.shape[-1] != b.data.shape[-2] or _stacks_differ(a, b):
         raise DimensionError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
     out = Tensor(a.data @ b.data)
 
     def bw(g):
-        _accum(a, g @ b.data.swapaxes(-1, -2))
-        _accum(b, a.data.swapaxes(-1, -2) @ g)
+        if a.requires_grad:
+            if a.data.ndim == 2 < g.ndim:
+                _accum(a, _fold(g.swapaxes(-1, -2), b.data.swapaxes(-1, -2)))
+            else:
+                _accum(a, g @ b.data.swapaxes(-1, -2))
+        if b.requires_grad:
+            if b.data.ndim == 2 < g.ndim:
+                _accum(b, _fold(a.data, g))
+            else:
+                _accum(b, a.data.swapaxes(-1, -2) @ g)
 
     return _record(out, (a, b), bw)
 
@@ -374,7 +399,10 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
     slice with one scalar per kernel and one add. The result is a transpose
     view of that buffer, and the columns are kept for the kernel gradient.
     The signal gradient runs in the same (K, L, n) layout and adds the
-    kernels' parts with one reduce over the kernel axis.
+    kernels' parts with one reduce over the kernel axis. The backward makes
+    the kernel gradient first and frees its kernel-major copy of the output
+    gradient before it allocates the signal gradient's buffers, so the two
+    gradients' copies are never held at once.
     """
     if bank.data.ndim != 3 or bank.shape[1] != 1 or 0 in bank.shape:
         raise DimensionError(f"conv1d needs a (K, 1, k) kernel bank with K, k >= 1, got shape {bank.shape}")
@@ -409,6 +437,7 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
                 window = np.ascontiguousarray(cols[t:t + length].T).reshape(lead + (length,))
                 np.multiply(by_kernel, window, out=prod)
                 dk[:, t] = prod.reshape(n_kernels, -1).sum(axis=1)
+            del by_kernel, prod, window  # freed before the signal gradient's buffers
             if _FAULT == "conv-kernel-grad":
                 dk = dk * 1.01 + 1e-3
             _accum(bank, dk.reshape(bank.shape))
@@ -535,7 +564,12 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate dloss/dleaf into every reachable leaf's .grad.
 
     Clears all gradients reachable from the tape first, so repeated calls on
-    the same tape reproduce identical gradients bit for bit.
+    the same tape reproduce identical gradients bit for bit. A tape node's
+    gradient is released as soon as its backward rule has run, so no
+    intermediate gradient outlives the step that consumes it: afterwards no
+    tape node holds a .grad, and only leaves (parameters, and tensors not on
+    the tape) keep theirs. The nodes' values and the data their rules read
+    stay until the tape and the loss are dropped.
     """
     if loss.shape != (1, 1):
         raise ValueError(f"backward seed must be scalar, got shape {loss.shape}")
@@ -545,8 +579,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
             p.grad = None
     loss.grad = np.ones((1, 1))
     for node in reversed(tape.nodes):
-        if node.grad is not None and node._backward is not None:
+        if node.grad is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def grad_check(f, params: list[Tensor], step: float = 1e-5) -> float:

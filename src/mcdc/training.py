@@ -60,6 +60,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.folds < 2:
+            raise ValueError(f"folds must be >= 2, one of them held out for validation, got {self.folds}")
         for name, rate in [("lr0", self.lr0), *((f"lr_decay rate at epoch {e}", lr) for e, lr in self.lr_decay)]:
             if not rate > 0:
                 raise ValueError(f"{name} must be > 0, got {rate}")
@@ -179,6 +181,25 @@ def _batch_loss(model, batch: list[CdgdWindow]):
     return cross_entropy(probs, np.array([w.label.code for w in batch]))
 
 
+def _train_batch(model, params, batch: list[CdgdWindow], state: AdamState, lr: float, config: TrainConfig,
+                 where: str) -> float:
+    """One training step on one batch: forward, backward and an Adam update;
+    returns the batch's mean loss. The batch's tape, loss and gradient dict
+    live only in this call, so its whole graph is freed when it returns and
+    a run never holds two batches' graphs. A non-finite loss or gradient
+    raises a ValueError naming `where` before any parameter moves."""
+    with Tape() as tape:
+        loss = _batch_loss(model, batch)
+        backward(tape, loss)
+    value = loss.item()
+    grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data)) for name, p in params}
+    bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
+    if bad or not math.isfinite(value):
+        raise ValueError(f"training diverged at {where}: loss {value!r}, non-finite gradients {bad}")
+    adam_step(params, grads, state, lr, config)
+    return value
+
+
 @contextmanager
 def _cycle_collector_paused():
     """Pause Python's cyclic garbage collector, restoring its state after.
@@ -203,7 +224,10 @@ def train_fold(model, train_windows: list[CdgdWindow], val_windows: list[CdgdWin
     improvement; the model is left holding the best-validation parameters.
 
     A non-finite batch loss or gradient stops training with a ValueError
-    naming the epoch and the batch.
+    naming the epoch and the batch. Each batch's graph is freed before the
+    next batch's forward starts (see _train_batch), and backward frees each
+    intermediate gradient as soon as it is used, so a step's memory is one
+    batch's activations plus the gradients in flight.
     """
     if not train_windows:
         raise ValueError("empty training set")
@@ -223,20 +247,8 @@ def train_fold(model, train_windows: list[CdgdWindow], val_windows: list[CdgdWin
         loss_sum = 0.0
         for batch_index, lo in enumerate(range(0, n, config.batch_size)):
             batch = [train_windows[i] for i in order[lo:lo + config.batch_size]]
-            with Tape() as tape:
-                loss = _batch_loss(model, batch)
-                backward(tape, loss)
-            grads = {
-                name: (p.grad if p.grad is not None else np.zeros_like(p.data)) for name, p in params
-            }
-            bad = [name for name, g in grads.items() if not np.isfinite(g).all()]
-            if bad or not math.isfinite(loss.item()):
-                raise ValueError(
-                    f"training diverged at epoch {epoch}, batch {batch_index}: "
-                    f"loss {loss.item()!r}, non-finite gradients {bad}"
-                )
-            adam_step(params, grads, state, lr, config)
-            loss_sum += loss.item() * len(batch)
+            where = f"epoch {epoch}, batch {batch_index}"
+            loss_sum += _train_batch(model, params, batch, state, lr, config, where) * len(batch)
         val_loss, val_acc = evaluate_windows(model, val_windows)
         history.rows.append(
             EpochStats(epoch, loss_sum / n, val_acc, val_loss, lr, time.perf_counter() - started)

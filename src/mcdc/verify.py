@@ -3,9 +3,11 @@ equivalences and determinism, runnable from a fresh checkout in a couple of
 minutes. Each check returns (name, passed, detail); the CLI turns any failure
 into a nonzero exit code.
 
-The conv gradient checks double as a negative control: with fault injection
-armed (verify --inject-fault conv-kernel-grad) the finite-difference check
-and the conv oracle's kernel-gradient comparison must both fail.
+The backward check also requires that backward leaves no gradient on a
+tape node, only on the leaves. The conv gradient checks double as a
+negative control: with fault injection armed (verify --inject-fault
+conv-kernel-grad) the finite-difference check and the conv oracle's
+kernel-gradient comparison must both fail.
 """
 
 from __future__ import annotations
@@ -222,6 +224,9 @@ def _check_backward_determinism():
         first = w.grad.copy()
         backward(tape, loss)
         second = w.grad
+    held = sum(node.grad is not None for node in tape.nodes)
+    if held:
+        return False, f"{held} of {len(tape.nodes)} tape nodes still hold a gradient after backward"
     same = np.array_equal(first, second)
     return same, "repeat backward identical" if same else "gradient differs between passes"
 

@@ -29,6 +29,11 @@ TINY_FLAGS = [
 ]
 
 
+UNKNOWN_RECIPE = (
+    "error: --recipe 'nosuch' is neither a shipped recipe (default, facility_shift, stability) nor a recipe file"
+)
+
+
 def train_once(tmp_path, name, seed="21", extra=()):
     out = tmp_path / name
     code = main(["train", "--seed", seed, "--out", str(out), *TINY_FLAGS, *extra])
@@ -67,6 +72,13 @@ class TestGenData:
         out = tmp_path / "data.csv"
         assert main(["gen-data", "--out", str(out), "--recipe", "stability", *flags]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_recipe_names_the_flag_and_the_shipped_recipes(self, tmp_path, capsys):
+        # it used to end in "[Errno 2] No such file or directory: 'nosuch'"
+        out = tmp_path / "data.csv"
+        assert main(["gen-data", "--out", str(out), "--seed", "3", "--recipe", "nosuch"]) == 1
+        assert capsys.readouterr().err.splitlines() == [UNKNOWN_RECIPE]
         assert not out.exists()
 
 
@@ -135,6 +147,11 @@ class TestTrainCommand:
             (["--train-fraction", "1.0"], "train_fraction must be in (0, 1), got 1.0"),
             (["--train-fraction", "0"], "train_fraction must be in (0, 1), got 0.0"),
             (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+            # it used to fail only at the split stage, naming k
+            (["--folds", "1"], "folds must be >= 2, one of them held out for validation, got 1"),
+            # 50 used to train, with 41 of each kernel's taps only ever on padding
+            (["--kernel-temporal", "50"], "kernel_temporal must be <= 5"),
+            (["--kernel-channel", "9"], "kernel_channel must be <= 8"),
         ],
     )
     def test_bad_run_flag_refused_before_load(self, tmp_path, capsys, flags, message):
@@ -191,6 +208,15 @@ class TestTrainCommand:
         assert main(["train", "--config", str(path), "--out", str(out), *flags]) == 0
         rows = (out / "history.csv").read_text().splitlines()[1:]
         assert sorted({tuple(row.split(",")[:2]) for row in rows}) == [("0", "0"), ("0", "1"), ("1", "0"), ("1", "1")]
+
+    def test_unknown_recipe_fails_naming_the_flag(self, tmp_path, capsys):
+        assert main(["train", "--seed", "4", "--out", str(tmp_path / "x"), *TINY_FLAGS, "--recipe", "nosuch"]) == 1
+        assert capsys.readouterr().err.splitlines() == [UNKNOWN_RECIPE.replace("error: ", "error: stage 'load': ")]
+
+    def test_more_folds_than_training_windows_fail_at_split_naming_folds(self, tmp_path, capsys):
+        # only the data can rule this out, so it fails at its stage
+        assert main(["train", "--seed", "4", "--out", str(tmp_path / "x"), *TINY_FLAGS, "--folds", "100000"]) == 1
+        assert capsys.readouterr().err.startswith("error: stage 'split': folds=100000 exceeds training size ")
 
     def test_missing_data_file_fails_with_stage(self, tmp_path, capsys):
         code = main(
@@ -518,3 +544,22 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "FAIL  gradient-finite-differences" in out
         assert "FAIL  conv-naive-oracle: kernel gradient mismatch" in out
+
+    def test_backward_check_catches_gradients_left_on_the_tape(self, monkeypatch):
+        from mcdc import verify
+
+        def backward_without_release(tape, loss):
+            for node in tape.nodes:
+                node.grad = None
+                for p in node._parents:
+                    p.grad = None
+            loss.grad = np.ones((1, 1))
+            for node in reversed(tape.nodes):
+                if node.grad is not None:
+                    node._backward(node.grad)
+
+        assert verify._check_backward_determinism()[0]
+        monkeypatch.setattr(verify, "backward", backward_without_release)
+        passed, detail = verify._check_backward_determinism()
+        assert not passed
+        assert detail == "3 of 3 tape nodes still hold a gradient after backward"

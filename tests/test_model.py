@@ -1,5 +1,6 @@
 """Staged forward pass: shapes, residual wiring, probabilities, gradients."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -9,6 +10,7 @@ import pytest
 from mcdc.baselines import make_model
 from mcdc.conditions import N_CONDITIONS
 from mcdc.model import McdcModel, ModelHyper, positional_encoding
+from mcdc.pipeline import DEFAULT_SWEEP_GRID
 from mcdc.tensor import DimensionError, Tape, backward, cross_entropy, grad_check, softmax_axis, tensor
 
 TINY = ModelHyper(temporal_len=8, heads=2, kernel_temporal=3, kernel_channel=4, ffn_hidden=6)
@@ -47,6 +49,27 @@ class TestHyper:
         # heads=0 used to build a model whose first forward failed
         with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
             ModelHyper(**{name: value})
+
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            # the temporal route's kernels slide along the 5 channels
+            ({"kernel_temporal": 6}, "kernel_temporal must be <= 5"),
+            ({"kernel_temporal": 50}, "kernel_temporal must be <= 5"),
+            # the channel route's kernels slide along the temporal_len time steps
+            ({"temporal_len": 8, "kernel_channel": 9}, "kernel_channel must be <= 8"),
+        ],
+    )
+    def test_kernel_longer_than_its_route_refused(self, overrides, message):
+        # a longer kernel has taps that only ever see padding
+        with pytest.raises(ValueError, match=f"^{message}, the feature length its route slides along, got "):
+            ModelHyper(**overrides)
+
+    def test_kernels_as_long_as_their_route_accepted(self):
+        ModelHyper(temporal_len=8, kernel_temporal=5, kernel_channel=8, attention="matrix")
+        for cell in itertools.product(*DEFAULT_SWEEP_GRID.values()):
+            ModelHyper(**dict(zip(DEFAULT_SWEEP_GRID, cell)))
 
 
 class TestEmbed:

@@ -331,6 +331,19 @@ class TestBackward:
         assert np.array_equal(g1[0], g2[0])
         assert np.array_equal(g1[1], g2[1])
 
+    def test_releases_every_tape_gradient_and_keeps_the_leaves(self):
+        from mcdc.model import McdcModel, ModelHyper
+
+        model = McdcModel(ModelHyper(temporal_len=8, heads=2, kernel_temporal=3, kernel_channel=4, ffn_hidden=6), 3)
+        rng = np.random.default_rng(12)
+        for _ in range(2):  # a repeat backward on the same tape releases as well
+            with Tape() as tape:
+                loss = cross_entropy(model.forward(rng.normal(size=(4, 5, 8))), np.array([0, 3, 6, 3]))
+                backward(tape, loss)
+            assert loss in tape.nodes
+            assert [n for n in tape.nodes if n.grad is not None] == []
+            assert all(p.grad is not None and p.grad.shape == p.shape for _, p in model.parameters())
+
     def test_shared_subexpression(self):
         # q = (x + y) * (x + 1) exercises fan-out accumulation
         x = parameter([[2.0]])
@@ -525,6 +538,64 @@ class TestStackFiniteDifferences:
 
         err = _fd_case(f, [(2, 4, 3, 2), (2, 4, 3, 2)], seed)
         assert err < 1e-4
+
+
+def _matmul_grads(a, b, g):
+    """Both operands' gradients from matmul's backward, seeded with g."""
+    with Tape() as tape:
+        loss = sum_all(mul(matmul(a, b), tensor(g)))
+        backward(tape, loss)
+    return a.grad, b.grad
+
+
+class TestBroadcastParameterGradient:
+    """A 2-D operand broadcast over the other's stack gets its gradient as one
+    product over the stack and the inner axis, not as a stack of per-sample
+    products summed."""
+
+    # the 2-D parameter's side, and the columns of the product
+    CASES = [("left", 1), ("left", 4), ("right", 1), ("right", 5)]
+
+    @staticmethod
+    def _operands(batch, side, cols, seed):
+        rng = np.random.default_rng(seed)
+        if side == "left":
+            a, b = rng.normal(size=(6, 5)), rng.normal(size=(batch, 5, cols))
+        else:
+            a, b = rng.normal(size=(batch, 4, 6)), rng.normal(size=(6, cols))
+        g = rng.normal(size=np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]))
+        return a, b, g
+
+    @pytest.mark.parametrize("batch", [2, 8, 200])
+    @pytest.mark.parametrize("side,cols", CASES)
+    def test_matches_the_per_sample_products_summed(self, batch, side, cols):
+        a, b, g = self._operands(batch, side, cols, seed=batch)
+        da, db = _matmul_grads(parameter(a), parameter(b), g)
+        # the broadcast operand's gradient sums the per-sample products; the
+        # stacked operand keeps one per sample
+        if a.ndim == 2:
+            expect_a = sum(g[s] @ b[s].T for s in range(batch))
+            expect_b = np.stack([a.T @ g[s] for s in range(batch)])
+        else:
+            expect_a = np.stack([g[s] @ b.T for s in range(batch)])
+            expect_b = sum(a[s].T @ g[s] for s in range(batch))
+        for got, expect in ((da, expect_a), (db, expect_b)):
+            assert got.shape == expect.shape
+            assert np.abs(got - expect).max() <= 1e-14 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("side,cols", CASES)
+    def test_one_sample_is_byte_identical_to_the_stacked_product(self, side, cols):
+        a, b, g = self._operands(1, side, cols, seed=5)
+        da, db = _matmul_grads(parameter(a), parameter(b), g)
+        # the formula before the fold: one product per sample, then the sum over the stack
+        assert da.tobytes() == (g @ b.swapaxes(-1, -2)).sum(axis=0).reshape(a.shape).tobytes()
+        assert db.tobytes() == (a.swapaxes(-1, -2) @ g).sum(axis=0).reshape(b.shape).tobytes()
+
+    def test_no_gradient_for_an_operand_that_tracks_none(self):
+        rng = np.random.default_rng(6)
+        w, x = parameter(rng.normal(size=(3, 4))), tensor(rng.normal(size=(5, 4, 2)))
+        da, dx = _matmul_grads(w, x, rng.normal(size=(5, 3, 2)))
+        assert da.shape == (3, 4) and dx is None
 
 
 class TestStacks:

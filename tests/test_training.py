@@ -3,6 +3,7 @@
 import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mcdc.baselines import AnnHyper, AnnModel
 from mcdc.conditions import by_code
 from mcdc.data import CdgdWindow, split
 from mcdc.model import McdcModel, ModelHyper
+from mcdc import training
 from mcdc.tensor import parameter
 from mcdc.training import (
     AdamState,
@@ -55,6 +57,12 @@ class TestLrSchedule:
         # either would leave an untrained model, and mcdc train would save it
         with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
             TrainConfig(seed=0, **{field: value})
+
+    @pytest.mark.parametrize("folds", [1, 0, -2])
+    def test_folds_need_one_held_out(self, folds):
+        # folds=1 used to pass here and fail only at the split stage, after the load
+        with pytest.raises(ValueError, match=f"^folds must be >= 2, one of them held out for validation, got {folds}$"):
+            TrainConfig(seed=0, folds=folds)
 
     @pytest.mark.parametrize(
         "overrides,message",
@@ -222,6 +230,24 @@ class TestTrainFold:
         config = TrainConfig(seed=20, epochs=3, batch_size=8)
         with pytest.raises(ValueError, match=r"diverged at epoch 0, batch 0: loss nan"):
             train_fold(model, two_class_windows(5), two_class_windows(2), config)
+
+    def test_one_batch_graph_at_a_time(self, monkeypatch):
+        # a finished batch's loss, and with it its whole graph, is freed
+        # before the next batch's forward starts
+        losses = []
+        alive_at_forward = []
+
+        def batch_loss(model, batch):
+            alive_at_forward.append([ref() is not None for ref in losses])
+            loss = real(model, batch)
+            losses.append(weakref.ref(loss))
+            return loss
+
+        real = training._batch_loss
+        monkeypatch.setattr(training, "_batch_loss", batch_loss)
+        windows = two_class_windows(4)  # 8 windows, batch 4 -> two batches
+        train_fold(tiny_model(seed=21), windows, windows, TrainConfig(seed=22, epochs=1, batch_size=4))
+        assert alive_at_forward == [[], [False]]
 
     def test_cycle_collector_paused_during_training_and_restored(self):
         windows = two_class_windows(2)
