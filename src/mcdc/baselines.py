@@ -18,7 +18,9 @@ from .tensor import (
     DimensionError, Tensor, add, glorot, matmul, parameter, reshape, sigmoid, softmax_axis, tensor, transpose,
 )
 
-__all__ = ["AnnHyper", "AnnModel", "MODEL_KINDS", "make_model"]
+__all__ = ["AnnHyper", "AnnModel", "MODEL_KINDS", "kind_of", "make_hyper", "make_model"]
+
+INPUT_MODES = ("last_day", "window")
 
 
 @dataclass(frozen=True)
@@ -30,20 +32,18 @@ class AnnHyper:
     n_classes: int = N_CONDITIONS
 
     def __post_init__(self):
-        for name in ("hidden1", "hidden2"):
+        for name in ("temporal_len", "hidden1", "hidden2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.input_mode not in INPUT_MODES:
+            raise ValueError(f"input_mode must be one of {INPUT_MODES}, got {self.input_mode!r}")
 
 
 class AnnModel(Classifier):
     """Three weight layers; sigmoid after the two hidden pre-activations,
     softmax over the output layer."""
 
-    kind = "ann"
-
     def __init__(self, hyper: AnnHyper, seed: int):
-        if hyper.input_mode not in ("last_day", "window"):
-            raise ValueError(f"unknown input mode {hyper.input_mode!r}")
         self.hyper = hyper
         self.seed = seed
         in_dim = N_CHANNELS if hyper.input_mode == "last_day" else N_CHANNELS * hyper.temporal_len
@@ -80,21 +80,32 @@ class AnnModel(Classifier):
         return transpose(softmax_axis(logits, "col"))
 
 
-MODEL_KINDS = ("mcdc", "mcdc-matrix", "ann")
+MODEL_KINDS = {
+    "mcdc": (McdcModel, ModelHyper, {"attention": "conv"}),
+    "mcdc-matrix": (McdcModel, ModelHyper, {"attention": "matrix"}),
+    "ann": (AnnModel, AnnHyper, {}),
+}
+
+
+def make_hyper(kind: str, temporal_len: int, **overrides):
+    """`kind`'s hyper dataclass with the fields its row pins; overrides feed the rest."""
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}, expected one of {tuple(MODEL_KINDS)}")
+    _, hyper_cls, pinned = MODEL_KINDS[kind]
+    return hyper_cls(temporal_len=temporal_len, **pinned, **overrides)
 
 
 def make_model(kind: str, temporal_len: int, seed: int, **overrides):
-    """Shared factory for the comparison harness and the CLI.
+    """Shared factory for the comparison harness and the CLI. A kind is one
+    row of MODEL_KINDS, (model class, hyper class, pinned hyper fields), and
+    make_model, checkpoints and run configs read only that table."""
+    hyper = make_hyper(kind, temporal_len, **overrides)
+    return MODEL_KINDS[kind][0](hyper, seed)
 
-    kind is one of MODEL_KINDS; overrides feed the matching hyper dataclass.
-    """
-    if kind in ("mcdc", "mcdc-matrix"):
-        hyper = ModelHyper(
-            temporal_len=temporal_len,
-            attention="conv" if kind == "mcdc" else "matrix",
-            **overrides,
-        )
-        return McdcModel(hyper, seed)
-    if kind == "ann":
-        return AnnModel(AnnHyper(temporal_len=temporal_len, **overrides), seed)
-    raise ValueError(f"unknown model kind {kind!r}, expected one of {MODEL_KINDS}")
+
+def kind_of(model) -> str:
+    """The MODEL_KINDS row that builds `model`: its class, with every pinned field as the row pins it."""
+    for kind, (model_cls, _, pinned) in MODEL_KINDS.items():
+        if type(model) is model_cls and all(getattr(model.hyper, k) == v for k, v in pinned.items()):
+            return kind
+    raise ValueError(f"no model kind builds a {type(model).__name__} with {model.hyper}")

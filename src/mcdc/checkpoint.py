@@ -10,14 +10,12 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .baselines import AnnHyper, AnnModel
+from .baselines import MODEL_KINDS, kind_of
 from .data import NormStats
-from .model import McdcModel, ModelHyper
 
 __all__ = ["CheckpointError", "load_checkpoint", "save_checkpoint"]
 
 FORMAT_VERSION = 2
-_KINDS = {"mcdc": (ModelHyper, McdcModel), "mcdc-matrix": (ModelHyper, McdcModel), "ann": (AnnHyper, AnnModel)}
 
 
 class CheckpointError(ValueError):
@@ -27,7 +25,7 @@ class CheckpointError(ValueError):
 def save_checkpoint(path, model, norm_stats: NormStats | None = None) -> None:
     payload = {
         "format_version": FORMAT_VERSION,
-        "model_kind": model.kind,
+        "model_kind": kind_of(model),
         "seed": model.seed,
         "hyper": asdict(model.hyper),
         "norm_stats": norm_stats.to_dict() if norm_stats else None,
@@ -39,23 +37,27 @@ def save_checkpoint(path, model, norm_stats: NormStats | None = None) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (model, norm_stats_or_None)."""
+    """Returns (model, norm_stats_or_None). `model_kind` picks the MODEL_KINDS
+    row, and the hyper block must hold every field that row pins as it pins it."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     kind = payload.get("model_kind")
-    if kind not in _KINDS:
+    if kind not in MODEL_KINDS:
         raise CheckpointError(f"{path}: unknown model kind {kind!r}")
     for block in ("hyper", "params"):
         if not isinstance(payload.get(block), dict):
             raise CheckpointError(f"{path}: missing {block} block")
-    hyper_cls, model_cls = _KINDS[kind]
+    model_cls, hyper_cls, pinned = MODEL_KINDS[kind]
     hyper = payload["hyper"]
     unknown = sorted(set(hyper) - {f.name for f in fields(hyper_cls)})
     if unknown:
         raise CheckpointError(f"{path}: unknown hyper keys {unknown}")
+    clash = {name: hyper.get(name) for name, value in pinned.items() if hyper.get(name) != value}
+    if clash:
+        raise CheckpointError(f"{path}: model_kind {kind!r} pins {pinned}, but the hyper block has {clash}")
     try:
         model = model_cls(hyper_cls(**hyper), payload.get("seed", 0))
         model.load_parameter_arrays(payload["params"])

@@ -76,9 +76,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--transformers-per-class", type=int, dest="transformers_per_class")
     p.add_argument("--noise", type=float, dest="noise_level")
+    p.set_defaults(handler=_cmd_gen_data)
 
     p = sub.add_parser("train", help="full training pipeline with 4-fold cross-validation")
     _add_config_flags(p)
+    p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a stored split plan")
     p.add_argument("--checkpoint", required=True)
@@ -87,32 +89,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--side", choices=["test", "train"], default="test")
     p.add_argument("--allow-train-eval", action="store_true")
+    p.set_defaults(handler=_cmd_eval)
 
     p = sub.add_parser("compare", help="repeat-train several model kinds on identical splits")
     _add_config_flags(p)
     p.add_argument("--models", default=",".join(MODEL_KINDS), help="comma-separated kinds")
     p.add_argument("--repetitions", type=int, default=10)
     p.add_argument("--modes", default="sample,facility", help="comma-separated split modes")
+    p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("sweep", help="accuracy grid over kernel sizes, heads and window length")
     _add_config_flags(p)
     for axis in DEFAULT_SWEEP_GRID:
         p.add_argument(f"--grid-{axis.replace('_', '-')}", type=_int_list, dest=f"grid_{axis}")
     p.add_argument("--workers", type=int, default=1)
+    p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the self-verification suite")
     p.add_argument("--inject-fault", choices=["conv-kernel-grad"], dest="inject_fault")
+    p.set_defaults(handler=_cmd_verify)
 
     return parser
 
 
 def _cmd_gen_data(args) -> int:
-    overrides = {}
-    if args.transformers_per_class is not None:
-        overrides["transformers_per_class"] = args.transformers_per_class
-    if args.noise_level is not None:
-        overrides["noise_level"] = args.noise_level
-    count = run_gen_data(args.recipe, args.out, args.seed, **overrides)
+    # synth_generate keeps the recipe's value for an override left at None
+    count = run_gen_data(args.recipe, args.out, args.seed, transformers_per_class=args.transformers_per_class,
+                         noise_level=args.noise_level)
     print(f"wrote {count} series to {args.out}")
     return 0
 
@@ -182,16 +185,8 @@ def _cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "gen-data": _cmd_gen_data,
-        "train": _cmd_train,
-        "eval": _cmd_eval,
-        "compare": _cmd_compare,
-        "sweep": _cmd_sweep,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (PipelineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

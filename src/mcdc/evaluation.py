@@ -297,25 +297,20 @@ def compare(
             model = fitter(fit_train, fit_val, seed)
             per_model[name].append(evaluate_model(model, test))
 
+    accuracies = {name: [r.accuracy for r in reports] for name, reports in per_model.items()}
     rows = []
     for name, reports in per_model.items():
-        accuracies = [r.accuracy for r in reports]
-        mean_acc = float(np.mean(accuracies))
+        mean_acc = float(np.mean(accuracies[name]))
         rows.append(
             ModelComparison(
                 name=name,
-                accuracies=accuracies,
+                accuracies=accuracies[name],
                 mean_accuracy=mean_acc,
-                max_mean_error=float(max(abs(a - mean_acc) for a in accuracies)),
+                max_mean_error=float(max(abs(a - mean_acc) for a in accuracies[name])),
                 macro_precision=float(np.mean([r.macro_precision for r in reports])),
                 macro_recall=float(np.mean([r.macro_recall for r in reports])),
                 macro_f1=float(np.mean([r.macro_f1 for r in reports])),
             )
         )
-    p_values = {}
-    names = list(fitters)
-    for a, b in combinations(names, 2):
-        acc_a = [r.accuracy for r in per_model[a]]
-        acc_b = [r.accuracy for r in per_model[b]]
-        p_values[f"{a}|{b}"] = wilcoxon_rank_sum(acc_a, acc_b)
+    p_values = {f"{a}|{b}": wilcoxon_rank_sum(accuracies[a], accuracies[b]) for a, b in combinations(accuracies, 2)}
     return ComparisonResult(mode=mode, repetitions=repetitions, models=rows, p_values=p_values)

@@ -30,6 +30,7 @@ from .tensor import (
 __all__ = ["Classifier", "ModelHyper", "McdcModel", "positional_encoding"]
 
 N_CHANNELS = 5
+ATTENTIONS = ("conv", "matrix")
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,8 @@ class ModelHyper:
         for name in ("temporal_len", "heads", "kernel_temporal", "kernel_channel", "ffn_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.attention not in ATTENTIONS:
+            raise ValueError(f"attention must be one of {ATTENTIONS}, got {self.attention!r}")
         # a longer kernel has taps that only ever see padding and never get a gradient
         for name, features in (("kernel_temporal", N_CHANNELS), ("kernel_channel", self.temporal_len)):
             if getattr(self, name) > features:
@@ -114,8 +117,6 @@ class McdcModel(Classifier):
     """
 
     def __init__(self, hyper: ModelHyper, seed: int):
-        if hyper.attention not in ("conv", "matrix"):
-            raise ValueError(f"unknown attention variant {hyper.attention!r}")
         self.hyper = hyper
         self.seed = seed
         rng = np.random.default_rng(seed)
@@ -138,10 +139,6 @@ class McdcModel(Classifier):
         self.ffn_w2 = glorot(rng, hyper.n_classes, hyper.ffn_hidden)
         self.ffn_b2 = parameter(np.zeros((hyper.n_classes, 1)))
         self._pe = tensor(positional_encoding(N_CHANNELS, t_len))
-
-    @property
-    def kind(self) -> str:
-        return "mcdc" if self.hyper.attention == "conv" else "mcdc-matrix"
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [

@@ -16,13 +16,12 @@ from itertools import product
 
 import numpy as np
 
-from .baselines import MODEL_KINDS, AnnHyper, make_model
+from .baselines import MODEL_KINDS, AnnHyper, make_hyper
 from .checkpoint import load_checkpoint, save_checkpoint
 from .conditions import N_CONDITIONS
 from .data import (
     SPLIT_MODES,
     SplitPlan,
-    fold0_sets,
     interpolate_gaps,
     load_series,
     normalize,
@@ -72,6 +71,9 @@ def _unknown_keys(block: dict, cls, *excluded: str) -> list[str]:
     return sorted(set(block) - ({f.name for f in fields(cls)} - set(excluded)))
 
 
+_CONFIG_PREFIX = {AnnHyper: "ann_"}  # RunConfig's prefix for a hyper class's fields, "" if unlisted
+
+
 @dataclass
 class RunConfig:
     """One run's settings. The model hyperparameters default to the hyper
@@ -105,10 +107,12 @@ class RunConfig:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.data_csv and not os.path.exists(self.data_csv):
             raise ValueError(f"data file {self.data_csv} does not exist")
-        # build once what the stages build, so bad settings fail before any stage runs
+        if self.model not in MODEL_KINDS:
+            raise ValueError(f"model must be one of {tuple(MODEL_KINDS)}, got {self.model!r}")
+        # build once the settings the stages build, so bad ones fail before any stage runs
         self.train_config()
-        for kind in (self.model, "mcdc", "ann"):
-            self.make_model(kind, self.seed)
+        for kind in MODEL_KINDS:
+            self.hyper(kind)
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "RunConfig":
@@ -132,13 +136,17 @@ class RunConfig:
     def train_config(self) -> TrainConfig:
         return TrainConfig(seed=self.seed, **self.train)
 
-    def make_model(self, kind: str, seed: int):
-        """A fresh `kind` model whose hyperparameters are this config's fields
-        of the same name, prefixed `ann_` for the ANN."""
-        hyper, prefix = (AnnHyper, "ann_") if kind == "ann" else (ModelHyper, "")
+    def hyper(self, kind: str):
+        """`kind`'s hyperparameters, from the fields this config holds for its hyper class."""
+        hyper_cls = MODEL_KINDS[kind][1]
+        prefix = _CONFIG_PREFIX.get(hyper_cls, "")
         own = {f.name for f in fields(self)} - {"temporal_len"}
-        overrides = {f.name: getattr(self, prefix + f.name) for f in fields(hyper) if prefix + f.name in own}
-        return make_model(kind, self.temporal_len, seed, **overrides)
+        overrides = {f.name: getattr(self, prefix + f.name) for f in fields(hyper_cls) if prefix + f.name in own}
+        return make_hyper(kind, self.temporal_len, **overrides)
+
+    def make_model(self, kind: str, seed: int):
+        """A fresh `kind` model built on self.hyper(kind)."""
+        return MODEL_KINDS[kind][0](self.hyper(kind), seed)
 
 
 def build_series(config: RunConfig):
@@ -165,8 +173,8 @@ def run_gen_data(recipe: str, out_path: str, seed: int, **overrides) -> int:
 def run_train(config: RunConfig) -> dict:
     """load -> interpolate -> window -> split -> normalize -> cross-validate,
     leaving checkpoint.json, history.csv, split.json (and dataset.csv when
-    the source is synthetic) in the output directory."""
-    os.makedirs(config.out_dir, exist_ok=True)
+    the source is synthetic) in the output directory, which only the save
+    stage creates."""
     with _stage("load"):
         series = build_series(config)
     with _stage("window"):
@@ -186,6 +194,7 @@ def run_train(config: RunConfig) -> dict:
             train_cfg,
         )
     with _stage("save"):
+        os.makedirs(config.out_dir, exist_ok=True)
         paths = {
             "checkpoint": os.path.join(config.out_dir, "checkpoint.json"),
             "history": os.path.join(config.out_dir, "history.csv"),
@@ -269,34 +278,31 @@ def _fitter_for(config: RunConfig, kind: str):
     return fit
 
 
+def _compare(config: RunConfig, windows, kinds, mode: str, repetitions: int):
+    """evaluation.compare of `kinds` under `config`'s seed, split and training settings."""
+    fitters = {kind: _fitter_for(config, kind) for kind in kinds}
+    k = config.train_config().folds
+    return compare(fitters, windows, mode, repetitions, base_seed=config.seed, train_fraction=config.train_fraction, k=k)
+
+
 def run_compare(config: RunConfig, kinds: list[str], repetitions: int, modes: list[str]) -> dict:
     """Repeated train/evaluate comparison across model kinds and split modes,
     written to comparison.json. The kinds, the repetition count and the
     modes are checked before the data are loaded."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    for flag, given, known in (("models", kinds, MODEL_KINDS), ("modes", modes, SPLIT_MODES)):
+    for flag, given, known in (("models", kinds, tuple(MODEL_KINDS)), ("modes", modes, SPLIT_MODES)):
         if not given:
             raise ValueError(f"{flag} must name at least one of {known}")
         unknown = [v for v in given if v not in known]
         if unknown:
             raise ValueError(f"{flag} must be among {known}, got unknown {unknown}")
     with _stage("load"):
-        series = build_series(config)
-        windows = build_windows(series, config.temporal_len)
-    fitters = {kind: _fitter_for(config, kind) for kind in kinds}
+        windows = build_windows(build_series(config), config.temporal_len)
     results = {}
     for mode in modes:
         with _stage(f"compare-{mode}"):
-            results[mode] = compare(
-                fitters,
-                windows,
-                mode,
-                repetitions,
-                base_seed=config.seed,
-                train_fraction=config.train_fraction,
-                k=config.train_config().folds,
-            )
+            results[mode] = _compare(config, windows, kinds, mode, repetitions)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "comparison.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -305,18 +311,11 @@ def run_compare(config: RunConfig, kinds: list[str], repetitions: int, modes: li
     return {"results": results, "paths": {"comparison": path}}
 
 
-def _sweep_cell(args) -> tuple:
-    """One fully seeded grid cell: train a single fold model, score the test side."""
-    config, cell = args
-    config = replace(config, **cell)
+def _sweep_cell(config: RunConfig) -> float:
+    """One fully seeded grid cell: a one-repetition compare of the cell's
+    model kind in its split mode; returns the test accuracy."""
     windows = build_windows(build_series(config), config.temporal_len)
-    train_cfg = config.train_config()
-    plan = split(windows, config.split_mode, config.train_fraction, seed=config.seed, k=train_cfg.folds)
-    train_windows, val_windows, test_windows = fold0_sets(windows, plan)
-    model = config.make_model(config.model, config.seed)
-    train_fold(model, train_windows, val_windows, train_cfg)
-    report = evaluate_model(model, test_windows)
-    return (*cell.values(), config.seed, report.accuracy)
+    return _compare(config, windows, [config.model], config.split_mode, 1).models[0].accuracies[0]
 
 
 def run_sweep(config: RunConfig, grid: dict | None = None, workers: int = 1) -> dict:
@@ -328,12 +327,15 @@ def run_sweep(config: RunConfig, grid: dict | None = None, workers: int = 1) -> 
         raise PipelineError(f"unknown sweep axes {sorted(merged.keys() - DEFAULT_SWEEP_GRID.keys())}")
     if not all(merged.values()):
         raise PipelineError("sweep grid is empty")
-    jobs = [(config, dict(zip(merged, combo))) for combo in product(*merged.values())]
+    cells = [dict(zip(merged, combo)) for combo in product(*merged.values())]
+    # every cell's settings are checked before the first cell trains
+    jobs = [replace(config, **cell) for cell in cells]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_cell, jobs))
+            accuracies = list(pool.map(_sweep_cell, jobs))
     else:
-        rows = [_sweep_cell(job) for job in jobs]
+        accuracies = [_sweep_cell(job) for job in jobs]
+    rows = [(*cell.values(), config.seed, acc) for cell, acc in zip(cells, accuracies)]
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "sweep.csv")
     with open(path, "w", encoding="utf-8") as fh:

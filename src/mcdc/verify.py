@@ -12,17 +12,15 @@ kernel-gradient comparison must both fail.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 
 from .attention import attention_map, cnn_qkv, new_qkv
-from .baselines import AnnHyper, AnnModel
+from .baselines import make_model
 from .conditions import by_code
 from .data import CdgdWindow
 from .evaluation import roc_auc, wilcoxon_rank_sum
-from .model import McdcModel, ModelHyper
 from .tensor import Tape, backward, conv1d, cross_entropy, grad_check, matmul, mul, parameter, sigmoid, sum_all, tensor
 from .training import TrainConfig, train_fold
 
@@ -116,13 +114,13 @@ def _check_gradients():
     rng = np.random.default_rng(102)
     window = rng.normal(size=(5, 8))
     stack = rng.normal(size=(3, 5, 8))
-    hyper = ModelHyper(temporal_len=8, heads=2, kernel_temporal=3, kernel_channel=4, ffn_hidden=4)
+    small = {"heads": 2, "kernel_temporal": 3, "kernel_channel": 4, "ffn_hidden": 4}
     worst = 0.0
-    for variant in ("conv", "matrix"):
-        model = McdcModel(replace(hyper, attention=variant), seed=7)
+    for kind in ("mcdc", "mcdc-matrix"):
+        model = make_model(kind, 8, 7, **small)
         worst = max(worst, _grad_check_model(model, window, 2))
         worst = max(worst, _grad_check_model(model, stack, np.array([2, 0, 6])))
-    ann = AnnModel(AnnHyper(temporal_len=8, hidden1=4, hidden2=3), seed=8)
+    ann = make_model("ann", 8, 8, hidden1=4, hidden2=3)
     worst = max(worst, _grad_check_model(ann, window, 5))
     return worst < 1e-4, f"max relative error {worst:.2e}"
 
@@ -201,9 +199,7 @@ def _toy_windows():
 
 def _check_training_determinism():
     def run():
-        model = McdcModel(
-            ModelHyper(temporal_len=8, heads=1, kernel_temporal=3, kernel_channel=3, ffn_hidden=4), seed=11
-        )
+        model = make_model("mcdc", 8, 11, heads=1, kernel_temporal=3, kernel_channel=3, ffn_hidden=4)
         windows = _toy_windows()
         train_fold(model, windows, windows, TrainConfig(seed=12, epochs=4, batch_size=8))
         return model.parameter_arrays()
@@ -233,7 +229,7 @@ def _check_backward_determinism():
 
 def _check_forward_finite():
     rng = np.random.default_rng(108)
-    model = McdcModel(ModelHyper(temporal_len=8, heads=2, kernel_temporal=3, kernel_channel=4, ffn_hidden=6), seed=13)
+    model = make_model("mcdc", 8, 13, heads=2, kernel_temporal=3, kernel_channel=4, ffn_hidden=6)
     for _ in range(50):
         probs = model.predict_proba(rng.uniform(-50, 50, size=(5, 8)))
         if not np.all(np.isfinite(probs)) or abs(probs.sum() - 1.0) > 1e-9:

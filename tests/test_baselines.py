@@ -5,10 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from mcdc.baselines import AnnHyper, AnnModel, make_model
+from mcdc.baselines import MODEL_KINDS, AnnHyper, AnnModel, kind_of, make_model
 from mcdc.checkpoint import load_checkpoint, save_checkpoint
 from mcdc.conditions import N_CONDITIONS
-from mcdc.model import McdcModel
+from mcdc.model import McdcModel, ModelHyper
 from mcdc.tensor import cross_entropy, grad_check
 
 
@@ -61,10 +61,18 @@ class TestAnnForward:
         with pytest.raises(DimensionError):
             model.forward(np.zeros((5, 9)))
 
-    @pytest.mark.parametrize("name", ["hidden1", "hidden2"])
+    @pytest.mark.parametrize("name", ["temporal_len", "hidden1", "hidden2"])
     def test_hidden_sizes_below_one_refused(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be >= 1, got 0$"):
             AnnHyper(**{name: 0})
+
+    @pytest.mark.parametrize(
+        "hyper_cls,name,domain",
+        [(ModelHyper, "attention", "('conv', 'matrix')"), (AnnHyper, "input_mode", "('last_day', 'window')")],
+    )
+    def test_unknown_variant_refused_naming_the_field(self, hyper_cls, name, domain):
+        with pytest.raises(ValueError, match=f"^{name} must be one of {re.escape(domain)}, got 'bogus'$"):
+            hyper_cls(**{name: "bogus"})
 
 
 class TestMatrixVariant:
@@ -96,7 +104,7 @@ class TestMatrixVariant:
 
 
 class TestCheckpointContainer:
-    @pytest.mark.parametrize("kind", ["mcdc", "mcdc-matrix", "ann"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_round_trip_bit_exact(self, tmp_path, kind):
         from mcdc.data import NormStats
 
@@ -105,7 +113,7 @@ class TestCheckpointContainer:
         path = tmp_path / "ckpt.json"
         save_checkpoint(path, model, stats)
         loaded, loaded_stats = load_checkpoint(path)
-        assert loaded.kind == kind
+        assert kind_of(loaded) == kind
         assert type(loaded) is type(model)
         for (name_a, a), (name_b, b) in zip(model.parameters(), loaded.parameters()):
             assert name_a == name_b
@@ -127,7 +135,18 @@ class TestCheckpointContainer:
         assert not isinstance(loaded, McdcModel)
 
     @pytest.mark.parametrize(
-        "case", ["unknown-name", "missing-name", "nan-value", "zero-std", "missing-hyper", "bogus-hyper", "missing-params"]
+        "case",
+        [
+            "unknown-name",
+            "missing-name",
+            "nan-value",
+            "zero-std",
+            "missing-hyper",
+            "bogus-hyper",
+            "missing-params",
+            "kind-contradicts-hyper:mcdc",
+            "kind-contradicts-hyper:mcdc-matrix",
+        ],
     )
     def test_corrupt_checkpoint_rejected(self, tmp_path, case):
         import json
@@ -136,9 +155,14 @@ class TestCheckpointContainer:
         from mcdc.data import NormStats
 
         path = tmp_path / "ckpt.json"
-        save_checkpoint(path, make_model("mcdc", temporal_len=8, seed=20), NormStats(np.zeros(5), np.ones(5)))
+        saved = case.partition(":")[2] or "mcdc"
+        save_checkpoint(path, make_model(saved, temporal_len=8, seed=20), NormStats(np.zeros(5), np.ones(5)))
         payload = json.loads(path.read_text())
-        if case == "unknown-name":
+        if case.startswith("kind-contradicts-hyper"):
+            # the file's attention is obeyed if the kind is not checked against it
+            payload["model_kind"] = "mcdc" if saved == "mcdc-matrix" else "mcdc-matrix"
+            match = "attention"
+        elif case == "unknown-name":
             payload["params"]["bogus"] = [[0.0]]
             match = r"unknown \['bogus'\]"
         elif case == "missing-name":

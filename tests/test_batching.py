@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcdc.baselines import make_model
+from mcdc.baselines import MODEL_KINDS, make_model
 from mcdc.conditions import N_CONDITIONS, by_code
 from mcdc.data import CdgdWindow
 from mcdc.tensor import Tape, add_n, backward, cross_entropy, scale
 from mcdc.training import SCORE_CHUNK, _batch_loss, score_windows
 
-KINDS = ["mcdc", "mcdc-matrix", "ann"]
 T_LEN = 8
 # Deterministic draws keep the suite reproducible; no example database is written.
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -42,7 +41,7 @@ def _loss_and_grads(model, loss_fn):
     return loss.item(), {name: p.grad.copy() for name, p in model.parameters()}, len(tape.nodes)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 @SETTINGS
 @given(n=st.integers(1, 17), seed=st.integers(0, 2**16))
 def test_stack_rows_equal_windows_scored_alone(kind, n, seed):
@@ -57,7 +56,7 @@ def test_stack_rows_equal_windows_scored_alone(kind, n, seed):
     assert score_windows(model, many).tobytes() == np.array([model.predict_proba(w.values) for w in many]).tobytes()
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 @SETTINGS
 @given(n=st.integers(1, 17), batch_size=st.integers(1, 17), seed=st.integers(0, 2**16))
 def test_batch_loss_and_gradients_match_per_window_reference(kind, n, batch_size, seed):
@@ -74,7 +73,7 @@ def test_batch_loss_and_gradients_match_per_window_reference(kind, n, batch_size
             np.testing.assert_allclose(grads[name], ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max(), err_msg=name)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_tape_size_does_not_grow_with_the_batch(kind):
     model = _model(kind, 3)
     windows = _windows(4, 200)

@@ -7,7 +7,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mcdc.baselines import make_model
+from mcdc import pipeline
+from mcdc.baselines import MODEL_KINDS, make_model
 from mcdc.checkpoint import load_checkpoint, save_checkpoint
 from mcdc.cli import _add_config_flags, build_parser, main
 from mcdc.data import NormStats, SplitPlan, load_series
@@ -170,6 +171,9 @@ class TestTrainCommand:
             ({"seed": 9, "split_mode": "by-day"}, "split_mode must be one of ('sample', 'facility'), got 'by-day'"),
             # it used to end in numpy's TypeError traceback
             ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+            # it used to say "unknown input mode 'bogus'", naming no field
+            ({"seed": 9, "ann_input_mode": "bogus"}, "input_mode must be one of ('last_day', 'window'), got 'bogus'"),
+            ({"seed": 9, "model": "gru"}, "model must be one of ('mcdc', 'mcdc-matrix', 'ann'), got 'gru'"),
         ],
     )
     def test_bad_config_value_refused_before_load(self, tmp_path, capsys, config, message):
@@ -212,6 +216,8 @@ class TestTrainCommand:
     def test_unknown_recipe_fails_naming_the_flag(self, tmp_path, capsys):
         assert main(["train", "--seed", "4", "--out", str(tmp_path / "x"), *TINY_FLAGS, "--recipe", "nosuch"]) == 1
         assert capsys.readouterr().err.splitlines() == [UNKNOWN_RECIPE.replace("error: ", "error: stage 'load': ")]
+        # only the save stage creates the output directory
+        assert not (tmp_path / "x").exists()
 
     def test_more_folds_than_training_windows_fail_at_split_naming_folds(self, tmp_path, capsys):
         # only the data can rule this out, so it fails at its stage
@@ -227,7 +233,7 @@ class TestTrainCommand:
 
 
 class TestRunConfig:
-    @pytest.mark.parametrize("kind", ["mcdc", "mcdc-matrix", "ann"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_defaults_are_the_hyper_defaults(self, kind):
         assert RunConfig(seed=1).make_model(kind, 1).hyper == make_model(kind, 12, 1).hyper
 
@@ -311,11 +317,20 @@ class TestEvalCommand:
         assert "temporal length" in capsys.readouterr().err
 
 
-    def test_bad_checkpoint_exits_with_message(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda p: p["hyper"].update(bogus=1), "unknown hyper keys ['bogus']"),
+            # a conv checkpoint relabelled as its matrix twin used to load as the conv model
+            (lambda p: p.update(model_kind="mcdc-matrix"), "model_kind 'mcdc-matrix' pins {'attention': 'matrix'}"),
+        ],
+        ids=["bogus-hyper", "kind-contradicts-hyper"],
+    )
+    def test_bad_checkpoint_exits_with_message(self, tmp_path, capsys, edit, message):
         bad = tmp_path / "bad.json"
         save_checkpoint(bad, make_model("mcdc", temporal_len=8, seed=23), NormStats(np.zeros(5), np.ones(5)))
         payload = json.loads(bad.read_text())
-        payload["hyper"]["bogus"] = 1
+        edit(payload)
         bad.write_text(json.dumps(payload))
         # the checkpoint is read first, so the data and plan are never opened
         code = main(
@@ -329,7 +344,7 @@ class TestEvalCommand:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert f"{bad}: unknown hyper keys ['bogus']" in err
+        assert err.count("error:") == 1 and f"{bad}: {message}" in err
         assert "Traceback" not in err
 
 
@@ -514,6 +529,24 @@ class TestSweepCommand:
             {"kernel_temporal": [5], "kernel_channel": [4], "heads": [1], "temporal_len": [8]},
         )
         assert single["rows"][0] == full["rows"][1]
+
+    def test_bad_last_cell_refused_before_any_cell_trains(self, tmp_path, capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(pipeline, "train_fold", lambda *args, **kwargs: trained.append(args))
+        out = tmp_path / "sweep"
+        code = main(
+            [
+                "sweep", "--seed", "1", "--out", str(out), *TINY_FLAGS,
+                "--grid-kernel-temporal", "1",
+                "--grid-kernel-channel", "2",
+                "--grid-heads", "1,2,0",
+                "--grid-temporal-len", "8",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: heads must be >= 1, got 0"]
+        assert trained == []
+        assert not out.exists()
 
     def test_empty_grid_rejected(self, tmp_path):
         config = RunConfig(seed=1, out_dir=str(tmp_path))

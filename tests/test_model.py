@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mcdc.baselines import make_model
+from mcdc.baselines import MODEL_KINDS, kind_of, make_model
 from mcdc.conditions import N_CONDITIONS
 from mcdc.model import McdcModel, ModelHyper, positional_encoding
 from mcdc.pipeline import DEFAULT_SWEEP_GRID
@@ -242,7 +242,7 @@ class TestMatrixVariantSwap:
         assert set(a) == set(b)
         for key in a:
             assert a[key].shape == b[key].shape
-        assert mat.kind == "mcdc-matrix"
+        assert kind_of(mat) == "mcdc-matrix"
 
 
 class TestExportActivations:
@@ -286,7 +286,7 @@ class TestExportActivations:
 
 
 class TestParameterRoundTrip:
-    @pytest.mark.parametrize("kind", ["mcdc", "mcdc-matrix", "ann"])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_arrays_round_trip_bit_exact(self, kind):
         src = make_model(kind, temporal_len=8, seed=33)
         dst = make_model(kind, temporal_len=8, seed=99)
