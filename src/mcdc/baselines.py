@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import N_CONDITIONS
-from .model import Classifier, McdcModel, ModelHyper, N_CHANNELS
+from .model import Classifier, McdcModel, ModelHyper, N_CHANNELS, check_int_fields
 from .tensor import (
     DimensionError, Tensor, add, glorot, matmul, parameter, reshape, sigmoid, softmax_axis, tensor, transpose,
 )
@@ -32,6 +32,7 @@ class AnnHyper:
     n_classes: int = N_CONDITIONS
 
     def __post_init__(self):
+        check_int_fields(self)
         for name in ("temporal_len", "hidden1", "hidden2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -23,6 +23,10 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, model, norm_stats: NormStats | None = None) -> None:
+    """Write the model as one line of JSON: json.dumps with sort_keys, no
+    indent and the default ", " and ": " separators, then "\n". These are the
+    bytes json.dump writes, encoded in one C call instead of json.dump's
+    pure-Python encoder."""
     payload = {
         "format_version": FORMAT_VERSION,
         "model_kind": kind_of(model),
@@ -32,8 +36,7 @@ def save_checkpoint(path, model, norm_stats: NormStats | None = None) -> None:
         "params": {name: arr.tolist() for name, arr in model.parameter_arrays().items()},
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path):

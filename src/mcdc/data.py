@@ -9,6 +9,7 @@ CSV schema (one row per transformer-day):
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import math
@@ -211,14 +212,29 @@ def _load_series_rows(path) -> list[GasSeries]:
 
 
 def write_series_csv(series: list[GasSeries], path) -> None:
-    """Write series in the load_series schema; float repr keeps values exact."""
+    """Write series in the load_series schema, sorted by transformer id.
+
+    The bytes are those of a csv.writer (excel dialect) row loop: fields
+    quoted only where QUOTE_MINIMAL needs it, every float as its repr (so
+    values reload exactly) and every line ended by "\r\n". csv.writer writes
+    the header and each series' id,voltage,condition prefix, so ids are
+    quoted as before. A day and five readings never need quotes, so each
+    series' body rows are then one string join.
+    """
+    cell = io.StringIO()
+    prefix_writer = csv.writer(cell)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
+        csv.writer(fh).writerow(CSV_HEADER)
         for s in sorted(series, key=lambda s: s.transformer_id):
-            head = [s.transformer_id, s.voltage_kv, s.condition.name]
-            # csv writes a Python float as its repr
-            writer.writerows(head + [day] + gases for day, gases in zip(s.days.tolist(), s.readings.T.tolist()))
+            cell.seek(0)
+            cell.truncate()
+            # the empty last field leaves the prefix's closing comma
+            prefix_writer.writerow([s.transformer_id, s.voltage_kv, s.condition.name, ""])
+            prefix = cell.getvalue()[: -len("\r\n")]
+            fh.write("".join(
+                f"{prefix}{day},{','.join(map(repr, gases))}\r\n"
+                for day, gases in zip(s.days.tolist(), s.readings.T.tolist())
+            ))
 
 
 def interpolate_gaps(series: GasSeries) -> GasSeries:

@@ -5,7 +5,6 @@ the repeated-training comparison harness.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import asdict, dataclass, field, fields
 from itertools import combinations
@@ -13,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from .conditions import N_CONDITIONS
-from .data import fold0_sets, split
+from .data import SplitPlan, fold0_sets, split
 from .training import score_windows
 
 __all__ = [
@@ -21,11 +20,13 @@ __all__ = [
     "EvalReport",
     "ModelComparison",
     "compare",
+    "compare_plans",
     "confusion",
     "evaluate_model",
     "metrics",
     "roc_auc",
     "roc_csv",
+    "split_repetitions",
     "wilcoxon_rank_sum",
 ]
 
@@ -111,12 +112,12 @@ def _binary_roc(positive: np.ndarray, scores: np.ndarray):
     order = np.argsort(-scores, kind="stable")
     sorted_pos = positive[order]
     sorted_scores = scores[order]
-    boundaries = np.r_[np.where(np.diff(sorted_scores))[0], positive.size - 1]
+    boundaries = np.concatenate((np.flatnonzero(np.diff(sorted_scores)), [positive.size - 1]))
     tps = np.cumsum(sorted_pos)[boundaries]
     fps = boundaries + 1 - tps
-    tpr = np.r_[0.0, tps / n_pos]
-    fpr = np.r_[0.0, fps / n_neg]
-    thresholds = np.r_[np.inf, sorted_scores[boundaries]]
+    tpr = np.concatenate(([0.0], tps / n_pos))
+    fpr = np.concatenate(([0.0], fps / n_neg))
+    thresholds = np.concatenate(([np.inf], sorted_scores[boundaries]))
     auc = float(np.trapezoid(tpr, fpr))
     return fpr, tpr, thresholds, auc
 
@@ -158,13 +159,16 @@ def roc_auc(true_labels, prob_matrix) -> dict:
 
 
 def roc_csv(curves: list[dict], path) -> None:
-    """Write curve points as class,fpr,tpr,threshold rows."""
+    """Write curve points as class,fpr,tpr,threshold rows, with the bytes of
+    a csv.writer row loop: ints and float reprs (the first threshold is
+    inf) need no quotes, and lines end in "\r\n"."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "fpr", "tpr", "threshold"])
-        for curve in curves:
-            for f, t, thr in zip(curve["fpr"], curve["tpr"], curve["thresholds"]):
-                writer.writerow([curve["class"], repr(f), repr(t), repr(thr)])
+        fh.write("class,fpr,tpr,threshold\r\n")
+        fh.write("".join(
+            f"{curve['class']},{f!r},{t!r},{thr!r}\r\n"
+            for curve in curves
+            for f, t, thr in zip(curve["fpr"], curve["tpr"], curve["thresholds"])
+        ))
 
 
 def evaluate_model(model, windows) -> EvalReport:
@@ -268,6 +272,13 @@ class ComparisonResult:
         return asdict(self)
 
 
+def split_repetitions(
+    windows, mode: str, repetitions: int, base_seed: int, train_fraction: float = 0.8, k: int = 4
+) -> list[SplitPlan]:
+    """The split plan of each repetition of a comparison, seeded base_seed + rep."""
+    return [split(windows, mode, train_fraction, seed=base_seed + rep, k=k) for rep in range(repetitions)]
+
+
 def compare(
     fitters: dict,
     windows,
@@ -286,15 +297,20 @@ def compare(
     assignment serves as the shared validation part. Reports per-model mean
     accuracy, the largest deviation of any repetition from that mean
     (max mean error), repetition-mean macro metrics, and pairwise rank-sum
-    p-values over the accuracy lists.
+    p-values over the accuracy lists. Every repetition is split before the
+    first model trains.
     """
+    return compare_plans(fitters, windows, split_repetitions(windows, mode, repetitions, base_seed, train_fraction, k))
+
+
+def compare_plans(fitters: dict, windows, plans: list[SplitPlan]) -> ComparisonResult:
+    """compare over split plans already made, one per repetition, each
+    fitted with its plan's seed; the plans share one mode."""
     per_model: dict[str, list[EvalReport]] = {name: [] for name in fitters}
-    for rep in range(repetitions):
-        seed = base_seed + rep
-        plan = split(windows, mode, train_fraction, seed=seed, k=k)
+    for plan in plans:
         fit_train, fit_val, test = fold0_sets(windows, plan)
         for name, fitter in fitters.items():
-            model = fitter(fit_train, fit_val, seed)
+            model = fitter(fit_train, fit_val, plan.seed)
             per_model[name].append(evaluate_model(model, test))
 
     accuracies = {name: [r.accuracy for r in reports] for name, reports in per_model.items()}
@@ -313,4 +329,4 @@ def compare(
             )
         )
     p_values = {f"{a}|{b}": wilcoxon_rank_sum(accuracies[a], accuracies[b]) for a, b in combinations(accuracies, 2)}
-    return ComparisonResult(mode=mode, repetitions=repetitions, models=rows, p_values=p_values)
+    return ComparisonResult(mode=plans[0].mode, repetitions=len(plans), models=rows, p_values=p_values)

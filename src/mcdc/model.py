@@ -6,7 +6,7 @@ stage passes its input through unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,6 +33,16 @@ N_CHANNELS = 5
 ATTENTIONS = ("conv", "matrix")
 
 
+def check_int_fields(config) -> None:
+    """Refuse, by name, a dataclass field annotated `int` whose value is not
+    an int; a bool is not one, so `"2"`, 2.5 and True fail before any check
+    or stage can misread them."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelHyper:
     temporal_len: int = 12
@@ -44,6 +54,7 @@ class ModelHyper:
     attention: str = "conv"  # "conv" or "matrix"
 
     def __post_init__(self):
+        check_int_fields(self)
         for name in ("temporal_len", "heads", "kernel_temporal", "kernel_channel", "ffn_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -29,7 +29,7 @@ from .data import (
     split,
     write_series_csv,
 )
-from .evaluation import compare, evaluate_model, roc_csv
+from .evaluation import compare_plans, evaluate_model, roc_csv, split_repetitions
 from .model import ModelHyper
 from .synth import load_recipe, synth_generate
 from .training import TrainConfig, cross_validate, history_to_csv, train_fold
@@ -262,8 +262,7 @@ def run_eval(
         os.makedirs(out_dir, exist_ok=True)
         report_path = os.path.join(out_dir, "report.json")
         with open(report_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
         roc_path = os.path.join(out_dir, "roc.csv")
         roc_csv(report.curves, roc_path)
     return {"report": report, "paths": {"report": report_path, "roc": roc_path}}
@@ -278,17 +277,22 @@ def _fitter_for(config: RunConfig, kind: str):
     return fit
 
 
-def _compare(config: RunConfig, windows, kinds, mode: str, repetitions: int):
-    """evaluation.compare of `kinds` under `config`'s seed, split and training settings."""
-    fitters = {kind: _fitter_for(config, kind) for kind in kinds}
+def _plans(config: RunConfig, windows, mode: str, repetitions: int):
+    """The split plans of a comparison under `config`'s seed, split and fold settings."""
     k = config.train_config().folds
-    return compare(fitters, windows, mode, repetitions, base_seed=config.seed, train_fraction=config.train_fraction, k=k)
+    return split_repetitions(windows, mode, repetitions, config.seed, config.train_fraction, k)
+
+
+def _compare(config: RunConfig, windows, kinds, plans):
+    """evaluation.compare_plans of `kinds` under `config`'s training settings."""
+    return compare_plans({kind: _fitter_for(config, kind) for kind in kinds}, windows, plans)
 
 
 def run_compare(config: RunConfig, kinds: list[str], repetitions: int, modes: list[str]) -> dict:
     """Repeated train/evaluate comparison across model kinds and split modes,
     written to comparison.json. The kinds, the repetition count and the
-    modes are checked before the data are loaded."""
+    modes are checked before the data are loaded, and every mode's
+    repetitions are split before the first model trains."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     for flag, given, known in (("models", kinds, tuple(MODEL_KINDS)), ("modes", modes, SPLIT_MODES)):
@@ -299,15 +303,18 @@ def run_compare(config: RunConfig, kinds: list[str], repetitions: int, modes: li
             raise ValueError(f"{flag} must be among {known}, got unknown {unknown}")
     with _stage("load"):
         windows = build_windows(build_series(config), config.temporal_len)
+    plans = {}
+    for mode in modes:
+        with _stage(f"compare-{mode}"):
+            plans[mode] = _plans(config, windows, mode, repetitions)
     results = {}
     for mode in modes:
         with _stage(f"compare-{mode}"):
-            results[mode] = _compare(config, windows, kinds, mode, repetitions)
+            results[mode] = _compare(config, windows, kinds, plans[mode])
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "comparison.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({mode: r.to_dict() for mode, r in results.items()}, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps({mode: r.to_dict() for mode, r in results.items()}, sort_keys=True) + "\n")
     return {"results": results, "paths": {"comparison": path}}
 
 
@@ -315,7 +322,8 @@ def _sweep_cell(config: RunConfig) -> float:
     """One fully seeded grid cell: a one-repetition compare of the cell's
     model kind in its split mode; returns the test accuracy."""
     windows = build_windows(build_series(config), config.temporal_len)
-    return _compare(config, windows, [config.model], config.split_mode, 1).models[0].accuracies[0]
+    plans = _plans(config, windows, config.split_mode, 1)
+    return _compare(config, windows, [config.model], plans).models[0].accuracies[0]
 
 
 def run_sweep(config: RunConfig, grid: dict | None = None, workers: int = 1) -> dict:

@@ -8,7 +8,6 @@ parameters bit for bit.
 
 from __future__ import annotations
 
-import csv
 import gc
 import math
 import time
@@ -18,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CdgdWindow
+from .model import check_int_fields
 from .tensor import Tape, backward, cross_entropy
 
 __all__ = [
@@ -54,6 +54,7 @@ class TrainConfig:
     folds: int = 4
 
     def __post_init__(self):
+        check_int_fields(self)
         epochs_at = [e for e, _ in self.lr_decay]
         if epochs_at != sorted(set(epochs_at)):
             raise ValueError(f"decay epochs must be strictly increasing, got {epochs_at}")
@@ -309,10 +310,13 @@ def cross_validate(make_model, windows: list[CdgdWindow], plan, config: TrainCon
 
 
 def history_to_csv(fold_histories: list[TrainHistory], path) -> None:
-    """Export per-epoch traces as epoch,fold,loss,val_accuracy,lr."""
+    """Export per-epoch traces as epoch,fold,loss,val_accuracy,lr rows, with
+    the bytes of a csv.writer row loop: ints and float reprs need no quotes,
+    and lines end in "\r\n"."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "fold", "loss", "val_accuracy", "lr"])
-        for fold, history in enumerate(fold_histories):
-            for row in history.rows:
-                writer.writerow([row.epoch, fold, repr(row.loss), repr(row.val_accuracy), repr(row.lr)])
+        fh.write("epoch,fold,loss,val_accuracy,lr\r\n")
+        fh.write("".join(
+            f"{row.epoch},{fold},{row.loss!r},{row.val_accuracy!r},{row.lr!r}\r\n"
+            for fold, history in enumerate(fold_histories)
+            for row in history.rows
+        ))

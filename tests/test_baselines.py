@@ -10,6 +10,7 @@ from mcdc.checkpoint import load_checkpoint, save_checkpoint
 from mcdc.conditions import N_CONDITIONS
 from mcdc.model import McdcModel, ModelHyper
 from mcdc.tensor import cross_entropy, grad_check
+from mcdc.training import TrainConfig
 
 
 class TestAnnForward:
@@ -73,6 +74,23 @@ class TestAnnForward:
     def test_unknown_variant_refused_naming_the_field(self, hyper_cls, name, domain):
         with pytest.raises(ValueError, match=f"^{name} must be one of {re.escape(domain)}, got 'bogus'$"):
             hyper_cls(**{name: "bogus"})
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("value", ["2", 2.5, True, None])
+    @pytest.mark.parametrize(
+        "config_cls,name",
+        [
+            *((ModelHyper, n) for n in ("temporal_len", "heads", "kernel_temporal", "kernel_channel", "ffn_hidden", "n_classes")),
+            *((AnnHyper, n) for n in ("temporal_len", "hidden1", "hidden2", "n_classes")),
+            *((TrainConfig, n) for n in ("seed", "epochs", "batch_size", "patience", "folds")),
+        ],
+    )
+    def test_integer_field_of_another_type_refused_naming_it(self, config_cls, name, value):
+        # "2" used to end in a TypeError from `<`, and 2.5 to pass until training used it
+        args = {"seed": 0} if config_cls is TrainConfig else {}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            config_cls(**{**args, name: value})
 
 
 class TestMatrixVariant:

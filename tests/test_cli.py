@@ -174,15 +174,20 @@ class TestTrainCommand:
             # it used to say "unknown input mode 'bogus'", naming no field
             ({"seed": 9, "ann_input_mode": "bogus"}, "input_mode must be one of ('last_day', 'window'), got 'bogus'"),
             ({"seed": 9, "model": "gru"}, "model must be one of ('mcdc', 'mcdc-matrix', 'ann'), got 'gru'"),
+            # it used to end in a TypeError traceback from ModelHyper
+            ({"seed": 1, "heads": "2"}, "heads must be an integer, got '2'"),
+            # it used to pass every check and fail only at stage 'train'
+            ({"seed": 1, "heads": 2.5}, "heads must be an integer, got 2.5"),
         ],
     )
     def test_bad_config_value_refused_before_load(self, tmp_path, capsys, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
         out = tmp_path / "x"
-        assert main(["train", "--config", str(path), "--out", str(out), *TINY_FLAGS]) == 1
+        # no flags: TINY_FLAGS' --heads would override the file's
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert message in err
+        assert err.splitlines() == [f"error: {message}"]
         assert "stage" not in err and "Traceback" not in err
         assert not out.exists()
 
@@ -472,6 +477,20 @@ class TestCompareCommand:
         payload = json.loads((out / "comparison.json").read_text())
         assert set(payload) == {"sample", "facility"}
 
+    def test_every_split_is_made_before_any_model_trains(self, tmp_path, capsys, monkeypatch):
+        # stability has too few transformers per condition for a facility
+        # split; it used to fail only after every sample-mode model trained
+        calls = []
+        monkeypatch.setattr(pipeline, "train_fold", lambda *args: calls.append(args))
+        out = tmp_path / "cmp"
+        code = main(
+            ["compare", "--seed", "7", "--out", str(out), *TINY_FLAGS,
+             "--models", "mcdc,ann", "--repetitions", "2", "--modes", "sample,facility"]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: stage 'compare-facility': facility split cannot cover")
+        assert calls == []
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags,message",
