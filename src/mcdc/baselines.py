@@ -50,18 +50,10 @@ class AnnModel(Classifier):
         in_dim = N_CHANNELS if hyper.input_mode == "last_day" else N_CHANNELS * hyper.temporal_len
         rng = np.random.default_rng(seed)
         sizes = [(hyper.hidden1, in_dim), (hyper.hidden2, hyper.hidden1), (hyper.n_classes, hyper.hidden2)]
-        self._weights = []
-        self._biases = []
-        for rows, cols in sizes:
-            self._weights.append(glorot(rng, rows, cols))
-            self._biases.append(parameter(np.zeros((rows, 1))))
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, (w, b) in enumerate(zip(self._weights, self._biases), start=1):
-            out.append((f"ann_w{i}", w))
-            out.append((f"ann_b{i}", b))
-        return out
+        self.params = {}
+        for i, (rows, cols) in enumerate(sizes, start=1):
+            self.params[f"ann_w{i}"] = glorot(rng, rows, cols)
+            self.params[f"ann_b{i}"] = parameter(np.zeros((rows, 1)))
 
     def _input_column(self, window: np.ndarray) -> Tensor:
         """The input column of one 5 x T window, or of each window of a stack."""
@@ -74,10 +66,11 @@ class AnnModel(Classifier):
         return reshape(tensor(window), (N_CHANNELS * self.hyper.temporal_len, 1))
 
     def forward(self, window: np.ndarray) -> Tensor:
+        p = self.params
         x = self._input_column(np.asarray(window, dtype=np.float64))
-        h1 = sigmoid(add(matmul(self._weights[0], x), self._biases[0]))
-        h2 = sigmoid(add(matmul(self._weights[1], h1), self._biases[1]))
-        logits = add(matmul(self._weights[2], h2), self._biases[2])
+        h1 = sigmoid(add(matmul(p["ann_w1"], x), p["ann_b1"]))
+        h2 = sigmoid(add(matmul(p["ann_w2"], h1), p["ann_b2"]))
+        logits = add(matmul(p["ann_w3"], h2), p["ann_b3"])
         return transpose(softmax_axis(logits, "col"))
 
 

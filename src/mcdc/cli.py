@@ -32,12 +32,12 @@ def _add_config_flags(parser):
     parser.add_argument("--out", dest="out_dir", help="output directory")
     parser.add_argument("--data", dest="data_csv", help="dataset CSV (omit to generate synthetically)")
     parser.add_argument("--recipe", help="synthetic recipe name or path (default: default)")
-    parser.add_argument("--model", choices=MODEL_KINDS, help="model kind")
+    parser.add_argument("--model", help=f"model kind: {', '.join(MODEL_KINDS)}")
     parser.add_argument("--temporal-len", type=int, dest="temporal_len")
     parser.add_argument("--heads", type=int)
     parser.add_argument("--kernel-temporal", type=int, dest="kernel_temporal")
     parser.add_argument("--kernel-channel", type=int, dest="kernel_channel")
-    parser.add_argument("--split-mode", choices=SPLIT_MODES, dest="split_mode")
+    parser.add_argument("--split-mode", dest="split_mode", help=f"split mode: {', '.join(SPLIT_MODES)}")
     parser.add_argument("--train-fraction", type=float, dest="train_fraction")
     parser.add_argument("--epochs", type=int)
     parser.add_argument("--batch-size", type=int, dest="batch_size")
@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--plan", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--side", choices=["test", "train"], default="test")
+    p.add_argument("--side", default="test", help="test (default) or train")
     p.add_argument("--allow-train-eval", action="store_true")
     p.set_defaults(handler=_cmd_eval)
 
@@ -102,11 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p)
     for axis in DEFAULT_SWEEP_GRID:
         p.add_argument(f"--grid-{axis.replace('_', '-')}", type=_int_list, dest=f"grid_{axis}")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="processes that run the cells, >= 1 (default 1)")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the self-verification suite")
-    p.add_argument("--inject-fault", choices=["conv-kernel-grad"], dest="inject_fault")
+    p.add_argument("--inject-fault", help=f"corrupt a gradient rule: {', '.join(tensor.FAULT_KINDS)}")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -28,6 +28,7 @@ __all__ = [
     "NormStats",
     "SplitPlan",
     "fold0_sets",
+    "fold_sets",
     "interpolate_gaps",
     "kfold",
     "load_series",
@@ -295,6 +296,12 @@ class NormStats:
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean[:, None]) / self.std[:, None]
 
+    def scale_windows(self, windows: list[CdgdWindow]) -> list[CdgdWindow]:
+        """New windows holding `windows`' values z-scored, all of them as one
+        stack through apply; the given windows are left as they are."""
+        scaled = self.apply(np.stack([w.values for w in windows])) if windows else []
+        return [CdgdWindow(w.transformer_id, w.start_day, values, w.label) for w, values in zip(windows, scaled)]
+
     def invert(self, values: np.ndarray) -> np.ndarray:
         return values * self.std[:, None] + self.mean[:, None]
 
@@ -307,25 +314,27 @@ class NormStats:
 
 
 def normalize(train_windows: list[CdgdWindow], all_windows: list[CdgdWindow]) -> tuple[list[CdgdWindow], NormStats]:
-    """Z-score every window with statistics taken from the training windows."""
+    """New windows: every window z-scored (NormStats.scale_windows) with
+    statistics taken from the training windows."""
     if not train_windows:
         raise DatasetError("cannot compute normalization stats from an empty training set")
     stacked = np.concatenate([w.values for w in train_windows], axis=1)
     stats = NormStats(stacked.mean(axis=1), np.maximum(stacked.std(axis=1), 1e-6))
-    scaled = stats.apply(np.stack([w.values for w in all_windows])) if all_windows else []
-    normalized = [
-        CdgdWindow(w.transformer_id, w.start_day, values, w.label) for w, values in zip(all_windows, scaled)
-    ]
-    return normalized, stats
+    return stats.scale_windows(all_windows), stats
+
+
+def fold_sets(windows: list, plan: SplitPlan, fold: int) -> tuple[list, list]:
+    """Fold `fold`'s (train, val) windows: the plan's training side without
+    the fold, and the fold itself."""
+    held = set(plan.folds[fold])
+    return [windows[i] for i in plan.train_indices if i not in held], [windows[i] for i in plan.folds[fold]]
 
 
 def fold0_sets(windows: list[CdgdWindow], plan: SplitPlan) -> tuple[list, list, list]:
-    """(train, val, test) windows of fold 0, z-scored with the statistics of
-    the plan's whole training side; fold 0 is held out of train as val."""
+    """(train, val, test) windows: fold 0's fold_sets and the test side, all
+    z-scored with the statistics of the plan's whole training side."""
     normalized, _ = normalize([windows[i] for i in plan.train_indices], windows)
-    val_set = set(plan.folds[0])
-    train = [normalized[i] for i in plan.train_indices if i not in val_set]
-    return train, [normalized[i] for i in plan.folds[0]], [normalized[i] for i in plan.test_indices]
+    return (*fold_sets(normalized, plan, 0), [normalized[i] for i in plan.test_indices])
 
 
 @dataclass
@@ -373,7 +382,9 @@ def split(
 
     Facility mode keeps every transformer's windows on one side and requires
     each condition present in the dataset to appear on both sides, retrying
-    the shuffle up to FACILITY_RETRIES times before failing.
+    the shuffle up to FACILITY_RETRIES times before failing. When every
+    transformer carries one condition, a side with fewer transformers than
+    there are conditions is refused before the first shuffle.
     """
     if not windows:
         raise DatasetError("cannot split an empty window list")
@@ -392,6 +403,11 @@ def split(
         ids = sorted(codes_of)
         conditions = set().union(*codes_of.values())
         n_train = int(len(ids) * train_fraction)
+        if all(len(c) == 1 for c in codes_of.values()) and min(n_train, len(ids) - n_train) < len(conditions):
+            raise DatasetError(
+                f"facility split cannot cover the {len(conditions)} conditions on both sides: the train side gets "
+                f"{n_train} and the test side {len(ids) - n_train} of the {len(ids)} transformers, one condition each"
+            )
         train_c: set[int] = set()
         test_c: set[int] = set()
         for _ in range(FACILITY_RETRIES):

@@ -193,17 +193,10 @@ def evaluate_model(model, windows) -> EvalReport:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    sorted_values = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks, ties sharing the mean of their positions: a run of
+    `count` equal values ending at position `end` ranks end - (count - 1) / 2."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def _exact_two_sided(ranks: np.ndarray, n1: int, observed: float) -> float:
@@ -243,6 +236,9 @@ def wilcoxon_rank_sum(sample_a, sample_b) -> float:
     b = np.asarray(sample_b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be nonempty")
+    for name, sample in (("sample_a", a), ("sample_b", b)):
+        if not np.isfinite(sample).all():
+            raise ValueError(f"{name} must be finite, got {sample.tolist()}")
     ranks = _midranks(np.concatenate([a, b]))
     w = float(ranks[:a.size].sum())
     if a.size + b.size <= 20:

@@ -82,22 +82,25 @@ def positional_encoding(d_channel: int, length: int) -> np.ndarray:
 
 
 class Classifier:
-    """Parameter storage and prediction shared by every model kind. Subclasses
-    define parameters() -> [(name, Tensor)] and forward(x), which maps one
-    5 x T window to 1 x n_classes and a stack B x 5 x T to B x 1 x n_classes."""
+    """Parameter storage and prediction shared by every model kind. A subclass
+    fills `self.params`, one name -> Tensor table in draw order whose names
+    are the checkpoint's, and defines forward(x), which maps one 5 x T window
+    to 1 x n_classes and a stack B x 5 x T to B x 1 x n_classes. A parameter
+    left out of the table exists nowhere else."""
+
+    def parameters(self) -> list[tuple[str, Tensor]]:
+        return list(self.params.items())
 
     def parameter_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data.copy() for name, p in self.parameters()}
+        return {name: p.data.copy() for name, p in self.params.items()}
 
     def load_parameter_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         """Overwrite every parameter in place from exactly this model's names, all finite."""
-        params = self.parameters()
-        expected = {name for name, _ in params}
-        unknown = sorted(set(arrays) - expected)
-        missing = sorted(expected - set(arrays))
+        unknown = sorted(set(arrays) - set(self.params))
+        missing = sorted(set(self.params) - set(arrays))
         if unknown or missing:
             raise ValueError(f"parameter names differ: unknown {unknown}, missing {missing}")
-        for name, p in params:
+        for name, p in self.params.items():
             src = np.asarray(arrays[name], dtype=np.float64)
             if src.shape != p.data.shape:
                 raise DimensionError(f"parameter {name}: stored {src.shape} != expected {p.data.shape}")
@@ -138,30 +141,19 @@ class McdcModel(Classifier):
             """A head's q, k or v: a 1 x kernel conv kernel or a square projection."""
             return (1, kernel) if hyper.attention == "conv" else (features, features)
 
-        # temporal route: tokens are time steps, features are the 5 channels
-        self.temporal_qkv = attention.new_qkv(rng, h, *qkv_entry(hyper.kernel_temporal, N_CHANNELS))
-        self.mix_temporal = glorot(rng, N_CHANNELS, h * N_CHANNELS)
-        # channel route: tokens are the 5 channels, features are time steps
-        self.channel_qkv = attention.new_qkv(rng, h, *qkv_entry(hyper.kernel_channel, t_len))
-        self.mix_channel = glorot(rng, h * t_len, t_len)
-        flat = N_CHANNELS * t_len
-        self.ffn_w1 = glorot(rng, hyper.ffn_hidden, flat)
-        self.ffn_b1 = parameter(np.zeros((hyper.ffn_hidden, 1)))
-        self.ffn_w2 = glorot(rng, hyper.n_classes, hyper.ffn_hidden)
-        self.ffn_b2 = parameter(np.zeros((hyper.n_classes, 1)))
+        self.params = {
+            # temporal route: tokens are time steps, features are the 5 channels
+            "temporal_qkv": attention.new_qkv(rng, h, *qkv_entry(hyper.kernel_temporal, N_CHANNELS)),
+            "temporal_mix": glorot(rng, N_CHANNELS, h * N_CHANNELS),
+            # channel route: tokens are the 5 channels, features are time steps
+            "channel_qkv": attention.new_qkv(rng, h, *qkv_entry(hyper.kernel_channel, t_len)),
+            "channel_mix": glorot(rng, h * t_len, t_len),
+            "ffn_w1": glorot(rng, hyper.ffn_hidden, N_CHANNELS * t_len),
+            "ffn_b1": parameter(np.zeros((hyper.ffn_hidden, 1))),
+            "ffn_w2": glorot(rng, hyper.n_classes, hyper.ffn_hidden),
+            "ffn_b2": parameter(np.zeros((hyper.n_classes, 1))),
+        }
         self._pe = tensor(positional_encoding(N_CHANNELS, t_len))
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("temporal_qkv", self.temporal_qkv),
-            ("temporal_mix", self.mix_temporal),
-            ("channel_qkv", self.channel_qkv),
-            ("channel_mix", self.mix_channel),
-            ("ffn_w1", self.ffn_w1),
-            ("ffn_b1", self.ffn_b1),
-            ("ffn_w2", self.ffn_w2),
-            ("ffn_b2", self.ffn_b2),
-        ]
 
     # stage operations
 
@@ -182,17 +174,18 @@ class McdcModel(Classifier):
         return attention.matrix_attention(transpose(x) if tokens == "rows" else x, qkv)
 
     def temporal_interaction(self, embedded: Tensor) -> Tensor:
-        heads = self._route(embedded, self.temporal_qkv, "cols")
-        return matmul(self.mix_temporal, merge_stack(heads, "rows"))
+        heads = self._route(embedded, self.params["temporal_qkv"], "cols")
+        return matmul(self.params["temporal_mix"], merge_stack(heads, "rows"))
 
     def channel_interaction(self, mixed: Tensor) -> Tensor:
-        heads = self._route(mixed, self.channel_qkv, "rows")
-        return matmul(merge_stack(transpose(heads), "cols"), self.mix_channel)
+        heads = self._route(mixed, self.params["channel_qkv"], "rows")
+        return matmul(merge_stack(transpose(heads), "cols"), self.params["channel_mix"])
 
     def project_logits(self, z: Tensor) -> Tensor:
+        p = self.params
         flat = reshape(z, (N_CHANNELS * self.hyper.temporal_len, 1))
-        hidden = sigmoid(add(matmul(self.ffn_w1, flat), self.ffn_b1))
-        return add(matmul(self.ffn_w2, hidden), self.ffn_b2)
+        hidden = sigmoid(add(matmul(p["ffn_w1"], flat), p["ffn_b1"]))
+        return add(matmul(p["ffn_w2"], hidden), p["ffn_b2"])
 
     def project(self, z: Tensor) -> Tensor:
         return transpose(softmax_axis(self.project_logits(z), "col"))

@@ -14,8 +14,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
 
-import numpy as np
-
 from .baselines import MODEL_KINDS, AnnHyper, make_hyper
 from .checkpoint import load_checkpoint, save_checkpoint
 from .conditions import N_CONDITIONS
@@ -252,12 +250,7 @@ def run_eval(
             raise ValueError(f"plan lists {plan.n_windows} windows, dataset yields {len(windows)}")
     with _stage("evaluate"):
         indices = plan.test_indices if side == "test" else plan.train_indices
-        chosen = [windows[i] for i in indices]
-        # one z-score over the stack, as normalize does
-        scaled = stats.apply(np.stack([w.values for w in chosen])) if chosen else []
-        for w, values in zip(chosen, scaled):
-            w.values = values
-        report = evaluate_model(model, chosen)
+        report = evaluate_model(model, stats.scale_windows([windows[i] for i in indices]))
     with _stage("save"):
         os.makedirs(out_dir, exist_ok=True)
         report_path = os.path.join(out_dir, "report.json")
@@ -329,12 +322,15 @@ def _sweep_cell(config: RunConfig) -> float:
 def run_sweep(config: RunConfig, grid: dict | None = None, workers: int = 1) -> dict:
     """Cartesian grid over the axes of DEFAULT_SWEEP_GRID (kernel sizes, head
     count, window length); an axis missing from `grid` takes its default. One
-    seeded train+eval per cell, rows written to sweep.csv in grid order."""
+    seeded train+eval per cell, rows written to sweep.csv in grid order;
+    `workers` >= 1 processes run the cells, and more than one changes no byte."""
     merged = {**DEFAULT_SWEEP_GRID, **{k: v for k, v in (grid or {}).items() if v is not None}}
     if merged.keys() != DEFAULT_SWEEP_GRID.keys():
         raise PipelineError(f"unknown sweep axes {sorted(merged.keys() - DEFAULT_SWEEP_GRID.keys())}")
     if not all(merged.values()):
         raise PipelineError("sweep grid is empty")
+    if workers < 1:
+        raise PipelineError(f"workers must be >= 1, got {workers}")
     cells = [dict(zip(merged, combo)) for combo in product(*merged.values())]
     # every cell's settings are checked before the first cell trains
     jobs = [replace(config, **cell) for cell in cells]

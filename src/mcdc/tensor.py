@@ -30,8 +30,6 @@ __all__ = [
     "add",
     "add_n",
     "backward",
-    "concat_cols",
-    "concat_rows",
     "conv1d",
     "cross_entropy",
     "glorot",
@@ -60,11 +58,15 @@ _TAPE_STACK: list["Tape"] = []
 
 # Self-test hook: verify --inject-fault corrupts the named gradient rule so
 # the gradient checker can be shown to catch a broken backward pass.
+FAULT_KINDS = ("conv-kernel-grad",)
 _FAULT: str | None = None
 
 
 def set_fault_injection(kind: str | None) -> None:
+    """Corrupt the gradient rule `kind` names (one of FAULT_KINDS); None turns it off."""
     global _FAULT
+    if kind is not None and kind not in FAULT_KINDS:
+        raise ValueError(f"inject_fault must be one of {FAULT_KINDS}, got {kind!r}")
     _FAULT = kind
 
 
@@ -279,33 +281,6 @@ def reshape(a: Tensor, shape: tuple[int, int]) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def _concat(parts: list[Tensor], axis: int, name: str) -> Tensor:
-    """Join on `axis` (-2 or -1); every other axis must agree."""
-    def off_axis(shape):
-        return shape[:-2] + shape[-1:] if axis == -2 else shape[:-1]
-
-    first = off_axis(parts[0].data.shape)
-    for p in parts:
-        if off_axis(p.data.shape) != first:
-            raise DimensionError(f"{name} shapes differ off the joined axis: {parts[0].shape} vs {p.shape}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
-
-    def bw(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[..., lo:hi, :] if axis == -2 else g[..., lo:hi])
-
-    return _record(out, tuple(parts), bw)
-
-
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    return _concat(parts, -2, "concat_rows")
-
-
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    return _concat(parts, -1, "concat_cols")
-
-
 def stack(parts: list[Tensor]) -> Tensor:
     """Stack same-shape tensors on a new axis just before the matrix axes:
     S parts of shape (..., r, c) give (..., S, r, c)."""
@@ -331,9 +306,9 @@ def stack(parts: list[Tensor]) -> Tensor:
 def merge_stack(x: Tensor, axis: str) -> Tensor:
     """Join the S matrices of the innermost stack axis into one matrix:
     (..., S, r, c) gives (..., S*r, c) for "rows", with matrix s in row block
-    s, or (..., r, S*c) for "cols", with matrix s in column block s. For a
-    C-contiguous stack, what matmul and transpose give, the result is
-    C-contiguous, as concat_rows/concat_cols of the S parts is: "rows" is a
+    s, or (..., r, S*c) for "cols", with matrix s in column block s: the
+    S parts joined end to end along that axis. For a C-contiguous stack, what
+    matmul and transpose give, the result is C-contiguous: "rows" is a
     reshape copy, "cols" the reshape of the (..., r, S, c) swapaxes view,
     and the "cols" gradient swaps the same two axes back."""
     if axis not in ("rows", "cols"):

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CdgdWindow
+from .data import CdgdWindow, fold_sets
 from .model import check_int_fields
 from .tensor import Tape, backward, cross_entropy
 
@@ -291,10 +291,8 @@ def cross_validate(make_model, windows: list[CdgdWindow], plan, config: TrainCon
     histories = []
     accuracies = []
     best = (-1.0, 0, None)
-    for fold_index, fold in enumerate(plan.folds):
-        val_set = set(fold)
-        train_windows = [windows[i] for i in plan.train_indices if i not in val_set]
-        val_windows = [windows[i] for i in fold]
+    for fold_index in range(len(plan.folds)):
+        train_windows, val_windows = fold_sets(windows, plan, fold_index)
         model = make_model(fold_index)
         try:
             history = train_fold(model, train_windows, val_windows, config)

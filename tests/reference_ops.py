@@ -1,0 +1,41 @@
+"""Plain reference ops that the engine does not ship: joining separate
+tensors end to end along the rows or the columns of their matrices.
+
+The model joins a route's heads with `tensor.merge_stack`; these are the
+per-part forms it is held to (tests/test_tensor.py) and the join of the
+per-head reference forward (tests/test_attention.py). They record on the
+active tape like any engine op.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from mcdc.tensor import DimensionError, Tensor, _accum, _record
+
+
+def _concat(parts: list[Tensor], axis: int, name: str) -> Tensor:
+    """Join on `axis` (-2 or -1); every other axis must agree."""
+    def off_axis(shape):
+        return shape[:-2] + shape[-1:] if axis == -2 else shape[:-1]
+
+    first = off_axis(parts[0].data.shape)
+    for p in parts:
+        if off_axis(p.data.shape) != first:
+            raise DimensionError(f"{name} shapes differ off the joined axis: {parts[0].shape} vs {p.shape}")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
+
+    def bw(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            _accum(p, g[..., lo:hi, :] if axis == -2 else g[..., lo:hi])
+
+    return _record(out, tuple(parts), bw)
+
+
+def concat_rows(parts: list[Tensor]) -> Tensor:
+    return _concat(parts, -2, "concat_rows")
+
+
+def concat_cols(parts: list[Tensor]) -> Tensor:
+    return _concat(parts, -1, "concat_cols")

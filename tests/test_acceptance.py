@@ -203,10 +203,11 @@ def test_criterion_06_mechanism_stability_comparison():
         assert conv_std <= matrix_std, f"conv std {conv_std:.5f} > matrix std {matrix_std:.5f}"
         # the compared models' routes: kernel 5 vs width 5 (temporal), kernel 6 vs width 8 (channel)
         conv, matrix = (config.make_model(kind, 0) for kind in ("mcdc", "mcdc-matrix"))
-        assert (conv.temporal_qkv.shape, matrix.temporal_qkv.shape) == ((12, 1, 5), (12, 5, 5))
-        assert (conv.channel_qkv.shape, matrix.channel_qkv.shape) == ((12, 1, 6), (12, 8, 8))
-        assert conv.temporal_qkv.data.size < matrix.temporal_qkv.data.size
-        assert conv.channel_qkv.data.size < matrix.channel_qkv.data.size
+        c, m = conv.params, matrix.params
+        assert (c["temporal_qkv"].shape, m["temporal_qkv"].shape) == ((12, 1, 5), (12, 5, 5))
+        assert (c["channel_qkv"].shape, m["channel_qkv"].shape) == ((12, 1, 6), (12, 8, 8))
+        assert c["temporal_qkv"].data.size < m["temporal_qkv"].data.size
+        assert c["channel_qkv"].data.size < m["channel_qkv"].data.size
 
 
 def test_criterion_07_facility_generalization():

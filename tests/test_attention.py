@@ -22,8 +22,6 @@ from mcdc.tensor import (
     Tape,
     add,
     backward,
-    concat_cols,
-    concat_rows,
     conv1d,
     cross_entropy,
     glorot,
@@ -34,6 +32,7 @@ from mcdc.tensor import (
     transpose,
 )
 from mcdc.training import _batch_loss
+from reference_ops import concat_cols, concat_rows
 
 
 def naive_attention_map(q, k):
@@ -218,11 +217,12 @@ def reference_matrix_head(inp, matrices):
 def reference_forward(model, x):
     head_fn = reference_cnn_head if model.hyper.attention == "conv" else reference_matrix_head
     embedded = model.embed(tensor(x))
-    temporal = matmul(model.mix_temporal, concat_rows([head_fn(embedded, h) for h in heads_of(model.temporal_qkv)]))
+    p = model.params
+    temporal = matmul(p["temporal_mix"], concat_rows([head_fn(embedded, h) for h in heads_of(p["temporal_qkv"])]))
     mixed = add(temporal, embedded)
     tokens_channels = transpose(mixed)
-    outs = [transpose(head_fn(tokens_channels, h)) for h in heads_of(model.channel_qkv)]
-    channel = matmul(concat_cols(outs), model.mix_channel)
+    outs = [transpose(head_fn(tokens_channels, h)) for h in heads_of(p["channel_qkv"])]
+    channel = matmul(concat_cols(outs), p["channel_mix"])
     return model.project(add(channel, temporal))
 
 
@@ -245,7 +245,8 @@ class TestStackedRoutes:
             route, head_fn = attention.matrix_attention, reference_matrix_head
         rng = np.random.default_rng(32)
         for x in (rng.normal(size=(5, 8)), rng.normal(size=(6, 5, 8))):
-            routes = ((tensor(x), model.temporal_qkv), (tensor(x.swapaxes(-1, -2)), model.channel_qkv))
+            p = model.params
+            routes = ((tensor(x), p["temporal_qkv"]), (tensor(x.swapaxes(-1, -2)), p["channel_qkv"]))
             for inp, qkv in routes:
                 # the conv route takes its d x n input transposed, tokens on rows
                 out = route(transpose(inp) if kind == "mcdc" else inp, qkv)

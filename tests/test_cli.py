@@ -11,7 +11,7 @@ from mcdc import pipeline
 from mcdc.baselines import MODEL_KINDS, make_model
 from mcdc.checkpoint import load_checkpoint, save_checkpoint
 from mcdc.cli import _add_config_flags, build_parser, main
-from mcdc.data import NormStats, SplitPlan, load_series
+from mcdc.data import SPLIT_MODES, NormStats, SplitPlan, load_series
 from mcdc.evaluation import evaluate_model, roc_csv
 from mcdc.pipeline import (
     DEFAULT_SWEEP_GRID, PipelineError, RunConfig, _stage, build_windows, run_eval, run_sweep,
@@ -167,7 +167,7 @@ class TestTrainCommand:
     @pytest.mark.parametrize(
         "config,message",
         [
-            # the CLI's --split-mode choices cannot send this one
+            # --split-mode meets the same check (TestBadFlagValue)
             ({"seed": 9, "split_mode": "by-day"}, "split_mode must be one of ('sample', 'facility'), got 'by-day'"),
             # it used to end in numpy's TypeError traceback
             ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
@@ -235,6 +235,33 @@ class TestTrainCommand:
         )
         assert code == 1
         assert "does not exist" in capsys.readouterr().err
+
+
+class TestBadFlagValue:
+    """A flag with a fixed set of values is parsed as a plain string; the code
+    that uses it refuses a bad one: exit 1 and one error line naming the
+    field, not argparse's usage text and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["train", "--seed", "1", "--model", "bogus"], f"model must be one of {tuple(MODEL_KINDS)}, got 'bogus'"),
+            (["train", "--seed", "1", "--split-mode", "day"], f"split_mode must be one of {SPLIT_MODES}, got 'day'"),
+            (
+                ["eval", "--checkpoint", "c.json", "--data", "d.csv", "--plan", "p.json", "--side", "bogus"],
+                "side must be 'train' or 'test', got 'bogus'",
+            ),
+            (["verify", "--inject-fault", "bogus"], "inject_fault must be one of ('conv-kernel-grad',), got 'bogus'"),
+        ],
+    )
+    def test_refused_with_exit_1_and_one_error_line(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "x"
+        out_flag = [] if argv[0] == "verify" else ["--out", str(out)]
+        assert main([*argv, *out_flag]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestRunConfig:
@@ -513,6 +540,11 @@ class TestCompareCommand:
         assert not out.exists()
 
 
+TWO_CELLS = [
+    "--grid-kernel-temporal", "3,5", "--grid-kernel-channel", "4", "--grid-heads", "1", "--grid-temporal-len", "8",
+]
+
+
 class TestSweepCommand:
     def test_tiny_grid(self, tmp_path):
         out = tmp_path / "sweep"
@@ -566,6 +598,24 @@ class TestSweepCommand:
         assert capsys.readouterr().err.splitlines() == ["error: heads must be >= 1, got 0"]
         assert trained == []
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_refused_before_any_cell_trains(self, tmp_path, capsys, monkeypatch, workers):
+        # 0 and -1 used to run the cells serially without a word
+        trained = []
+        monkeypatch.setattr(pipeline, "train_fold", lambda *args, **kwargs: trained.append(args))
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--seed", "1", "--out", str(out), *TINY_FLAGS, *TWO_CELLS, "--workers", workers])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: workers must be >= 1, got {workers}"]
+        assert trained == []
+        assert not out.exists()
+
+    def test_process_pool_writes_the_serial_bytes(self, tmp_path):
+        for workers in ("1", "2"):
+            out = str(tmp_path / f"w{workers}")
+            assert main(["sweep", "--seed", "41", "--out", out, *TINY_FLAGS, *TWO_CELLS, "--workers", workers]) == 0
+        assert (tmp_path / "w1" / "sweep.csv").read_bytes() == (tmp_path / "w2" / "sweep.csv").read_bytes()
 
     def test_empty_grid_rejected(self, tmp_path):
         config = RunConfig(seed=1, out_dir=str(tmp_path))

@@ -20,6 +20,7 @@ from mcdc.data import (
     GasSeries,
     SplitPlan,
     fold0_sets,
+    fold_sets,
     _load_series_rows,
     interpolate_gaps,
     kfold,
@@ -298,6 +299,24 @@ class TestSplit:
         for a, b in zip(train + val, train_b + val_b):
             assert np.array_equal(a.values, b.values)
 
+    def test_fold_sets_partition_the_training_side(self):
+        windows = self._windows(10, 10)
+        plan = split(windows, "sample", 0.8, seed=9)
+        for fold in range(len(plan.folds)):
+            train, val = fold_sets(windows, plan, fold)
+            assert [id(w) for w in val] == [id(windows[i]) for i in plan.folds[fold]]
+            assert len(train) + len(val) == len(plan.train_indices)
+            assert {id(w) for w in train + val} == {id(windows[i]) for i in plan.train_indices}
+
+    def test_scale_windows_leaves_its_input_alone(self):
+        windows = self._windows(3, 4)
+        before = [w.values.copy() for w in windows]
+        stats = data.NormStats(np.arange(5.0), np.full(5, 2.0))
+        scaled = stats.scale_windows(windows)
+        assert all(np.array_equal(w.values, b) for w, b in zip(windows, before))
+        assert all(np.array_equal(s.values, stats.apply(b)) for s, b in zip(scaled, before))
+        assert stats.scale_windows([]) == []
+
     def test_plan_round_trips_json(self):
         plan = split(self._windows(10, 4), "sample", 0.8, seed=7)
         from mcdc.data import SplitPlan
@@ -350,9 +369,36 @@ class TestFacilitySplitReference:
             except DatasetError as exc:
                 with pytest.raises(DatasetError) as raised:
                     split(windows, "facility", train_fraction, seed=seed, k=4)
-                assert str(raised.value) == str(exc)
+                n_ids = len({w.transformer_id for w in windows})
+                n_train = int(n_ids * train_fraction)
+                if min(n_train, n_ids - n_train) < len({w.label.code for w in windows}):
+                    # a side with fewer transformers than conditions is refused
+                    # before the first shuffle, naming the counts
+                    assert f"the train side gets {n_train} and the test side {n_ids - n_train}" in str(raised.value)
+                else:
+                    assert str(raised.value) == str(exc)
                 continue
             assert split(windows, "facility", train_fraction, seed=seed, k=4).to_json() == expected
+
+    @pytest.mark.parametrize(
+        "recipe,counts",
+        [
+            ("default", "the train side gets 22 and the test side 6 of the 28 transformers"),
+            ("stability", "the train side gets 11 and the test side 3 of the 14 transformers"),
+        ],
+    )
+    def test_too_few_transformers_per_side_refused_before_any_shuffle(self, recipe, counts):
+        # it used to shuffle FACILITY_RETRIES times and then blame the last shuffle
+        windows = build_windows(synth_generate(load_recipe(recipe), seed=7), 12)
+        with mock.patch.object(data, "FACILITY_RETRIES", 0), pytest.raises(DatasetError) as raised:
+            split(windows, "facility", 0.8, seed=7)
+        expected = f"facility split cannot cover the 7 conditions on both sides: {counts}, one condition each"
+        assert str(raised.value) == expected
+
+    def test_feasible_recipe_split_unchanged(self):
+        windows = build_windows(synth_generate(load_recipe("facility_shift"), seed=7), 12)
+        expected = reference_facility_split(windows, 0.8, 7, 4).to_json()
+        assert split(windows, "facility", 0.8, seed=7, k=4).to_json() == expected
 
 
 def reference_overlapping_sample(series, window_len):

@@ -188,6 +188,34 @@ class TestWilcoxon:
         with pytest.raises(ValueError):
             wilcoxon_rank_sum([], [1.0])
 
+    @pytest.mark.parametrize(
+        "a,b,name",
+        [([0.5, np.nan], [0.25], "sample_a"), ([0.5], [np.inf, 0.0], "sample_b"), ([1.0], [-np.inf], "sample_b")],
+    )
+    def test_non_finite_sample_rejected_by_name(self, a, b, name):
+        # np.unique would rank every NaN as one tie group
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            wilcoxon_rank_sum(a, b)
+
+    def test_midranks_equal_the_tie_loop_byte_for_byte(self):
+        def loop_midranks(values):
+            order = np.argsort(values, kind="stable")
+            ranks = np.empty(values.size)
+            i = 0
+            while i < values.size:
+                j = i
+                while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+                    j += 1
+                ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+                i = j + 1
+            return ranks
+
+        rng = np.random.default_rng(10)
+        for trial in range(2000):
+            n = int(rng.integers(1, 30))
+            values = rng.integers(0, 5, size=n).astype(float) if trial % 2 else rng.normal(size=n)
+            assert _midranks(values).tobytes() == loop_midranks(values).tobytes()
+
     def test_exact_branch_vs_scipy_without_ties(self):
         rng = np.random.default_rng(5)
         for n1 in range(1, 9):

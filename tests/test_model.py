@@ -112,7 +112,7 @@ class TestStages:
 
         model = McdcModel(TINY, seed=6)
         x = tensor(np.random.default_rng(7).normal(size=(5, 8)))
-        q, k, _ = cnn_qkv(x, model.channel_qkv)
+        q, k, _ = cnn_qkv(x, model.params["channel_qkv"])
         assert attention_map(q, k).shape == (TINY.heads, 5, 5)
 
     def test_single_head_with_identity_mix_equals_head_output(self):
@@ -121,11 +121,11 @@ class TestStages:
 
         hyper = ModelHyper(temporal_len=8, heads=1, kernel_temporal=3, kernel_channel=4, ffn_hidden=6)
         model = McdcModel(hyper, seed=40)
-        model.mix_temporal.data[...] = np.eye(5)
+        model.params["temporal_mix"].data[...] = np.eye(5)
         x = tensor(np.random.default_rng(41).normal(size=(5, 8)))
         embedded = model.embed(x)
         stage = model.temporal_interaction(embedded)
-        head_out = cnn_attention(transpose(embedded), model.temporal_qkv)
+        head_out = cnn_attention(transpose(embedded), model.params["temporal_qkv"])
         assert head_out.shape == (1, 5, 8)
         assert np.allclose(stage.data, head_out.data[0], atol=1e-12)
 

@@ -226,7 +226,7 @@ class TestTrainFold:
 
     def test_nan_parameter_stops_training_naming_epoch_and_batch(self):
         model = tiny_model(seed=19)
-        model.ffn_w2.data[0, 0] = np.nan
+        model.params["ffn_w2"].data[0, 0] = np.nan
         config = TrainConfig(seed=20, epochs=3, batch_size=8)
         with pytest.raises(ValueError, match=r"diverged at epoch 0, batch 0: loss nan"):
             train_fold(model, two_class_windows(5), two_class_windows(2), config)
@@ -319,7 +319,7 @@ class TestCrossValidate:
         def make(fold):
             model = tiny_model(seed=400 + fold)
             if fold == 1:
-                model.channel_qkv.data[0, 0, 0] = np.nan
+                model.params["channel_qkv"].data[0, 0, 0] = np.nan
             return model
 
         with pytest.raises(ValueError, match=r"^fold 1: training diverged at epoch 0, batch 0"):
