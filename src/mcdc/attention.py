@@ -32,10 +32,10 @@ from .tensor import (
     matmul,
     parameter,
     scale,
-    softmax_axis,
+    softmax_cols,
     split,
-    stack,
     transpose,
+    unit_stack,
 )
 
 __all__ = [
@@ -83,7 +83,7 @@ def attention_map(q: Tensor, k: Tensor) -> Tensor:
         raise DimensionError(f"query/key shapes differ: {q.shape} vs {k.shape}")
     d = q.shape[-2]
     scores = scale(matmul(transpose(k), q), 1.0 / math.sqrt(d))
-    return softmax_axis(scores, "col")
+    return softmax_cols(scores)
 
 
 def attend(v: Tensor, amap: Tensor) -> Tensor:
@@ -103,9 +103,9 @@ def matrix_attention(inp: Tensor, weights: Tensor) -> Tensor:
     """All heads of a matrix route on `inp` (d x n or a stack): (..., H, d, n).
 
     `weights` is the route's (3H, d, d) stack (see new_qkv). Each projection
-    is one matmul of its (H, d, d) part with the input given a head axis of
-    length 1, which broadcasts it over the heads.
+    is one matmul of its (H, d, d) part with a unit_stack view of the input,
+    whose head axis of length 1 broadcasts it over the heads.
     """
-    x = stack([inp])
+    x = unit_stack(inp)
     q, k, v = (matmul(w, x) for w in split(weights, 3))
     return attend(v, attention_map(q, k))

@@ -15,7 +15,7 @@ import numpy as np
 from .conditions import N_CONDITIONS
 from .model import Classifier, McdcModel, ModelHyper, N_CHANNELS, check_int_fields
 from .tensor import (
-    DimensionError, Tensor, add, glorot, matmul, parameter, reshape, sigmoid, softmax_axis, tensor, transpose,
+    Tensor, add, glorot, matmul, parameter, reshape, sigmoid, softmax_cols, tensor, transpose,
 )
 
 __all__ = ["AnnHyper", "AnnModel", "MODEL_KINDS", "kind_of", "make_hyper", "make_model"]
@@ -57,10 +57,7 @@ class AnnModel(Classifier):
 
     def _input_column(self, window: np.ndarray) -> Tensor:
         """The input column of one 5 x T window, or of each window of a stack."""
-        if window.ndim not in (2, 3) or window.shape[-2:] != (N_CHANNELS, self.hyper.temporal_len):
-            raise DimensionError(
-                f"window shape {window.shape} is not ({N_CHANNELS}, {self.hyper.temporal_len}) or a stack of those"
-            )
+        self._check_window(window.shape)
         if self.hyper.input_mode == "last_day":
             return tensor(np.ascontiguousarray(window[..., -1:]))
         return reshape(tensor(window), (N_CHANNELS * self.hyper.temporal_len, 1))
@@ -71,7 +68,7 @@ class AnnModel(Classifier):
         h1 = sigmoid(add(matmul(p["ann_w1"], x), p["ann_b1"]))
         h2 = sigmoid(add(matmul(p["ann_w2"], h1), p["ann_b2"]))
         logits = add(matmul(p["ann_w3"], h2), p["ann_b3"])
-        return transpose(softmax_axis(logits, "col"))
+        return transpose(softmax_cols(logits))
 
 
 MODEL_KINDS = {

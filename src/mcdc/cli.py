@@ -63,8 +63,16 @@ def _int_list(text: str) -> list[int]:
     return [int(v) for v in text.split(",") if v]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's refusals as ValueErrors, so main reports them as one
+    `error:` line and exit 1; subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcdc",
         description="Train and evaluate the gas time-series condition classifier.",
     )
@@ -184,8 +192,8 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (PipelineError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

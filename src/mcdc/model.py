@@ -22,7 +22,7 @@ from .tensor import (
     parameter,
     reshape,
     sigmoid,
-    softmax_axis,
+    softmax_cols,
     tensor,
     transpose,
 )
@@ -108,6 +108,12 @@ class Classifier:
                 raise ValueError(f"parameter {name}: non-finite values")
             p.data[...] = src
 
+    def _check_window(self, shape: tuple[int, ...]) -> None:
+        """Refuse any shape but one 5 x T window or a stack of those."""
+        want = (N_CHANNELS, self.hyper.temporal_len)
+        if len(shape) not in (2, 3) or shape[-2:] != want:
+            raise DimensionError(f"window shape {shape} is not {want} or a stack of those")
+
     def predict_proba(self, x) -> np.ndarray:
         """(n_classes,) probabilities for one 5 x T window, (B, n_classes) for
         a stack of B windows; row i of a stack equals window i scored alone."""
@@ -158,10 +164,7 @@ class McdcModel(Classifier):
     # stage operations
 
     def embed(self, x: Tensor) -> Tensor:
-        if x.data.ndim not in (2, 3) or x.shape[-2:] != (N_CHANNELS, self.hyper.temporal_len):
-            raise DimensionError(
-                f"input shape {x.shape} is not ({N_CHANNELS}, {self.hyper.temporal_len}) or a stack of those"
-            )
+        self._check_window(x.shape)
         return add(x, self._pe)
 
     def _route(self, x: Tensor, qkv: Tensor, tokens: str) -> Tensor:
@@ -175,11 +178,12 @@ class McdcModel(Classifier):
 
     def temporal_interaction(self, embedded: Tensor) -> Tensor:
         heads = self._route(embedded, self.params["temporal_qkv"], "cols")
-        return matmul(self.params["temporal_mix"], merge_stack(heads, "rows"))
+        return matmul(self.params["temporal_mix"], merge_stack(heads))
 
     def channel_interaction(self, mixed: Tensor) -> Tensor:
+        """Heads (..., H, T, 5) joined along rows, transposed and mixed to 5 x T."""
         heads = self._route(mixed, self.params["channel_qkv"], "rows")
-        return matmul(merge_stack(transpose(heads), "cols"), self.params["channel_mix"])
+        return matmul(transpose(merge_stack(heads)), self.params["channel_mix"])
 
     def project_logits(self, z: Tensor) -> Tensor:
         p = self.params
@@ -188,10 +192,10 @@ class McdcModel(Classifier):
         return add(matmul(p["ffn_w2"], hidden), p["ffn_b2"])
 
     def project(self, z: Tensor) -> Tensor:
-        return transpose(softmax_axis(self.project_logits(z), "col"))
+        return transpose(softmax_cols(self.project_logits(z)))
 
-    def _stages(self, x) -> dict[str, Tensor]:
-        embedded = self.embed(x if isinstance(x, Tensor) else tensor(x))
+    def _stages(self, x: np.ndarray) -> dict[str, Tensor]:
+        embedded = self.embed(tensor(x))
         temporal = self.temporal_interaction(embedded)
         mixed = add(temporal, embedded)
         channel = self.channel_interaction(mixed)

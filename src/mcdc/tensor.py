@@ -41,12 +41,12 @@ __all__ = [
     "reshape",
     "scale",
     "sigmoid",
-    "softmax_axis",
+    "softmax_cols",
     "split",
-    "stack",
     "sum_all",
     "tensor",
     "transpose",
+    "unit_stack",
 ]
 
 
@@ -281,60 +281,36 @@ def reshape(a: Tensor, shape: tuple[int, int]) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def stack(parts: list[Tensor]) -> Tensor:
-    """Stack same-shape tensors on a new axis just before the matrix axes:
-    S parts of shape (..., r, c) give (..., S, r, c)."""
-    shape = parts[0].shape
-    for p in parts:
-        if p.shape != shape:
-            raise DimensionError(f"stack shapes differ: {shape} vs {p.shape}")
-    # np.array of 2-D parts (a matrix route's one-window input) is several
-    # times faster than np.stack; parts with stack axes move the
-    # new axis from the front to just before the matrix axes
-    data = np.array([p.data for p in parts])  # (S, ..., r, c)
-    if data.ndim > 3:
-        data = np.ascontiguousarray(np.moveaxis(data, 0, -3))
-    out = Tensor(data)
+def unit_stack(x: Tensor) -> Tensor:
+    """A view of `x` with a unit stack axis before the matrix axes: (..., r, c)
+    gives (..., 1, r, c), which broadcasts against an (S, r', c') stack."""
+    out = Tensor(x.data[..., None, :, :])
 
     def bw(g):
-        for i, p in enumerate(parts):
-            _accum(p, g[..., i, :, :])
+        _accum(x, g[..., 0, :, :])
 
-    return _record(out, tuple(parts), bw)
+    return _record(out, (x,), bw)
 
 
-def merge_stack(x: Tensor, axis: str) -> Tensor:
-    """Join the S matrices of the innermost stack axis into one matrix:
-    (..., S, r, c) gives (..., S*r, c) for "rows", with matrix s in row block
-    s, or (..., r, S*c) for "cols", with matrix s in column block s: the
-    S parts joined end to end along that axis. For a C-contiguous stack, what
-    matmul and transpose give, the result is C-contiguous: "rows" is a
-    reshape copy, "cols" the reshape of the (..., r, S, c) swapaxes view,
-    and the "cols" gradient swaps the same two axes back."""
-    if axis not in ("rows", "cols"):
-        raise ValueError(f"axis must be 'rows' or 'cols', got {axis!r}")
+def merge_stack(x: Tensor) -> Tensor:
+    """Join the matrices of the innermost stack axis end to end along the rows,
+    as one C-contiguous copy: (..., S, r, c) gives (..., S*r, c)."""
     if x.data.ndim < 3:
         raise DimensionError(f"merge_stack needs a stack, got shape {x.shape}")
     *lead, s, r, c = x.shape
-    if axis == "rows":
-        out = Tensor(x.data.reshape(*lead, s * r, c).copy())
-    else:
-        out = Tensor(x.data.swapaxes(-3, -2).reshape(*lead, r, s * c))
+    out = Tensor(x.data.reshape(*lead, s * r, c).copy())
 
     def bw(g):
-        if axis == "rows":
-            _accum(x, g.reshape(x.shape))
-        else:
-            _accum(x, g.reshape(*lead, r, s, c).swapaxes(-3, -2))
+        _accum(x, g.reshape(x.shape))
 
     return _record(out, (x,), bw)
 
 
 def split(x: Tensor, parts: int) -> list[Tensor]:
-    """Cut the innermost stack axis into `parts` equal runs, the inverse of
-    stack: (..., P*S, r, c) gives P views (..., S, r, c), part p holding
-    matrices p*S to p*S + S - 1. Each part is one node; their gradients are
-    added into one buffer of x's shape, each into its own run."""
+    """Cut the innermost stack axis into `parts` equal runs: (..., P*S, r, c)
+    gives P views (..., S, r, c), part p holding matrices p*S to p*S + S - 1.
+    Each part is one node; their gradients are added into one buffer of x's
+    shape, each into its own run."""
     if x.data.ndim < 3:
         raise DimensionError(f"split needs a stack, got shape {x.shape}")
     if parts < 1 or x.shape[-3] % parts:
@@ -437,18 +413,14 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
     return _record(out, (signal, bank), bw)
 
 
-def softmax_axis(x: Tensor, axis: str) -> Tensor:
-    """Softmax over each row ("row") or each column ("col") of every matrix
-    of the stack, max-stabilized."""
-    if axis not in ("row", "col"):
-        raise ValueError(f"axis must be 'row' or 'col', got {axis!r}")
-    red = -2 if axis == "col" else -1
-    e = np.exp(x.data - x.data.max(axis=red, keepdims=True))
-    y = e / e.sum(axis=red, keepdims=True)
+def softmax_cols(x: Tensor) -> Tensor:
+    """Softmax over each column of every matrix of the stack, max-stabilized."""
+    e = np.exp(x.data - x.data.max(axis=-2, keepdims=True))
+    y = e / e.sum(axis=-2, keepdims=True)
     out = Tensor(y)
 
     def bw(g):
-        dot = (y * g).sum(axis=red, keepdims=True)
+        dot = (y * g).sum(axis=-2, keepdims=True)
         _accum(x, y * (g - dot))
 
     return _record(out, (x,), bw)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import CdgdWindow, fold_sets
 from .model import check_int_fields
-from .tensor import Tape, backward, cross_entropy
+from .tensor import Tape, backward, cross_entropy, tensor
 
 __all__ = [
     "AdamState",
@@ -170,9 +170,8 @@ def evaluate_windows(model, windows: list[CdgdWindow]) -> tuple[float, float]:
     """(mean cross-entropy, accuracy) without touching any tape."""
     probs = score_windows(model, windows)
     labels = np.array([w.label.code for w in windows])
-    n = len(windows)
-    loss = -np.log(np.maximum(probs[np.arange(n), labels], 1e-12)).sum() / n
-    return float(loss), int((probs.argmax(axis=1) == labels).sum()) / n
+    loss = cross_entropy(tensor(probs[:, None, :]), labels).item()
+    return loss, int((probs.argmax(axis=1) == labels).sum()) / len(windows)
 
 
 def _batch_loss(model, batch: list[CdgdWindow]):

@@ -1,10 +1,12 @@
 """Plain reference ops that the engine does not ship: joining separate
 tensors end to end along the rows or the columns of their matrices.
 
-The model joins a route's heads with `tensor.merge_stack`; these are the
-per-part forms it is held to (tests/test_tensor.py) and the join of the
-per-head reference forward (tests/test_attention.py). They record on the
-active tape like any engine op.
+The model joins a route's heads along the rows with `tensor.merge_stack`,
+which is held to `concat_rows` (tests/test_tensor.py). The per-head
+reference forward (tests/test_attention.py) joins the temporal route's
+heads with `concat_rows` and the channel route's with `concat_cols`, where
+the model transposes its row join instead. They record on the active tape
+like any engine op.
 """
 
 from __future__ import annotations

@@ -204,13 +204,13 @@ def heads_of(qkv):
 def reference_cnn_head(inp, kernels):
     tokens_rows = transpose(inp)
     # each kernel alone as a one-kernel bank; merge_stack drops the bank axis
-    q, k, v = (transpose(merge_stack(conv1d(tokens_rows, kern), "rows")) for kern in kernels)
+    q, k, v = (transpose(merge_stack(conv1d(tokens_rows, kern))) for kern in kernels)
     return attend(v, attention_map(q, k))
 
 
 def reference_matrix_head(inp, matrices):
     # merge_stack turns each (1, d, d) part into its d x d matrix
-    q, k, v = (matmul(merge_stack(w, "rows"), inp) for w in matrices)
+    q, k, v = (matmul(merge_stack(w), inp) for w in matrices)
     return attend(v, attention_map(q, k))
 
 

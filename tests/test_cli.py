@@ -54,9 +54,11 @@ class TestGenData:
         total_rows = sum(s.days.size for s in series)
         assert len(a.read_text().strip().splitlines()) == total_rows + 1
 
-    def test_seed_required(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["gen-data", "--out", "/tmp/x.csv"])
+    def test_seed_required(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["gen-data", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: the following arguments are required: --seed"]
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "flags,message",
@@ -378,6 +380,35 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and f"{bad}: {message}" in err
         assert "Traceback" not in err
+
+
+class TestArgparseRefusals:
+    """argparse's own refusals leave through main's one `error:` path: exit 1,
+    one line that names the flag, no usage text and nothing written."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["train", "--seed", "1", "--heads", "two"], "argument --heads: invalid int value: 'two'"),
+            (["gen-data", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+            (["compare", "--seed", "1", "--repetitions", "2.5"], "argument --repetitions: invalid int value: '2.5'"),
+            (["sweep", "--seed", "1", "--grid-heads", "a,b"], "argument --grid-heads: invalid"),
+            (["train", "--seed", "1", "--bogus", "3"], "unrecognized arguments: --bogus 3"),
+            (["bogus", "--seed", "1"], "argument command: invalid choice: 'bogus'"),
+        ],
+    )
+    def test_refusal_exits_1_with_one_error_line(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        assert "--heads" in capsys.readouterr().out
 
 
 class TestDeterminism:

@@ -11,7 +11,7 @@ from mcdc.baselines import MODEL_KINDS, kind_of, make_model
 from mcdc.conditions import N_CONDITIONS
 from mcdc.model import McdcModel, ModelHyper, positional_encoding
 from mcdc.pipeline import DEFAULT_SWEEP_GRID
-from mcdc.tensor import DimensionError, Tape, backward, cross_entropy, grad_check, softmax_axis, tensor
+from mcdc.tensor import DimensionError, Tape, backward, cross_entropy, grad_check, softmax_cols, tensor
 
 TINY = ModelHyper(temporal_len=8, heads=2, kernel_temporal=3, kernel_channel=4, ffn_hidden=6)
 
@@ -274,7 +274,7 @@ class TestExportActivations:
         model = McdcModel(replace(TINY, attention=variant), seed=34)
         x = np.random.default_rng(35).normal(size=(5, 8))
         logits = model.export_activations(x)["logits"]
-        assert np.array_equal(softmax_axis(tensor(logits), "row").data, model.forward(x).data)
+        assert np.array_equal(softmax_cols(tensor(logits.T)).data.T, model.forward(x).data)
 
     def test_deterministic(self):
         model = McdcModel(TINY, seed=31)

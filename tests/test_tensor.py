@@ -23,14 +23,14 @@ from mcdc.tensor import (
     reshape,
     scale,
     sigmoid,
-    softmax_axis,
+    softmax_cols,
     split,
-    stack,
     sum_all,
     tensor,
     transpose,
+    unit_stack,
 )
-from reference_ops import concat_cols, concat_rows
+from reference_ops import concat_rows
 
 
 def naive_matmul(a, b):
@@ -200,12 +200,12 @@ class TestConv1d:
 
 class TestSoftmax:
     def test_equal_scores(self):
-        out = softmax_axis(tensor([[0.0], [0.0]]), axis="col")
+        out = softmax_cols(tensor([[0.0], [0.0]]))
         assert np.allclose(out.data, [[0.5], [0.5]])
 
     def test_shift_stability_no_overflow(self):
         big = 1e6
-        out = softmax_axis(tensor([[big], [big - 20.0]]), axis="col")
+        out = softmax_cols(tensor([[big], [big - 20.0]]))
         assert np.all(np.isfinite(out.data))
         assert out.data[0, 0] == pytest.approx(1.0, abs=1e-8)
         assert out.data[1, 0] == pytest.approx(math.exp(-20.0), rel=1e-6)
@@ -214,20 +214,14 @@ class TestSoftmax:
         rng = np.random.default_rng(4)
         for _ in range(20):
             x = rng.uniform(-100, 100, size=(4, 4))
-            out = softmax_axis(tensor(x), axis="col")
+            out = softmax_cols(tensor(x))
             assert np.allclose(out.data.sum(axis=0), 1.0, atol=1e-12)
-
-    def test_rows_sum_to_one(self):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(3, 5))
-        out = softmax_axis(tensor(x), axis="row")
-        assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 4))
-        a = softmax_axis(tensor(x), axis="col")
-        b = softmax_axis(tensor(x + 7.25), axis="col")
+        a = softmax_cols(tensor(x))
+        b = softmax_cols(tensor(x + 7.25))
         assert np.allclose(a.data, b.data, atol=1e-12)
 
 
@@ -383,12 +377,7 @@ class TestFiniteDifferences:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_softmax_col(self, seed):
-        err = _fd_case(lambda x: sum_all(mul(softmax_axis(x, "col"), x)), [(4, 3)], seed)
-        assert err < 1e-4
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_softmax_row(self, seed):
-        err = _fd_case(lambda x: sum_all(mul(softmax_axis(x, "row"), x)), [(3, 4)], seed)
+        err = _fd_case(lambda x: sum_all(mul(softmax_cols(x), x)), [(4, 3)], seed)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
@@ -399,7 +388,7 @@ class TestFiniteDifferences:
     @pytest.mark.parametrize("seed", range(10))
     def test_cross_entropy_through_softmax(self, seed):
         err = _fd_case(
-            lambda x: cross_entropy(transpose(softmax_axis(x, "col")), seed % 4),
+            lambda x: cross_entropy(transpose(softmax_cols(x)), seed % 4),
             [(4, 1)],
             seed,
         )
@@ -449,37 +438,35 @@ class TestStackFiniteDifferences:
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("axis", ["col", "row"])
-    def test_softmax_per_sample(self, seed, axis):
-        err = _fd_case(lambda s, w: sum_all(mul(softmax_axis(add(s, w), axis), s)), [(3, 4, 3), (4, 3)], seed)
+    def test_softmax_per_sample(self, seed):
+        err = _fd_case(lambda s, w: sum_all(mul(softmax_cols(add(s, w)), s)), [(3, 4, 3), (4, 3)], seed)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
     def test_cross_entropy_label_vector(self, seed):
         labels = np.random.default_rng(seed).integers(0, 4, size=3)
         err = _fd_case(
-            lambda w, s: cross_entropy(transpose(softmax_axis(matmul(w, s), "col")), labels), [(4, 5), (3, 5, 1)], seed
+            lambda w, s: cross_entropy(transpose(softmax_cols(matmul(w, s))), labels), [(4, 5), (3, 5, 1)], seed
         )
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
     def test_conv_kernel_stack_and_signal(self, seed):
-        def f(sig, k0, k1, k2):
-            return sum_all(sigmoid(conv1d(sig, stack([k0, k1, k2]))))
-
-        err = _fd_case(f, [(2, 3, 7), (1, 4), (1, 4), (1, 4)], seed)
+        err = _fd_case(lambda sig, bank: sum_all(sigmoid(conv1d(sig, bank))), [(2, 3, 7), (3, 1, 4)], seed)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_head_stack_broadcast_over_a_batch(self, seed):
-        # an (H, r, c) stack of parameters times a (B, 1, c, n) batch, then
-        # the head axis merged into rows and into columns
-        def f(w0, w1, x):
-            heads = matmul(stack([w0, w1]), stack([x]))
-            cols = merge_stack(heads, "cols")
-            return add(sum_all(sigmoid(merge_stack(heads, "rows"))), sum_all(mul(cols, cols)))
+    @pytest.mark.parametrize("batch", [(), (2,)])
+    def test_head_stack_broadcast_over_a_batch(self, seed, batch):
+        # an (H, d, d) stack of parameters times the (..., 1, d, n) unit_stack
+        # view of one window or a batch, then the head axis merged into rows,
+        # as the temporal route does, and transposed, as the channel route does
+        def f(w, x):
+            merged = merge_stack(matmul(w, unit_stack(x)))
+            cols = transpose(merged)
+            return add(sum_all(sigmoid(merged)), sum_all(mul(cols, cols)))
 
-        err = _fd_case(f, [(3, 4), (3, 4), (2, 4, 5)], seed)
+        err = _fd_case(f, [(2, 4, 4), batch + (4, 5)], seed)
         assert err < 1e-4
 
 
@@ -617,35 +604,26 @@ class TestStacks:
     def test_merge_stack_equals_concat_of_the_parts(self):
         rng = np.random.default_rng(18)
         x = rng.normal(size=(4, 3, 2, 5))
-        parts = [tensor(x[:, h]) for h in range(3)]
-        rows = merge_stack(tensor(x), "rows").data
-        cols = merge_stack(tensor(x), "cols").data
-        assert rows.tobytes() == concat_rows(parts).data.tobytes() and rows.flags.c_contiguous
-        assert cols.tobytes() == concat_cols(parts).data.tobytes() and cols.flags.c_contiguous
-        assert rows.shape == (4, 6, 5) and cols.shape == (4, 2, 15)
+        rows = merge_stack(tensor(x)).data
+        assert rows.tobytes() == concat_rows([tensor(x[:, h]) for h in range(3)]).data.tobytes()
+        assert rows.flags.c_contiguous and rows.shape == (4, 6, 5)
         with pytest.raises(DimensionError):
-            merge_stack(tensor(np.zeros((2, 3))), "rows")
+            merge_stack(tensor(np.zeros((2, 3))))
 
-    def test_stack_puts_the_new_axis_before_the_matrix(self):
-        rng = np.random.default_rng(19)
-        a, b = rng.normal(size=(4, 2, 3)), rng.normal(size=(4, 2, 3))
-        out = stack([tensor(a), tensor(b)]).data
-        assert out.shape == (4, 2, 2, 3) and out.flags.c_contiguous
-        assert np.array_equal(out[:, 0], a) and np.array_equal(out[:, 1], b)
-        assert stack([tensor(a[0]), tensor(b[0])]).shape == (2, 2, 3)
-        with pytest.raises(DimensionError):
-            stack([tensor(a), tensor(b[0])])
+    @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+    def test_unit_stack_is_a_view_with_a_unit_axis_before_the_matrix(self, lead):
+        x = tensor(np.random.default_rng(19).normal(size=lead + (2, 3)))
+        out = unit_stack(x).data
+        assert out.shape == lead + (1, 2, 3)
+        assert np.shares_memory(out, x.data) and np.array_equal(out[..., 0, :, :], x.data)
 
-    def test_split_is_the_inverse_of_stack(self):
+    def test_split_cuts_the_stack_axis_into_equal_runs(self):
         rng = np.random.default_rng(20)
         parts = [rng.normal(size=(4, 2, 2, 3)) for _ in range(3)]
         whole = np.concatenate(parts, axis=-3)
         out = split(tensor(whole), 3)
         assert [p.shape for p in out] == [(4, 2, 2, 3)] * 3
         assert all(np.array_equal(p.data, q) for p, q in zip(out, parts))
-        assert [p.data.tobytes() for p in split(stack([tensor(q[0, 0]) for q in parts]), 3)] == [
-            q[0, :1].tobytes() for q in parts
-        ]
 
     def test_split_records_one_node_per_part_and_one_gradient_buffer(self):
         x = parameter(np.random.default_rng(21).normal(size=(2, 6, 3, 3)))
@@ -707,7 +685,7 @@ class TestFiniteness:
         for _ in range(50):
             x = rng.uniform(-100, 100, size=(4, 5))
             k = rng.uniform(-5, 5, size=(1, 1, 3))
-            assert np.all(np.isfinite(softmax_axis(tensor(x), "col").data))
+            assert np.all(np.isfinite(softmax_cols(tensor(x)).data))
             assert np.all(np.isfinite(sigmoid(tensor(x)).data))
             assert np.all(np.isfinite(conv1d(tensor(x), tensor(k)).data))
             assert np.all(np.isfinite(matmul(tensor(x), tensor(x.T)).data))

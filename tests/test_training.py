@@ -163,6 +163,29 @@ def tiny_model(seed=3, t_len=8):
     return McdcModel(hyper, seed)
 
 
+class TestEvaluateWindows:
+    @pytest.mark.parametrize("kind", ["conv", "matrix", "ann"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_loss_is_the_formula_it_replaced_byte_for_byte(self, kind, seed):
+        # the validation loss that early stopping reads, against the mean
+        # cross-entropy written out as evaluate_windows used to compute it;
+        # 70 windows span two SCORE_CHUNK stacks
+        rng = np.random.default_rng(seed)
+        windows = [CdgdWindow("t", i, rng.normal(size=(5, 8)), by_code(int(rng.integers(7)))) for i in range(70)]
+        if kind == "ann":
+            model = AnnModel(AnnHyper(temporal_len=8, input_mode="window"), seed)
+        else:
+            hyper = ModelHyper(temporal_len=8, heads=2, kernel_temporal=3, kernel_channel=4, attention=kind)
+            model = McdcModel(hyper, seed)
+        loss, acc = evaluate_windows(model, windows)
+        probs = training.score_windows(model, windows)
+        labels = np.array([w.label.code for w in windows])
+        n = len(windows)
+        ref = -np.log(np.maximum(probs[np.arange(n), labels], 1e-12)).sum() / n
+        assert type(loss) is float and np.float64(loss).tobytes() == ref.tobytes()
+        assert acc == int((probs.argmax(axis=1) == labels).sum()) / n
+
+
 class TestTrainFold:
     def test_separable_data_reaches_full_accuracy(self):
         windows = two_class_windows()
