@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import N_CONDITIONS
-from .model import Classifier, McdcModel, ModelHyper, N_CHANNELS, check_int_fields
+from .model import Classifier, McdcModel, ModelHyper, N_CHANNELS, check_field_types
 from .tensor import (
     Tensor, add, glorot, matmul, parameter, reshape, sigmoid, softmax_cols, tensor, transpose,
 )
@@ -32,7 +32,7 @@ class AnnHyper:
     n_classes: int = N_CONDITIONS
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_field_types(self)
         for name in ("temporal_len", "hidden1", "hidden2"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -60,7 +60,11 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v]
+    try:
+        return [int(v) for v in text.split(",") if v]
+    except ValueError:
+        # argparse would name this function in its own message
+        raise argparse.ArgumentTypeError(f"a grid list is comma-separated integers, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):

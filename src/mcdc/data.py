@@ -302,9 +302,6 @@ class NormStats:
         scaled = self.apply(np.stack([w.values for w in windows])) if windows else []
         return [CdgdWindow(w.transformer_id, w.start_day, values, w.label) for w, values in zip(windows, scaled)]
 
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std[:, None] + self.mean[:, None]
-
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 

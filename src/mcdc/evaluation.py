@@ -176,9 +176,7 @@ def evaluate_model(model, windows) -> EvalReport:
 
     `model.predict_proba` must take a stack (B, 5, T) of windows and return
     (B, n_classes). It is called on stacks of at most
-    `training.SCORE_CHUNK` (64) windows, each stacked only when it is scored:
-    one stack of a whole 3,197-window set took 36 MB more peak memory, a
-    64-window stack about 1 MB.
+    `training.SCORE_CHUNK` windows, each stacked only when it is scored.
     """
     truths = np.array([w.label.code for w in windows])
     probs = score_windows(model, windows)
@@ -289,7 +287,7 @@ def compare(
     Each fitter is called as fitter(train_windows, val_windows, seed) and
     must return an object whose predict_proba maps a stack (B, 5, T) of
     windows to (B, n_classes) probabilities; evaluate_model scores the test
-    side in stacks of at most 64 windows. Fold 0 of the split's k-fold
+    side in stacks of at most `training.SCORE_CHUNK` windows. Fold 0 of the split's k-fold
     assignment serves as the shared validation part. Reports per-model mean
     accuracy, the largest deviation of any repetition from that mean
     (max mean error), repetition-mean macro metrics, and pairwise rank-sum

@@ -33,14 +33,26 @@ N_CHANNELS = 5
 ATTENTIONS = ("conv", "matrix")
 
 
-def check_int_fields(config) -> None:
-    """Refuse, by name, a dataclass field annotated `int` whose value is not
-    an int; a bool is not one, so `"2"`, 2.5 and True fail before any check
-    or stage can misread them."""
+# a field's annotation -> the types its value may have, and their name in a refusal
+_FIELD_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+}
+
+
+def check_field_types(config) -> None:
+    """Refuse, by name, a dataclass field annotated `int`, `float`, `str` or
+    `str | None` whose value has another type; a bool is never one, so
+    `"2"`, 2.5 or True for an int and `"0.1"` for a float fail before any
+    check or stage can misread them."""
     for f in fields(config):
-        value = getattr(config, f.name)
-        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type in _FIELD_TYPES:
+            types, name = _FIELD_TYPES[f.type]
+            value = getattr(config, f.name)
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ValueError(f"{f.name} must be {name}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,7 +66,7 @@ class ModelHyper:
     attention: str = "conv"  # "conv" or "matrix"
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_field_types(self)
         for name in ("temporal_len", "heads", "kernel_temporal", "kernel_channel", "ffn_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -185,36 +197,16 @@ class McdcModel(Classifier):
         heads = self._route(mixed, self.params["channel_qkv"], "rows")
         return matmul(transpose(merge_stack(heads)), self.params["channel_mix"])
 
-    def project_logits(self, z: Tensor) -> Tensor:
+    def project(self, z: Tensor) -> Tensor:
         p = self.params
         flat = reshape(z, (N_CHANNELS * self.hyper.temporal_len, 1))
         hidden = sigmoid(add(matmul(p["ffn_w1"], flat), p["ffn_b1"]))
-        return add(matmul(p["ffn_w2"], hidden), p["ffn_b2"])
-
-    def project(self, z: Tensor) -> Tensor:
-        return transpose(softmax_cols(self.project_logits(z)))
-
-    def _stages(self, x: np.ndarray) -> dict[str, Tensor]:
-        embedded = self.embed(tensor(x))
-        temporal = self.temporal_interaction(embedded)
-        mixed = add(temporal, embedded)
-        channel = self.channel_interaction(mixed)
-        return {
-            "embedded": embedded,
-            "temporal": temporal,
-            "temporal_plus_embedded": mixed,
-            "channel": channel,
-            "channel_plus_temporal": add(channel, temporal),
-        }
+        return transpose(softmax_cols(add(matmul(p["ffn_w2"], hidden), p["ffn_b2"])))
 
     def forward(self, x) -> Tensor:
         """Probability row vector (1 x n_classes) for one 5 x T window, or a
         stack of them (B x 1 x n_classes) for a stack of B windows."""
-        return self.project(self._stages(x)["channel_plus_temporal"])
-
-    def export_activations(self, x) -> dict[str, np.ndarray]:
-        """Copies of every stage output, for external feature analysis."""
-        stages = self._stages(x)
-        out = {name: t.data.copy() for name, t in stages.items()}
-        out["logits"] = transpose(self.project_logits(stages["channel_plus_temporal"])).data.copy()
-        return out
+        embedded = self.embed(tensor(x))
+        temporal = self.temporal_interaction(embedded)
+        channel = self.channel_interaction(add(temporal, embedded))
+        return self.project(add(channel, temporal))

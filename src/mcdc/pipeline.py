@@ -28,7 +28,7 @@ from .data import (
     write_series_csv,
 )
 from .evaluation import compare_plans, evaluate_model, roc_csv, split_repetitions
-from .model import ModelHyper
+from .model import ModelHyper, check_field_types
 from .synth import load_recipe, synth_generate
 from .training import TrainConfig, cross_validate, history_to_csv, train_fold
 
@@ -97,7 +97,8 @@ class RunConfig:
     def __post_init__(self):
         if self.seed is None:
             raise ValueError("seed is mandatory; pass --seed or set it in the config file")
-        if not isinstance(self.seed, int) or self.seed < 0:
+        check_field_types(self)
+        if self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.split_mode not in SPLIT_MODES:
             raise ValueError(f"split_mode must be one of {SPLIT_MODES}, got {self.split_mode!r}")
@@ -120,6 +121,10 @@ class RunConfig:
         if path:
             with open(path, encoding="utf-8") as fh:
                 raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError(f"config file {path} must hold a JSON object, got {type(raw).__name__}")
+        if not isinstance(raw.get("train", {}), dict):
+            raise ValueError(f"train must be a JSON object, got {type(raw['train']).__name__}")
         for key, value in overrides.items():
             if value is not None:
                 raw[key] = {**raw.get("train", {}), **value} if key == "train" else value
@@ -210,7 +215,6 @@ def run_train(config: RunConfig) -> dict:
         "paths": paths,
         "best_fold": result.best_fold,
         "fold_val_accuracies": result.fold_val_accuracies,
-        "mean_curves": result.mean_curves(),
     }
 
 

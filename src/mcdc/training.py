@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CdgdWindow, fold_sets
-from .model import check_int_fields
+from .model import check_field_types
 from .tensor import Tape, backward, cross_entropy, tensor
 
 __all__ = [
@@ -54,7 +54,7 @@ class TrainConfig:
     folds: int = 4
 
     def __post_init__(self):
-        check_int_fields(self)
+        check_field_types(self)
         epochs_at = [e for e, _ in self.lr_decay]
         if epochs_at != sorted(set(epochs_at)):
             raise ValueError(f"decay epochs must be strictly increasing, got {epochs_at}")
@@ -66,6 +66,12 @@ class TrainConfig:
         for name, rate in [("lr0", self.lr0), *((f"lr_decay rate at epoch {e}", lr) for e, lr in self.lr_decay)]:
             if not rate > 0:
                 raise ValueError(f"{name} must be > 0, got {rate}")
+        # Adam's moment decays: each bias correction 1 - beta**t is 0 at 1 and changes sign above
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
 
 
 def lr_schedule(epoch: int, config: TrainConfig) -> float:
@@ -275,13 +281,6 @@ class CrossValResult:
     best_fold: int
     best_model: object
     best_val_accuracy: float
-
-    def mean_curves(self) -> dict[str, list[float]]:
-        """Arithmetic fold means per epoch, over the shortest common length."""
-        n = min(len(h) for h in self.fold_histories)
-        loss = [float(np.mean([h.rows[e].loss for h in self.fold_histories])) for e in range(n)]
-        acc = [float(np.mean([h.rows[e].val_accuracy for h in self.fold_histories])) for e in range(n)]
-        return {"loss": loss, "val_accuracy": acc}
 
 
 def cross_validate(make_model, windows: list[CdgdWindow], plan, config: TrainConfig) -> CrossValResult:

@@ -1,5 +1,6 @@
-"""Plain reference ops that the engine does not ship: joining separate
-tensors end to end along the rows or the columns of their matrices.
+"""Plain reference ops that the package does not ship: joining separate
+tensors end to end along the rows or the columns of their matrices, and
+undoing a normalization.
 
 The model joins a route's heads along the rows with `tensor.merge_stack`,
 which is held to `concat_rows` (tests/test_tensor.py). The per-head
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from mcdc.data import NormStats
 from mcdc.tensor import DimensionError, Tensor, _accum, _record
 
 
@@ -41,3 +43,8 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
     return _concat(parts, -1, "concat_cols")
+
+
+def invert(stats: NormStats, values: np.ndarray) -> np.ndarray:
+    """The raw readings that `stats.apply` maps to `values`."""
+    return values * stats.std[:, None] + stats.mean[:, None]

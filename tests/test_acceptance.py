@@ -21,6 +21,7 @@ from mcdc.pipeline import RunConfig, _fitter_for, build_series, build_windows
 from mcdc.synth import load_recipe, synth_generate
 from mcdc.tensor import conv1d, cross_entropy, grad_check, tensor
 from mcdc.training import TrainConfig, lr_schedule, train_fold
+from reference_ops import invert
 
 
 def _report(number, name, outcome="PASS"):
@@ -264,7 +265,7 @@ def test_criterion_08_pipeline_laws():
         train_part = [windows[i] for i in plan.train_indices]
         normalized, stats = normalize(train_part, windows)
         for orig, norm in zip(windows, normalized):
-            assert np.allclose(stats.invert(norm.values), orig.values, atol=1e-9)
+            assert np.allclose(invert(stats, norm.values), orig.values, atol=1e-9)
 
 
 def test_criterion_09_cli_determinism(tmp_path):

@@ -172,7 +172,7 @@ class TestTrainCommand:
             # --split-mode meets the same check (TestBadFlagValue)
             ({"seed": 9, "split_mode": "by-day"}, "split_mode must be one of ('sample', 'facility'), got 'by-day'"),
             # it used to end in numpy's TypeError traceback
-            ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
             # it used to say "unknown input mode 'bogus'", naming no field
             ({"seed": 9, "ann_input_mode": "bogus"}, "input_mode must be one of ('last_day', 'window'), got 'bogus'"),
             ({"seed": 9, "model": "gru"}, "model must be one of ('mcdc', 'mcdc-matrix', 'ann'), got 'gru'"),
@@ -180,6 +180,21 @@ class TestTrainCommand:
             ({"seed": 1, "heads": "2"}, "heads must be an integer, got '2'"),
             # it used to pass every check and fail only at stage 'train'
             ({"seed": 1, "heads": 2.5}, "heads must be an integer, got 2.5"),
+            # each of these used to end in a TypeError traceback
+            ({"seed": 1, "train_fraction": "0.8"}, "train_fraction must be a number, got '0.8'"),
+            ({"seed": 1, "train_fraction": None}, "train_fraction must be a number, got None"),
+            ({"seed": 1, "model": ["mcdc"]}, "model must be a string, got ['mcdc']"),
+            ({"seed": 1, "train": {"lr0": "0.1"}}, "lr0 must be a number, got '0.1'"),
+            ({"seed": 1, "train": []}, "train must be a JSON object, got list"),
+            ([], "config file {path} must hold a JSON object, got list"),
+            # it used to open file descriptor 0 and read the recipe from stdin
+            ({"seed": 1, "recipe": 0}, "recipe must be a string, got 0"),
+            # it used to train on synthetic data
+            ({"seed": 1, "data_csv": 0}, "data_csv must be a string or null, got 0"),
+            # these three used to train; beta1 1.0 diverged at batch 1, naming no field
+            ({"seed": 1, "train": {"beta1": 1.0}}, "beta1 must be in [0, 1), got 1.0"),
+            ({"seed": 1, "train": {"beta2": 1.5}}, "beta2 must be in [0, 1), got 1.5"),
+            ({"seed": 1, "train": {"eps": -1}}, "eps must be > 0, got -1"),
         ],
     )
     def test_bad_config_value_refused_before_load(self, tmp_path, capsys, config, message):
@@ -189,7 +204,7 @@ class TestTrainCommand:
         # no flags: TINY_FLAGS' --heads would override the file's
         assert main(["train", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.splitlines() == [f"error: {message}"]
+        assert err.splitlines() == [f"error: {message.format(path=path)}"]
         assert "stage" not in err and "Traceback" not in err
         assert not out.exists()
 
@@ -392,7 +407,10 @@ class TestArgparseRefusals:
             (["train", "--seed", "1", "--heads", "two"], "argument --heads: invalid int value: 'two'"),
             (["gen-data", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
             (["compare", "--seed", "1", "--repetitions", "2.5"], "argument --repetitions: invalid int value: '2.5'"),
-            (["sweep", "--seed", "1", "--grid-heads", "a,b"], "argument --grid-heads: invalid"),
+            (
+                ["sweep", "--seed", "1", "--grid-heads", "a,b"],
+                "argument --grid-heads: a grid list is comma-separated integers, got 'a,b'",
+            ),
             (["train", "--seed", "1", "--bogus", "3"], "unrecognized arguments: --bogus 3"),
             (["bogus", "--seed", "1"], "argument command: invalid choice: 'bogus'"),
         ],
@@ -402,6 +420,7 @@ class TestArgparseRefusals:
         assert main([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}")
+        assert "_int_list" not in err
         assert not out.exists()
 
     def test_help_still_exits_0(self, capsys):

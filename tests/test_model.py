@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from mcdc.baselines import MODEL_KINDS, kind_of, make_model
 from mcdc.conditions import N_CONDITIONS
 from mcdc.model import McdcModel, ModelHyper, positional_encoding
 from mcdc.pipeline import DEFAULT_SWEEP_GRID
-from mcdc.tensor import DimensionError, Tape, backward, cross_entropy, grad_check, softmax_cols, tensor
+from mcdc.tensor import DimensionError, Tape, add, backward, cross_entropy, grad_check, tensor
 
 TINY = ModelHyper(temporal_len=8, heads=2, kernel_temporal=3, kernel_channel=4, ffn_hidden=6)
 
@@ -189,11 +188,10 @@ class TestPredict:
     def test_monotone_transform_invariance(self):
         model = McdcModel(TINY, seed=19)
         x = np.random.default_rng(20).normal(size=(5, 8))
-        acts = model.export_activations(x)
-        logits = acts["logits"].ravel()
+        probs = model.forward(x).data.ravel()
         pred = model.predict(x).code
         for transform in (lambda v: 3.0 * v + 2.0, np.tanh, lambda v: v**3):
-            assert int(np.argmax(transform(logits))) == pred
+            assert int(np.argmax(transform(probs))) == pred
 
 
 class TestGradients:
@@ -236,53 +234,16 @@ class TestMatrixVariantSwap:
             ModelHyper(temporal_len=8, heads=2, kernel_temporal=3, kernel_channel=4, ffn_hidden=6, attention="matrix"),
             seed=25,
         )
-        x = np.random.default_rng(26).normal(size=(5, 8))
-        a = conv.export_activations(x)
-        b = mat.export_activations(x)
-        assert set(a) == set(b)
-        for key in a:
-            assert a[key].shape == b[key].shape
+        x = tensor(np.random.default_rng(26).normal(size=(5, 8)))
+        for model in (conv, mat):
+            embedded = model.embed(x)
+            temporal = model.temporal_interaction(embedded)
+            channel = model.channel_interaction(add(temporal, embedded))
+            assert embedded.shape == temporal.shape == channel.shape == (5, 8)
+            probs = model.project(add(channel, temporal))
+            assert probs.shape == (1, N_CONDITIONS)
+            assert np.array_equal(probs.data, model.forward(x.data).data)
         assert kind_of(mat) == "mcdc-matrix"
-
-
-class TestExportActivations:
-    def test_keys_and_shapes(self):
-        model = McdcModel(TINY, seed=27)
-        x = np.random.default_rng(28).normal(size=(5, 8))
-        acts = model.export_activations(x)
-        expected = {
-            "embedded",
-            "temporal",
-            "temporal_plus_embedded",
-            "channel",
-            "channel_plus_temporal",
-            "logits",
-        }
-        assert set(acts) == expected
-        for key in expected - {"logits"}:
-            assert acts[key].shape == (5, 8)
-        assert acts["logits"].shape == (1, N_CONDITIONS)
-
-    def test_embedded_matches_embed(self):
-        model = McdcModel(TINY, seed=29)
-        x = np.random.default_rng(30).normal(size=(5, 8))
-        acts = model.export_activations(x)
-        assert np.array_equal(acts["embedded"], model.embed(tensor(x)).data)
-
-    @pytest.mark.parametrize("variant", ["conv", "matrix"])
-    def test_softmax_of_logits_is_forward(self, variant):
-        model = McdcModel(replace(TINY, attention=variant), seed=34)
-        x = np.random.default_rng(35).normal(size=(5, 8))
-        logits = model.export_activations(x)["logits"]
-        assert np.array_equal(softmax_cols(tensor(logits.T)).data.T, model.forward(x).data)
-
-    def test_deterministic(self):
-        model = McdcModel(TINY, seed=31)
-        x = np.random.default_rng(32).normal(size=(5, 8))
-        a = model.export_activations(x)
-        b = model.export_activations(x)
-        for key in a:
-            assert np.array_equal(a[key], b[key])
 
 
 class TestParameterRoundTrip:

@@ -1,14 +1,22 @@
 """Every public name of a package module has a user: each name in a
-`src/mcdc` module's `__all__` is read somewhere in the package or the
-benchmark harness, other than where it is defined. Tests do not count. The
-match is by spelling, so a read of any attribute of that name counts."""
+`src/mcdc` module's `__all__`, and each public method of a class so
+exported, is read somewhere in the package or the benchmark harness, other
+than where it is defined. Tests do not count. The match is by spelling, so a
+read of any attribute of that name counts. The same rule keeps the test-side
+references of `tests/reference_ops.py` in use by the tests."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "mcdc"
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+
+def _parse(paths) -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
 
 
 def _exported(tree: ast.Module) -> list[str]:
@@ -18,21 +26,46 @@ def _exported(tree: ast.Module) -> list[str]:
     return []
 
 
-def _read_names(tree: ast.Module) -> set[str]:
-    """Names loaded as a bare name or as an attribute; a definition, an
-    assignment or an import is not a read."""
-    names = set()
+def _read_names(tree: ast.AST) -> Counter:
+    """Names loaded as a bare name or as an attribute, with their counts; a
+    definition, an assignment or an import is not a read."""
+    names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
+            names[node.attr] += 1
     return names
 
 
+def _reads(trees: dict[Path, ast.Module]) -> Counter:
+    return sum((_read_names(tree) for tree in trees.values()), Counter())
+
+
+def _unread(defs: dict[str, ast.FunctionDef], trees: dict[Path, ast.Module]) -> list[str]:
+    """The keys of `defs` whose function nothing in `trees` reads outside
+    the function's own body."""
+    read = _reads(trees)
+    return [label for label, node in defs.items() if read[node.name] - _read_names(node)[node.name] <= 0]
+
+
+def _public_methods(trees: dict[Path, ast.Module]) -> dict[str, ast.FunctionDef]:
+    """module.Class.method -> definition, for each public method of each
+    class in a package module's `__all__`."""
+    return {
+        f"{path.stem}.{cls.name}.{node.name}": node
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name in _exported(tree)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+
+
 def test_every_exported_name_is_read_somewhere():
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
-    read = set().union(*(_read_names(tree) for tree in trees.values()))
+    trees = _parse(SOURCES)
+    read = _reads(trees)
     unused = [
         f"{path.stem}.{name}"
         for path, tree in trees.items()
@@ -41,3 +74,15 @@ def test_every_exported_name_is_read_somewhere():
         if name not in read
     ]
     assert unused == []
+
+
+def test_every_public_method_of_an_exported_class_is_read_somewhere():
+    trees = _parse(SOURCES)
+    assert _unread(_public_methods(trees), trees) == []
+
+
+def test_every_reference_op_is_read_by_a_test():
+    trees = _parse(TESTS)
+    reference = trees[ROOT / "tests" / "reference_ops.py"]
+    defs = {node.name: node for node in reference.body if isinstance(node, ast.FunctionDef)}
+    assert _unread(defs, trees) == []

@@ -326,16 +326,6 @@ class TestCrossValidate:
             seen |= set(fold)
         assert seen == set(plan.train_indices)
 
-    def test_mean_curves_are_fold_means(self):
-        windows, plan = self._setup()
-        config = TrainConfig(seed=19, epochs=3, batch_size=16)
-        result = cross_validate(lambda fold: tiny_model(seed=200 + fold), windows, plan, config)
-        curves = result.mean_curves()
-        n = len(curves["loss"])
-        for e in range(n):
-            expected = np.mean([h.rows[e].loss for h in result.fold_histories])
-            assert curves["loss"][e] == pytest.approx(expected, abs=1e-15)
-
     def test_divergence_names_the_fold(self):
         windows, plan = self._setup()
 
