@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import N_CONDITIONS
-from .model import Classifier, McdcModel, ModelHyper, N_CHANNELS, check_field_types
+from .model import AT_LEAST_1, Classifier, McdcModel, ModelHyper, N_CHANNELS, check_fields, one_of, setting
 from .tensor import (
     Tensor, add, glorot, matmul, parameter, reshape, sigmoid, softmax_cols, tensor, transpose,
 )
@@ -25,19 +25,13 @@ INPUT_MODES = ("last_day", "window")
 
 @dataclass(frozen=True)
 class AnnHyper:
-    temporal_len: int = 12
-    input_mode: str = "last_day"  # or "window"
-    hidden1: int = 32
-    hidden2: int = 16
+    temporal_len: int = setting(AT_LEAST_1, default=12)
+    input_mode: str = setting(one_of(INPUT_MODES), default="last_day")
+    hidden1: int = setting(AT_LEAST_1, default=32)
+    hidden2: int = setting(AT_LEAST_1, default=16)
     n_classes: int = N_CONDITIONS
 
-    def __post_init__(self):
-        check_field_types(self)
-        for name in ("temporal_len", "hidden1", "hidden2"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.input_mode not in INPUT_MODES:
-            raise ValueError(f"input_mode must be one of {INPUT_MODES}, got {self.input_mode!r}")
+    __post_init__ = check_fields
 
 
 class AnnModel(Classifier):

@@ -64,9 +64,9 @@ def load_checkpoint(path):
     try:
         model = model_cls(hyper_cls(**hyper), payload.get("seed", 0))
         model.load_parameter_arrays(payload["params"])
+        stats = NormStats.from_dict(payload["norm_stats"]) if payload.get("norm_stats") else None
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    stats = NormStats.from_dict(payload["norm_stats"]) if payload.get("norm_stats") else None
     if stats is not None:
         for name, values in (("mean", stats.mean), ("std", stats.std)):
             if not np.all(np.isfinite(values)):

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditions import CONDITIONS, ConditionLabel, by_name
+from .model import check_fields, one_of, setting
 
 __all__ = [
     "CSV_HEADER",
@@ -307,6 +308,9 @@ class NormStats:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NormStats":
+        for name in ("mean", "std"):
+            if np.shape(d.get(name)) != (len(GAS_COLUMNS),):
+                raise ValueError(f"norm_stats {name} must be {len(GAS_COLUMNS)} numbers, got {d.get(name)!r}")
         return cls(np.asarray(d["mean"], dtype=np.float64), np.asarray(d["std"], dtype=np.float64))
 
 
@@ -338,7 +342,7 @@ def fold0_sets(windows: list[CdgdWindow], plan: SplitPlan) -> tuple[list, list, 
 class SplitPlan:
     """Reproducible train/test assignment with k-fold labels over the train part."""
 
-    mode: str  # "sample" or "facility"
+    mode: str = setting(one_of(SPLIT_MODES))
     seed: int
     train_fraction: float
     n_windows: int
@@ -348,6 +352,13 @@ class SplitPlan:
     folds: list[list[int]]
     train_transformers: list[str] = field(default_factory=list)
     test_transformers: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        check_fields(self)
+        for name in ("train_indices", "test_indices"):
+            bad = [i for i in getattr(self, name) if not 0 <= i < self.n_windows]
+            if bad:
+                raise ValueError(f"{name} must be window indices in [0, {self.n_windows}), but holds {bad[0]}")
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True)

@@ -6,7 +6,8 @@ stage passes its input through unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import reprlib
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -31,53 +32,68 @@ __all__ = ["Classifier", "ModelHyper", "McdcModel", "positional_encoding"]
 
 N_CHANNELS = 5
 ATTENTIONS = ("conv", "matrix")
+_SLIDES = ", the feature length its route slides along"
 
 
-# a field's annotation -> the types its value may have, and their name in a refusal
-_FIELD_TYPES = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "str": ((str,), "a string"),
-    "str | None": ((str, type(None)), "a string or null"),
+def _of(*types):
+    return lambda v: isinstance(v, types) and not isinstance(v, bool)
+
+
+def _is_decay(v) -> bool:
+    pair_types = ([int, int], [int, float])  # exact types, so a bool is neither
+    return isinstance(v, (list, tuple)) and all(isinstance(p, (list, tuple)) and [*map(type, p)] in pair_types for p in v)
+
+
+def one_of(options: tuple) -> tuple:
+    return f"one of {options}", lambda v: v in options
+
+
+AT_LEAST_1 = (">= 1", lambda v: v >= 1)
+# a field's annotation -> the (domain, test) rule its value meets before the field's own; a bool is no number
+_TYPE_RULES = {
+    "int": ("an integer", _of(int)),
+    "float": ("a number", _of(int, float)),
+    "str": ("a string", _of(str)),
+    "str | None": ("a string or null", _of(str, type(None))),
+    "list[int]": ("a list of integers", lambda v: isinstance(v, list) and set(map(type, v)) <= {int}),
+    "tuple[tuple[int, float], ...]": ("[epoch, rate] pairs of an integer and a number", _is_decay),
 }
 
 
-def check_field_types(config) -> None:
-    """Refuse, by name, a dataclass field annotated `int`, `float`, `str` or
-    `str | None` whose value has another type; a bool is never one, so
-    `"2"`, 2.5 or True for an int and `"0.1"` for a float fail before any
-    check or stage can misread them."""
+def setting(*rules: tuple, default=MISSING):
+    """A config dataclass field: check_fields refuses a value unless it passes each (domain, test) rule."""
+    return field(default=default, metadata={"rules": rules})
+
+
+def setting_of(cls, name: str):
+    """`cls`'s field `name`, default and rules, for a config that holds it under its own key."""
+    source = cls.__dataclass_fields__[name]
+    return field(default=source.default, metadata={**source.metadata, "of": cls, "name": name})
+
+
+def check_fields(config) -> None:
+    """Refuse the first field that fails its annotation's type rule or one of its own rules, by name."""
     for f in fields(config):
-        if f.type in _FIELD_TYPES:
-            types, name = _FIELD_TYPES[f.type]
-            value = getattr(config, f.name)
-            if isinstance(value, bool) or not isinstance(value, types):
-                raise ValueError(f"{f.name} must be {name}, got {value!r}")
+        for domain, test in ((_TYPE_RULES[f.type],) if f.type in _TYPE_RULES else ()) + f.metadata.get("rules", ()):
+            if not test(getattr(config, f.name)):
+                raise ValueError(f"{f.name} must be {domain}, got {reprlib.repr(getattr(config, f.name))}")
 
 
 @dataclass(frozen=True)
 class ModelHyper:
-    temporal_len: int = 12
-    heads: int = 4
-    kernel_temporal: int = 5
-    kernel_channel: int = 6
-    ffn_hidden: int = 64
+    temporal_len: int = setting(AT_LEAST_1, default=12)
+    heads: int = setting(AT_LEAST_1, default=4)
+    kernel_temporal: int = setting(AT_LEAST_1, (f"<= {N_CHANNELS}{_SLIDES}", lambda v: v <= N_CHANNELS), default=5)
+    kernel_channel: int = setting(AT_LEAST_1, default=6)
+    ffn_hidden: int = setting(AT_LEAST_1, default=64)
     n_classes: int = N_CONDITIONS
-    attention: str = "conv"  # "conv" or "matrix"
+    attention: str = setting(one_of(ATTENTIONS), default="conv")
 
     def __post_init__(self):
-        check_field_types(self)
-        for name in ("temporal_len", "heads", "kernel_temporal", "kernel_channel", "ffn_hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.attention not in ATTENTIONS:
-            raise ValueError(f"attention must be one of {ATTENTIONS}, got {self.attention!r}")
+        check_fields(self)
         # a longer kernel has taps that only ever see padding and never get a gradient
-        for name, features in (("kernel_temporal", N_CHANNELS), ("kernel_channel", self.temporal_len)):
-            if getattr(self, name) > features:
-                raise ValueError(
-                    f"{name} must be <= {features}, the feature length its route slides along, got {getattr(self, name)}"
-                )
+        if self.kernel_channel > self.temporal_len:
+            raise ValueError(f"kernel_channel must be <= {self.temporal_len}{_SLIDES}, got {self.kernel_channel}")
 
 
 def positional_encoding(d_channel: int, length: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from .data import (
     write_series_csv,
 )
 from .evaluation import compare_plans, evaluate_model, roc_csv, split_repetitions
-from .model import ModelHyper, check_field_types
+from .model import ModelHyper, check_fields, one_of, setting, setting_of
 from .synth import load_recipe, synth_generate
 from .training import TrainConfig, cross_validate, history_to_csv, train_fold
 
@@ -69,45 +69,34 @@ def _unknown_keys(block: dict, cls, *excluded: str) -> list[str]:
     return sorted(set(block) - ({f.name for f in fields(cls)} - set(excluded)))
 
 
-_CONFIG_PREFIX = {AnnHyper: "ann_"}  # RunConfig's prefix for a hyper class's fields, "" if unlisted
-
-
 @dataclass
 class RunConfig:
-    """One run's settings. The model hyperparameters default to the hyper
-    classes' own defaults; `train` holds TrainConfig fields other than seed."""
+    """One run's settings. A model hyperparameter is its hyper class's field,
+    default and rules; `train` holds TrainConfig fields other than seed."""
 
     seed: int
     out_dir: str = "runs/out"
     data_csv: str | None = None
     recipe: str = "default"
-    model: str = "mcdc"
-    temporal_len: int = ModelHyper.temporal_len
-    heads: int = ModelHyper.heads
-    kernel_temporal: int = ModelHyper.kernel_temporal
-    kernel_channel: int = ModelHyper.kernel_channel
-    ffn_hidden: int = ModelHyper.ffn_hidden
-    ann_hidden1: int = AnnHyper.hidden1
-    ann_hidden2: int = AnnHyper.hidden2
-    ann_input_mode: str = AnnHyper.input_mode
-    split_mode: str = "sample"
-    train_fraction: float = 0.8
+    model: str = setting(one_of(tuple(MODEL_KINDS)), default="mcdc")
+    temporal_len: int = setting_of(ModelHyper, "temporal_len")
+    heads: int = setting_of(ModelHyper, "heads")
+    kernel_temporal: int = setting_of(ModelHyper, "kernel_temporal")
+    kernel_channel: int = setting_of(ModelHyper, "kernel_channel")
+    ffn_hidden: int = setting_of(ModelHyper, "ffn_hidden")
+    ann_hidden1: int = setting_of(AnnHyper, "hidden1")
+    ann_hidden2: int = setting_of(AnnHyper, "hidden2")
+    ann_input_mode: str = setting_of(AnnHyper, "input_mode")
+    split_mode: str = setting(one_of(SPLIT_MODES), default="sample")
+    train_fraction: float = setting(("in (0, 1)", lambda v: 0 < v < 1), default=0.8)
     train: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.seed is None:
             raise ValueError("seed is mandatory; pass --seed or set it in the config file")
-        check_field_types(self)
-        if self.seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.split_mode not in SPLIT_MODES:
-            raise ValueError(f"split_mode must be one of {SPLIT_MODES}, got {self.split_mode!r}")
-        if not 0 < self.train_fraction < 1:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        check_fields(self)
         if self.data_csv and not os.path.exists(self.data_csv):
             raise ValueError(f"data file {self.data_csv} does not exist")
-        if self.model not in MODEL_KINDS:
-            raise ValueError(f"model must be one of {tuple(MODEL_KINDS)}, got {self.model!r}")
         # build once the settings the stages build, so bad ones fail before any stage runs
         self.train_config()
         for kind in MODEL_KINDS:
@@ -140,12 +129,10 @@ class RunConfig:
         return TrainConfig(seed=self.seed, **self.train)
 
     def hyper(self, kind: str):
-        """`kind`'s hyperparameters, from the fields this config holds for its hyper class."""
+        """`kind`'s hyperparameters: temporal_len and each field this config holds of its hyper class."""
         hyper_cls = MODEL_KINDS[kind][1]
-        prefix = _CONFIG_PREFIX.get(hyper_cls, "")
-        own = {f.name for f in fields(self)} - {"temporal_len"}
-        overrides = {f.name: getattr(self, prefix + f.name) for f in fields(hyper_cls) if prefix + f.name in own}
-        return make_hyper(kind, self.temporal_len, **overrides)
+        held = {f.metadata["name"]: getattr(self, f.name) for f in fields(self) if f.metadata.get("of") is hyper_cls}
+        return make_hyper(kind, **{**held, "temporal_len": self.temporal_len})
 
     def make_model(self, kind: str, seed: int):
         """A fresh `kind` model built on self.hyper(kind)."""
@@ -238,9 +225,11 @@ def run_eval(
         model, stats = load_checkpoint(checkpoint_path)
         if stats is None:
             raise ValueError("checkpoint has no normalization stats; retrain with the pipeline")
-    with _stage("load-plan"):
-        with open(plan_path, encoding="utf-8") as fh:
+    with _stage("load-plan"), open(plan_path, encoding="utf-8") as fh:
+        try:
             plan = SplitPlan.from_json(fh.read())
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{plan_path}: {exc}") from None
     with _stage("window"):
         windows = build_windows(load_series(data_csv), model.hyper.temporal_len)
     with _stage("compatibility"):

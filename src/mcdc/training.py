@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import CdgdWindow, fold_sets
-from .model import check_field_types
+from .model import AT_LEAST_1, check_fields, setting
 from .tensor import Tape, backward, cross_entropy, tensor
 
 __all__ = [
@@ -40,38 +40,28 @@ __all__ = [
 SCORE_CHUNK = 64
 
 
+# a rate of 0 never moves, a negative one climbs the loss and an infinite one ends in NaN
+_RATE = (("> 0", lambda v: v > 0), ("finite", math.isfinite))
+_DECAY = ("pairs with strictly increasing epochs and finite rates > 0", lambda pairs: all(
+    a[0] < b[0] for a, b in zip(pairs, pairs[1:])) and all(0 < rate < math.inf for _, rate in pairs))
+# Adam's moment decays: each bias correction 1 - beta**t is 0 at 1 and changes sign above
+_MOMENT_DECAY = ("in [0, 1)", lambda v: 0 <= v < 1)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    seed: int
-    epochs: int = 1000
-    batch_size: int = 200
-    lr0: float = 0.01
-    lr_decay: tuple[tuple[int, float], ...] = ((500, 0.001), (750, 0.0002))
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    patience: int = 50
-    folds: int = 4
+    seed: int = setting(("an integer >= 0", lambda v: v >= 0))
+    epochs: int = setting(AT_LEAST_1, default=1000)
+    batch_size: int = setting(AT_LEAST_1, default=200)
+    lr0: float = setting(*_RATE, default=0.01)
+    lr_decay: tuple[tuple[int, float], ...] = setting(_DECAY, default=((500, 0.001), (750, 0.0002)))
+    beta1: float = setting(_MOMENT_DECAY, default=0.9)
+    beta2: float = setting(_MOMENT_DECAY, default=0.999)
+    eps: float = setting(*_RATE, default=1e-8)
+    patience: int = setting(AT_LEAST_1, default=50)
+    folds: int = setting((">= 2, one of them held out for validation", lambda v: v >= 2), default=4)
 
-    def __post_init__(self):
-        check_field_types(self)
-        epochs_at = [e for e, _ in self.lr_decay]
-        if epochs_at != sorted(set(epochs_at)):
-            raise ValueError(f"decay epochs must be strictly increasing, got {epochs_at}")
-        for name in ("epochs", "batch_size", "patience"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.folds < 2:
-            raise ValueError(f"folds must be >= 2, one of them held out for validation, got {self.folds}")
-        for name, rate in [("lr0", self.lr0), *((f"lr_decay rate at epoch {e}", lr) for e, lr in self.lr_decay)]:
-            if not rate > 0:
-                raise ValueError(f"{name} must be > 0, got {rate}")
-        # Adam's moment decays: each bias correction 1 - beta**t is 0 at 1 and changes sign above
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+    __post_init__ = check_fields
 
 
 def lr_schedule(epoch: int, config: TrainConfig) -> float:

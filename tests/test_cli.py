@@ -173,8 +173,8 @@ class TestTrainCommand:
             ({"seed": 9, "split_mode": "by-day"}, "split_mode must be one of ('sample', 'facility'), got 'by-day'"),
             # it used to end in numpy's TypeError traceback
             ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-            # it used to say "unknown input mode 'bogus'", naming no field
-            ({"seed": 9, "ann_input_mode": "bogus"}, "input_mode must be one of ('last_day', 'window'), got 'bogus'"),
+            # it used to say "unknown input mode 'bogus'", naming no field, then named AnnHyper's input_mode
+            ({"seed": 9, "ann_input_mode": "bogus"}, "ann_input_mode must be one of ('last_day', 'window'), got 'bogus'"),
             ({"seed": 9, "model": "gru"}, "model must be one of ('mcdc', 'mcdc-matrix', 'ann'), got 'gru'"),
             # it used to end in a TypeError traceback from ModelHyper
             ({"seed": 1, "heads": "2"}, "heads must be an integer, got '2'"),
@@ -252,6 +252,56 @@ class TestTrainCommand:
         )
         assert code == 1
         assert "does not exist" in capsys.readouterr().err
+
+
+# Every config key and the kind of value it takes, stated here and not read
+# from the dataclasses, so a rule that goes missing there fails this list.
+CONFIG_KEYS = {
+    "seed": "int", "out_dir": "str", "data_csv": "str or null", "recipe": "str", "model": "str",
+    "temporal_len": "int", "heads": "int", "kernel_temporal": "int", "kernel_channel": "int",
+    "ffn_hidden": "int", "ann_hidden1": "int", "ann_hidden2": "int", "ann_input_mode": "str",
+    "split_mode": "str", "train_fraction": "float", "train": "object",
+}
+TRAIN_KEYS = {
+    "epochs": "int", "batch_size": "int", "lr0": "float", "lr_decay": "pairs", "beta1": "float",
+    "beta2": "float", "eps": "float", "patience": "int", "folds": "int",
+}
+# a wrong-typed value for each kind, then the values each kind must refuse besides
+BAD_VALUES = {
+    "int": ["1", 1.0, True, -1],
+    "float": ["0.5", None, float("nan"), float("inf"), float("-inf")],
+    "str": [0, None],
+    "str or null": [0, True],
+    "object": [[], "x"],
+    "pairs": ["ab", [[1]], [["1", 0.1]], [[500, float("inf")]]],
+}
+# a run that would finish in a second, should a bad value slip through
+SMALL_RUN = {"seed": 1, "out_dir": "x", "recipe": "stability", "temporal_len": 8, "heads": 1, "kernel_temporal": 3,
+             "kernel_channel": 4, "train": {"epochs": 1, "batch_size": 64, "folds": 2}}
+
+
+class TestConfigContract:
+    def test_lists_hold_every_key(self):
+        assert set(CONFIG_KEYS) == {f.name for f in fields(RunConfig)}
+        assert set(TRAIN_KEYS) == {f.name for f in fields(TrainConfig)} - {"seed"}
+
+    @pytest.mark.parametrize(
+        "block,key,value",
+        [
+            *((None, key, value) for key, kind in CONFIG_KEYS.items() for value in BAD_VALUES[kind]),
+            *(("train", key, value) for key, kind in TRAIN_KEYS.items() for value in BAD_VALUES[kind]),
+        ],
+    )
+    def test_bad_value_exits_1_naming_the_key(self, tmp_path, monkeypatch, capsys, block, key, value):
+        config = json.loads(json.dumps(SMALL_RUN))
+        (config[block] if block else config)[key] = value
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        # no --out: it would override out_dir; a run that slipped through would write here
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", "config.json"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {key} must be "), lines
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestBadFlagValue:
@@ -365,6 +415,46 @@ class TestEvalCommand:
         assert code == 1
         assert "temporal length" in capsys.readouterr().err
 
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("trained") / "run"
+        assert main(["train", "--seed", "21", "--out", str(out), *TINY_FLAGS]) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "artifact,edit,message",
+        [
+            # it used to exit 0, scoring other windows than the plan's
+            ("split.json", lambda p: p.update(test_indices=[-1, -2] + p["test_indices"][2:]),
+             "test_indices must be window indices in [0, {n}), but holds -1"),
+            # it used to end in "stage 'evaluate': list index out of range"
+            ("split.json", lambda p: p.update(test_indices=[99999] + p["test_indices"][1:]),
+             "test_indices must be window indices in [0, {n}), but holds 99999"),
+            # it used to end in "plan temporal length 8 != checkpoint 8"
+            ("split.json", lambda p: p.update(temporal_len="8"), "temporal_len must be an integer, got '8'"),
+            # it used to fail late, with numpy's broadcast error
+            ("checkpoint.json", lambda p: p["norm_stats"].update(mean=[0.0, 1.0, 2.0]),
+             "norm_stats mean must be 5 numbers, got [0.0, 1.0, 2.0]"),
+            # it used to end in "'std'"
+            ("checkpoint.json", lambda p: p["norm_stats"].pop("std"), "norm_stats std must be 5 numbers, got None"),
+        ],
+        ids=["negative-index", "index-past-end", "string-temporal-len", "three-means", "missing-std"],
+    )
+    def test_bad_plan_or_norm_stats_refused_when_read(self, trained, tmp_path, capsys, artifact, edit, message):
+        payload = json.loads((trained / artifact).read_text())
+        edit(payload)
+        bad = tmp_path / artifact
+        bad.write_text(json.dumps(payload))
+        read = {name: bad if name == artifact else trained / name for name in ("checkpoint.json", "split.json")}
+        out = tmp_path / "e"
+        code = main(["eval", "--checkpoint", str(read["checkpoint.json"]), "--data", str(trained / "dataset.csv"),
+                     "--plan", str(read["split.json"]), "--out", str(out)])
+        assert code == 1
+        n = json.loads((trained / "split.json").read_text())["n_windows"]
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].endswith(f": {bad}: {message.format(n=n)}"), lines
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "edit,message",

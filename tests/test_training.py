@@ -26,6 +26,7 @@ from mcdc.training import (
 )
 
 CFG = TrainConfig(seed=0)
+DECAY_DOMAIN = "lr_decay must be pairs with strictly increasing epochs and finite rates > 0"
 
 
 class TestLrSchedule:
@@ -45,8 +46,15 @@ class TestLrSchedule:
             lr_schedule(-1, CFG)
 
     def test_decay_epochs_must_increase(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(DECAY_DOMAIN)}, got "):
             TrainConfig(seed=0, lr_decay=((750, 0.001), (500, 0.0002)))
+
+    @pytest.mark.parametrize("value", ["ab", [[1]], [["1", 0.1]], [[1.5, 0.1]], [[1, "0.1"]], [[True, 0.1]], 5])
+    def test_decay_of_another_type_refused_naming_it(self, value):
+        # "ab" and [[1]] used to fail unpacking, naming no field; [["1", 0.1]] to pass until training
+        message = f"lr_decay must be [epoch, rate] pairs of an integer and a number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(seed=0, lr_decay=value)
 
     def test_patience_validated(self):
         with pytest.raises(ValueError):
@@ -70,8 +78,13 @@ class TestLrSchedule:
             ({"lr0": 0.0}, "lr0 must be > 0, got 0.0"),
             ({"lr0": -1.0}, "lr0 must be > 0, got -1.0"),
             ({"lr0": math.nan}, "lr0 must be > 0, got nan"),
-            ({"lr_decay": ((500, 0.001), (750, 0.0))}, "lr_decay rate at epoch 750 must be > 0, got 0.0"),
-            ({"lr_decay": ((500, -0.001),)}, "lr_decay rate at epoch 500 must be > 0, got -0.001"),
+            # these two named no config key ("lr_decay rate at epoch 750 must be > 0, got 0.0")
+            ({"lr_decay": ((500, 0.001), (750, 0.0))}, f"{DECAY_DOMAIN}, got ((500, 0.001), (750, 0.0))"),
+            ({"lr_decay": ((500, -0.001),)}, f"{DECAY_DOMAIN}, got ((500, -0.001),)"),
+            # an infinite rate used to train, to NaN parameters or a divergence naming no field
+            ({"lr0": math.inf}, "lr0 must be finite, got inf"),
+            ({"eps": math.inf}, "eps must be finite, got inf"),
+            ({"lr_decay": ((500, math.inf),)}, f"{DECAY_DOMAIN}, got ((500, inf),)"),
         ],
     )
     def test_learning_rates_must_be_positive(self, overrides, message):
