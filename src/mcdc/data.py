@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditions import CONDITIONS, ConditionLabel, by_name
-from .model import check_fields, one_of, setting
+from .model import check_fields, list_of, one_of, setting
 
 __all__ = [
     "CSV_HEADER",
@@ -253,9 +253,7 @@ def interpolate_gaps(series: GasSeries) -> GasSeries:
     full_days = np.arange(series.days[0], series.days[-1] + 1)
     if full_days.size == series.days.size:
         return series
-    readings = np.vstack(
-        [np.interp(full_days, series.days, series.readings[c]) for c in range(len(GAS_COLUMNS))]
-    )
+    readings = np.vstack([np.interp(full_days, series.days, row) for row in series.readings])
     return GasSeries(series.transformer_id, series.voltage_kv, series.condition, full_days, readings)
 
 
@@ -287,12 +285,19 @@ def overlapping_sample(series: GasSeries, window_len: int) -> list[CdgdWindow]:
     ]
 
 
+_FIVE_FINITE = (("5 numbers", lambda v: list_of(v, 5, int, float)), ("finite", lambda v: all(map(math.isfinite, v))))
+
+
 @dataclass
 class NormStats:
     """Per-channel z-score statistics, computed from training windows only."""
 
-    mean: np.ndarray  # shape (5,)
-    std: np.ndarray  # shape (5,), floored at 1e-6
+    mean: np.ndarray = setting(*_FIVE_FINITE)
+    std: np.ndarray = setting(*_FIVE_FINITE, ("> 0", lambda v: all(x > 0 for x in v)))  # normalize floors it at 1e-6
+
+    def __post_init__(self):
+        check_fields(self)
+        self.mean, self.std = np.asarray(self.mean, dtype=np.float64), np.asarray(self.std, dtype=np.float64)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean[:, None]) / self.std[:, None]
@@ -305,13 +310,6 @@ class NormStats:
 
     def to_dict(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
-        for name in ("mean", "std"):
-            if np.shape(d.get(name)) != (len(GAS_COLUMNS),):
-                raise ValueError(f"norm_stats {name} must be {len(GAS_COLUMNS)} numbers, got {d.get(name)!r}")
-        return cls(np.asarray(d["mean"], dtype=np.float64), np.asarray(d["std"], dtype=np.float64))
 
 
 def normalize(train_windows: list[CdgdWindow], all_windows: list[CdgdWindow]) -> tuple[list[CdgdWindow], NormStats]:

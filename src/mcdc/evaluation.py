@@ -6,7 +6,7 @@ the repeated-training comparison harness.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -31,8 +31,8 @@ __all__ = [
 ]
 
 
-def confusion(true_labels, predicted_labels, n_classes: int = N_CONDITIONS) -> np.ndarray:
-    """Count matrix with true condition on rows, predicted on columns."""
+def confusion(true_labels, predicted_labels) -> np.ndarray:
+    """N_CONDITIONS x N_CONDITIONS counts, true condition on rows, predicted on columns."""
     true_labels = np.asarray(true_labels, dtype=np.int64)
     predicted_labels = np.asarray(predicted_labels, dtype=np.int64)
     if true_labels.shape != predicted_labels.shape:
@@ -40,11 +40,11 @@ def confusion(true_labels, predicted_labels, n_classes: int = N_CONDITIONS) -> n
             f"label lists differ in length: {true_labels.size} vs {predicted_labels.size}"
         )
     if true_labels.size and not (
-        0 <= true_labels.min() and true_labels.max() < n_classes
-        and 0 <= predicted_labels.min() and predicted_labels.max() < n_classes
+        0 <= true_labels.min() and true_labels.max() < N_CONDITIONS
+        and 0 <= predicted_labels.min() and predicted_labels.max() < N_CONDITIONS
     ):
-        raise ValueError(f"labels outside [0, {n_classes})")
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+        raise ValueError(f"labels outside [0, {N_CONDITIONS})")
+    cm = np.zeros((N_CONDITIONS, N_CONDITIONS), dtype=np.int64)
     np.add.at(cm, (true_labels, predicted_labels), 1)
     return cm
 
@@ -181,13 +181,7 @@ def evaluate_model(model, windows) -> EvalReport:
     truths = np.array([w.label.code for w in windows])
     probs = score_windows(model, windows)
     predictions = probs.argmax(axis=1)
-    report = metrics(confusion(truths, predictions))
-    roc = roc_auc(truths, probs)
-    report.per_class_auc = roc["per_class_auc"]
-    report.macro_auc = roc["macro_auc"]
-    report.micro_auc = roc["micro_auc"]
-    report.curves = roc["curves"]
-    return report
+    return replace(metrics(confusion(truths, predictions)), **roc_auc(truths, probs))
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -273,16 +267,9 @@ def split_repetitions(
     return [split(windows, mode, train_fraction, seed=base_seed + rep, k=k) for rep in range(repetitions)]
 
 
-def compare(
-    fitters: dict,
-    windows,
-    mode: str,
-    repetitions: int,
-    base_seed: int,
-    train_fraction: float = 0.8,
-    k: int = 4,
-) -> ComparisonResult:
-    """Train every named model on identical splits, once per repetition.
+def compare(fitters: dict, windows, mode: str, repetitions: int, base_seed: int) -> ComparisonResult:
+    """Train every named model on identical splits, once per repetition, each
+    split at split_repetitions' defaults: train fraction 0.8 and 4 folds.
 
     Each fitter is called as fitter(train_windows, val_windows, seed) and
     must return an object whose predict_proba maps a stack (B, 5, T) of
@@ -294,7 +281,7 @@ def compare(
     p-values over the accuracy lists. Every repetition is split before the
     first model trains.
     """
-    return compare_plans(fitters, windows, split_repetitions(windows, mode, repetitions, base_seed, train_fraction, k))
+    return compare_plans(fitters, windows, split_repetitions(windows, mode, repetitions, base_seed))
 
 
 def compare_plans(fitters: dict, windows, plans: list[SplitPlan]) -> ComparisonResult:

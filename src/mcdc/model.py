@@ -35,8 +35,12 @@ ATTENTIONS = ("conv", "matrix")
 _SLIDES = ", the feature length its route slides along"
 
 
-def _of(*types):
+def of_type(*types):
     return lambda v: isinstance(v, types) and not isinstance(v, bool)
+
+
+def list_of(v, n: int, *types) -> bool:
+    return isinstance(v, (list, tuple, np.ndarray)) and len(v) == n and all(map(of_type(*types), v))
 
 
 def _is_decay(v) -> bool:
@@ -51,10 +55,10 @@ def one_of(options: tuple) -> tuple:
 AT_LEAST_1 = (">= 1", lambda v: v >= 1)
 # a field's annotation -> the (domain, test) rule its value meets before the field's own; a bool is no number
 _TYPE_RULES = {
-    "int": ("an integer", _of(int)),
-    "float": ("a number", _of(int, float)),
-    "str": ("a string", _of(str)),
-    "str | None": ("a string or null", _of(str, type(None))),
+    "int": ("an integer", of_type(int)),
+    "float": ("a number", of_type(int, float)),
+    "str": ("a string", of_type(str)),
+    "str | None": ("a string or null", of_type(str, type(None))),
     "list[int]": ("a list of integers", lambda v: isinstance(v, list) and set(map(type, v)) <= {int}),
     "tuple[tuple[int, float], ...]": ("[epoch, rate] pairs of an integer and a number", _is_decay),
 }
@@ -129,7 +133,10 @@ class Classifier:
         if unknown or missing:
             raise ValueError(f"parameter names differ: unknown {unknown}, missing {missing}")
         for name, p in self.params.items():
-            src = np.asarray(arrays[name], dtype=np.float64)
+            try:
+                src = np.asarray(arrays[name], dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"parameter {name}: {exc}") from None
             if src.shape != p.data.shape:
                 raise DimensionError(f"parameter {name}: stored {src.shape} != expected {p.data.shape}")
             if not np.isfinite(src).all():

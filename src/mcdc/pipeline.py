@@ -59,8 +59,6 @@ def _stage(name):
     """Re-raise the stage's errors, but not interrupts, as a PipelineError naming it."""
     try:
         yield
-    except PipelineError:
-        raise
     except Exception as exc:
         raise PipelineError(f"stage '{name}': {exc}") from exc
 
@@ -223,8 +221,6 @@ def run_eval(
         raise PipelineError(f"side must be 'train' or 'test', got {side!r}")
     with _stage("load-checkpoint"):
         model, stats = load_checkpoint(checkpoint_path)
-        if stats is None:
-            raise ValueError("checkpoint has no normalization stats; retrain with the pipeline")
     with _stage("load-plan"), open(plan_path, encoding="utf-8") as fh:
         try:
             plan = SplitPlan.from_json(fh.read())
@@ -269,11 +265,6 @@ def _plans(config: RunConfig, windows, mode: str, repetitions: int):
     return split_repetitions(windows, mode, repetitions, config.seed, config.train_fraction, k)
 
 
-def _compare(config: RunConfig, windows, kinds, plans):
-    """evaluation.compare_plans of `kinds` under `config`'s training settings."""
-    return compare_plans({kind: _fitter_for(config, kind) for kind in kinds}, windows, plans)
-
-
 def run_compare(config: RunConfig, kinds: list[str], repetitions: int, modes: list[str]) -> dict:
     """Repeated train/evaluate comparison across model kinds and split modes,
     written to comparison.json. The kinds, the repetition count and the
@@ -296,7 +287,7 @@ def run_compare(config: RunConfig, kinds: list[str], repetitions: int, modes: li
     results = {}
     for mode in modes:
         with _stage(f"compare-{mode}"):
-            results[mode] = _compare(config, windows, kinds, plans[mode])
+            results[mode] = compare_plans({kind: _fitter_for(config, kind) for kind in kinds}, windows, plans[mode])
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "comparison.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -309,7 +300,7 @@ def _sweep_cell(config: RunConfig) -> float:
     model kind in its split mode; returns the test accuracy."""
     windows = build_windows(build_series(config), config.temporal_len)
     plans = _plans(config, windows, config.split_mode, 1)
-    return _compare(config, windows, [config.model], plans).models[0].accuracies[0]
+    return compare_plans({config.model: _fitter_for(config, config.model)}, windows, plans).models[0].accuracies[0]
 
 
 def run_sweep(config: RunConfig, grid: dict | None = None, workers: int = 1) -> dict:

@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
 
 from .conditions import by_name
 from .data import GasSeries, VOLTAGE_LEVELS
+from .model import AT_LEAST_1, check_fields, list_of, setting
 
 __all__ = ["RecipeError", "load_recipe", "synth_generate"]
 
@@ -27,6 +30,28 @@ class RecipeError(ValueError):
 
 
 _CHANNEL_FIELDS = ("base", "slope", "sin_amp")
+
+
+_SPREAD = ((">= 0", lambda v: v >= 0), ("finite", math.isfinite))
+_LENGTHS = ("two integers [lo, hi] with 2 <= lo <= hi", lambda v: list_of(v, 2, int) and 2 <= v[0] <= v[1])
+_SCALES = (
+    f"{len(VOLTAGE_LEVELS)} finite numbers > 0, one per voltage level",
+    lambda v: list_of(v, len(VOLTAGE_LEVELS), int, float) and all(0 < x < math.inf for x in v),
+)
+
+
+@dataclass(frozen=True)
+class _Settings:
+    """Each top-level key synth_generate reads, classes aside, and its rules; a None default marks a required key."""
+
+    transformers_per_class: int = setting(AT_LEAST_1, default=None)
+    length_range: tuple[int, int] = setting(_LENGTHS, default=None)
+    noise_level: float = setting(*_SPREAD, default=None)
+    level_spread: float = setting(*_SPREAD, default=0.0)
+    channel_spread: float = setting(*_SPREAD, default=0.0)
+    voltage_scale: tuple[float, ...] = setting(_SCALES, default=(1.0,) * len(VOLTAGE_LEVELS))
+
+    __post_init__ = check_fields
 
 
 def load_recipe(name_or_path: str) -> dict:
@@ -47,10 +72,13 @@ def load_recipe(name_or_path: str) -> dict:
     return _validate(json.loads(text))
 
 
-def _validate(recipe: dict) -> dict:
+def _validate(recipe) -> dict:
+    """The recipe with _Settings' defaults filled in, once every key synth_generate reads passes its rules."""
+    if not isinstance(recipe, dict):
+        raise RecipeError(f"a recipe must be a JSON object, got {reprlib.repr(recipe)}")
     classes = recipe.get("classes")
-    if not classes:
-        raise RecipeError("recipe has an empty class set")
+    if not isinstance(classes, dict) or not classes:
+        raise RecipeError(f"classes must be a non-empty object of condition profiles, got {reprlib.repr(classes)}")
     for name, profile in classes.items():
         by_name(name)  # raises on unknown condition
         for field in _CHANNEL_FIELDS:
@@ -58,15 +86,11 @@ def _validate(recipe: dict) -> dict:
                 raise RecipeError(f"class {name}: {field} must list 5 channel values")
         if profile.get("sin_period", 0) <= 0:
             raise RecipeError(f"class {name}: sin_period must be positive")
-    lo, hi = recipe.get("length_range", (0, 0))
-    if not 2 <= lo <= hi:
-        raise RecipeError(f"length_range {recipe.get('length_range')} invalid")
-    per_class = recipe.get("transformers_per_class", 0)
-    if not isinstance(per_class, (int, np.integer)) or per_class < 1:
-        raise RecipeError(f"transformers_per_class must be an integer >= 1, got {per_class!r}")
-    if not recipe.get("noise_level", 0) >= 0:  # NaN fails too
-        raise RecipeError(f"noise_level must be >= 0, got {recipe.get('noise_level')!r}")
-    return recipe
+    try:
+        settings = _Settings(**{key: recipe[key] for key in _Settings.__dataclass_fields__ if key in recipe})
+    except ValueError as exc:
+        raise RecipeError(str(exc)) from None
+    return {**recipe, **vars(settings)}
 
 
 def synth_generate(
@@ -93,9 +117,9 @@ def synth_generate(
     n_per_class = recipe["transformers_per_class"]
     lo, hi = recipe["length_range"]
     noise = recipe["noise_level"]
-    level_spread = recipe.get("level_spread", 0.0)
-    channel_spread = recipe.get("channel_spread", 0.0)
-    voltage_scale = recipe.get("voltage_scale", [1.0, 1.0, 1.0, 1.0])
+    level_spread = recipe["level_spread"]
+    channel_spread = recipe["channel_spread"]
+    voltage_scale = recipe["voltage_scale"]
 
     series = []
     for name in sorted(recipe["classes"]):

@@ -531,13 +531,14 @@ def backward(tape: Tape, loss: Tensor) -> None:
             node.grad = None
 
 
-def grad_check(f, params: list[Tensor], step: float = 1e-5) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def grad_check(f, params: list[Tensor]) -> float:
+    """Max relative error between analytic and central-difference gradients, 1e-5 each side.
 
     `f` rebuilds its computation from `params` on every call and returns a
     scalar Tensor. Relative error uses max(|analytic|, |cd|, 1e-8) as the
     denominator.
     """
+    step = 1e-5
     with Tape() as tape:
         loss = f()
         backward(tape, loss)

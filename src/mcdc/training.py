@@ -76,27 +76,23 @@ def lr_schedule(epoch: int, config: TrainConfig) -> float:
 
 
 class AdamState:
-    """First/second moment accumulators, one pair per named parameter.
+    """First/second moment accumulators for one named parameter list.
 
     The first step lays the moments of all parameters out in one flat buffer
-    each (m[name] and v[name] are views into them), next to two flat scratch
-    buffers, so a step costs a fixed number of ufunc calls over all
-    parameters at once instead of a dozen per parameter.
+    each, next to two flat scratch buffers, so a step costs a fixed number of
+    ufunc calls over all parameters at once instead of a dozen per parameter.
     """
 
     def __init__(self):
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
         self.t = 0
+        self._names: list[str] = []  # the parameter list's names, in its order
         self._flat: tuple[np.ndarray, ...] = ()  # m, v, step, denom
         self._bounds: list[int] = []  # parameter i is [bounds[i], bounds[i + 1]) of each buffer
 
     def _layout(self, params) -> None:
+        self._names = [name for name, _ in params]
         self._bounds = np.cumsum([0] + [p.data.size for _, p in params]).tolist()
         self._flat = tuple(np.zeros(self._bounds[-1]) for _ in range(4))
-        for (name, p), lo, hi in zip(params, self._bounds, self._bounds[1:]):
-            self.m[name] = self._flat[0][lo:hi].reshape(p.data.shape)
-            self.v[name] = self._flat[1][lo:hi].reshape(p.data.shape)
 
 
 def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float, config: TrainConfig) -> None:
@@ -115,8 +111,8 @@ def adam_step(params, grads: dict[str, np.ndarray], state: AdamState, lr: float,
             raise ValueError(f"gradient shape {grads[name].shape} != parameter {name} shape {p.data.shape}")
     if not state._flat:
         state._layout(params)
-    elif names != list(state.m):
-        raise ValueError(f"adam_step got parameters {names}, but this state holds {list(state.m)}")
+    elif names != state._names:
+        raise ValueError(f"adam_step got parameters {names}, but this state holds {state._names}")
     state.t += 1
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**state.t
@@ -148,9 +144,6 @@ class EpochStats:
 class TrainHistory:
     rows: list[EpochStats] = field(default_factory=list)
     best_epoch: int = -1
-
-    def __len__(self):
-        return len(self.rows)
 
 
 def score_windows(model, windows: list[CdgdWindow]) -> np.ndarray:
@@ -270,7 +263,6 @@ class CrossValResult:
     fold_val_accuracies: list[float]
     best_fold: int
     best_model: object
-    best_val_accuracy: float
 
 
 def cross_validate(make_model, windows: list[CdgdWindow], plan, config: TrainConfig) -> CrossValResult:
@@ -292,7 +284,7 @@ def cross_validate(make_model, windows: list[CdgdWindow], plan, config: TrainCon
         accuracies.append(val_acc)
         if val_acc > best[0]:
             best = (val_acc, fold_index, model)
-    return CrossValResult(histories, accuracies, best[1], best[2], best[0])
+    return CrossValResult(histories, accuracies, best[1], best[2])
 
 
 def history_to_csv(fold_histories: list[TrainHistory], path) -> None:

@@ -173,10 +173,10 @@ def test_criterion_05_synthetic_end_to_end():
         assert model.hyper.kernel_temporal == 5 and model.hyper.kernel_channel == 6 and model.hyper.heads == 4
         train_cfg = TrainConfig(seed=42, epochs=40, batch_size=200, patience=10)
         history = train_fold(model, train_w, val_w, train_cfg)
-        assert len(history) <= 300
+        assert len(history.rows) <= 300
         report = evaluate_model(model, test_w)
         elapsed = time.perf_counter() - started
-        print(f"\n  test accuracy {report.accuracy:.4f} after {len(history)} epochs, {elapsed:.0f}s")
+        print(f"\n  test accuracy {report.accuracy:.4f} after {len(history.rows)} epochs, {elapsed:.0f}s")
         assert report.accuracy >= 0.95, f"accuracy {report.accuracy:.4f}"
         cm = np.asarray(report.confusion)
         for c in range(7):
@@ -192,7 +192,7 @@ def test_criterion_06_mechanism_stability_comparison():
         )
         windows = build_windows(build_series(config), 8)
         fitters = {k: _fitter_for(config, k) for k in ("mcdc", "mcdc-matrix")}
-        result = compare(fitters, windows, "sample", repetitions=10, base_seed=100, k=4)
+        result = compare(fitters, windows, "sample", repetitions=10, base_seed=100)
         by_name = {row.name: row for row in result.models}
         conv_std = float(np.std(by_name["mcdc"].accuracies))
         matrix_std = float(np.std(by_name["mcdc-matrix"].accuracies))
@@ -221,7 +221,7 @@ def test_criterion_07_facility_generalization():
         fitters = {k: _fitter_for(config, k) for k in ("mcdc", "ann")}
         means = {}
         for mode in ("sample", "facility"):
-            result = compare(fitters, windows, mode, repetitions=5, base_seed=200, k=4)
+            result = compare(fitters, windows, mode, repetitions=5, base_seed=200)
             means[mode] = {row.name: row.mean_accuracy for row in result.models}
         print(
             f"\n  mcdc sample {means['sample']['mcdc']:.4f} facility {means['facility']['mcdc']:.4f}; "

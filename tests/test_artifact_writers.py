@@ -148,20 +148,19 @@ class TestJsonArtifacts:
         for kind in ("mcdc", "mcdc-matrix", "ann"):
             model = make_model(kind, 8, 4)
             stats = NormStats(np.array([0.0, 1e-310, 1 / 3, 1e300, 5.0]), np.array([1e-6, 1.0, 2.0, 3.0, 0.1]))
-            for norm_stats in (stats, None):
-                save_checkpoint(tmp_path / "new.json", model, norm_stats)
-                json_dump_reference(
-                    {
-                        "format_version": FORMAT_VERSION,
-                        "model_kind": kind,
-                        "seed": 4,
-                        "hyper": asdict(model.hyper),
-                        "norm_stats": norm_stats.to_dict() if norm_stats else None,
-                        "params": {name: arr.tolist() for name, arr in model.parameter_arrays().items()},
-                    },
-                    tmp_path / "old.json",
-                )
-                assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+            save_checkpoint(tmp_path / "new.json", model, stats)
+            json_dump_reference(
+                {
+                    "format_version": FORMAT_VERSION,
+                    "model_kind": kind,
+                    "seed": 4,
+                    "hyper": asdict(model.hyper),
+                    "norm_stats": stats.to_dict(),
+                    "params": {name: arr.tolist() for name, arr in model.parameter_arrays().items()},
+                },
+                tmp_path / "old.json",
+            )
+            assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
     def test_report_and_comparison_match_json_dump(self, tmp_path):
         series = synth_generate(load_recipe("stability"), seed=8, transformers_per_class=3, length_range=(10, 14))

@@ -8,9 +8,12 @@ import pytest
 from mcdc.baselines import MODEL_KINDS, AnnHyper, AnnModel, kind_of, make_model
 from mcdc.checkpoint import load_checkpoint, save_checkpoint
 from mcdc.conditions import N_CONDITIONS
+from mcdc.data import NormStats
 from mcdc.model import McdcModel, ModelHyper
 from mcdc.tensor import cross_entropy, grad_check
 from mcdc.training import TrainConfig
+
+STATS = NormStats(np.zeros(5), np.ones(5))
 
 
 class TestAnnForward:
@@ -141,13 +144,13 @@ class TestCheckpointContainer:
 
     def test_same_model_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        save_checkpoint(a, make_model("mcdc", temporal_len=8, seed=18))
-        save_checkpoint(b, make_model("mcdc", temporal_len=8, seed=18))
+        save_checkpoint(a, make_model("mcdc", temporal_len=8, seed=18), STATS)
+        save_checkpoint(b, make_model("mcdc", temporal_len=8, seed=18), STATS)
         assert a.read_bytes() == b.read_bytes()
 
     def test_kind_tag_dispatches(self, tmp_path):
         path = tmp_path / "ann.json"
-        save_checkpoint(path, make_model("ann", temporal_len=8, seed=19))
+        save_checkpoint(path, make_model("ann", temporal_len=8, seed=19), STATS)
         loaded, _ = load_checkpoint(path)
         assert isinstance(loaded, AnnModel)
         assert not isinstance(loaded, McdcModel)
@@ -200,7 +203,7 @@ class TestCheckpointContainer:
             match = "missing params block"
         else:
             payload["norm_stats"]["std"][2] = 0.0
-            match = "norm_stats std"
+            match = r"std must be > 0, got \["
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckpointError, match=f"{re.escape(str(path))}: .*{match}"):
             load_checkpoint(path)
@@ -211,7 +214,7 @@ class TestCheckpointContainer:
         from mcdc.checkpoint import CheckpointError
 
         path = tmp_path / "v1.json"
-        save_checkpoint(path, make_model("mcdc", temporal_len=8, seed=21))
+        save_checkpoint(path, make_model("mcdc", temporal_len=8, seed=21), STATS)
         payload = json.loads(path.read_text())
         # format 1 kept each head's q, k and v kernels under their own names
         for route in ("temporal", "channel"):

@@ -2,7 +2,9 @@
 
 import argparse
 import json
+import math
 from dataclasses import fields
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -30,9 +32,20 @@ TINY_FLAGS = [
 ]
 
 
+SCALES = "4 finite numbers > 0, one per voltage level"
 UNKNOWN_RECIPE = (
     "error: --recipe 'nosuch' is neither a shipped recipe (default, facility_shift, stability) nor a recipe file"
 )
+
+
+def _edited(change):
+    """A checkpoint text edit that applies `change` to the parsed payload in place."""
+    def edit(text):
+        payload = json.loads(text)
+        change(payload)
+        return json.dumps(payload)
+
+    return edit
 
 
 def train_once(tmp_path, name, seed="21", extra=()):
@@ -66,15 +79,47 @@ class TestGenData:
             # it used to end in numpy's bare "expected non-negative integer"
             (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
             # 0 used to fall back to the recipe's count and write 28 series
-            (["--seed", "3", "--transformers-per-class", "0"], "transformers_per_class must be an integer >= 1, got 0"),
+            (["--seed", "3", "--transformers-per-class", "0"], "transformers_per_class must be >= 1, got 0"),
             (["--seed", "3", "--noise", "-0.5"], "noise_level must be >= 0, got -0.5"),
             (["--seed", "3", "--noise", "nan"], "noise_level must be >= 0, got nan"),
+            # it used to end in "HD-00: non-finite concentration"
+            (["--seed", "3", "--noise", "inf"], "noise_level must be finite, got inf"),
         ],
     )
     def test_bad_override_refused_before_writing(self, tmp_path, capsys, flags, message):
         out = tmp_path / "data.csv"
         assert main(["gen-data", "--out", str(out), "--recipe", "stability", *flags]) == 1
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            # it used to end in a TypeError traceback
+            ("noise_level", "x", "noise_level must be a number, got 'x'"),
+            # it used to end in numpy's "scale < 0"
+            ("level_spread", -0.1, "level_spread must be >= 0, got -0.1"),
+            # it used to end in "could not convert string to float: 'a'"
+            ("channel_spread", "a", "channel_spread must be a number, got 'a'"),
+            # it used to end in "not enough values to unpack"
+            ("length_range", [5], "length_range must be two integers [lo, hi] with 2 <= lo <= hi, got [5]"),
+            # it used to end in "HT-00: non-finite concentration"
+            ("level_spread", math.inf, "level_spread must be finite, got inf"),
+            # these three used to exit 0
+            ("transformers_per_class", True, "transformers_per_class must be an integer, got True"),
+            ("voltage_scale", [1, 1, 1], f"voltage_scale must be {SCALES}, got [1, 1, 1]"),
+            ("voltage_scale", [1, 1, 1, -5], f"voltage_scale must be {SCALES}, got [1, 1, 1, -5]"),
+        ],
+        ids=["string-noise", "negative-level-spread", "string-channel-spread", "one-length", "infinite-level-spread",
+             "bool-count", "three-scales", "negative-scale"],
+    )
+    def test_bad_recipe_value_refused_naming_the_key(self, tmp_path, capsys, key, value, message):
+        recipe = json.loads(resources.files("mcdc").joinpath("recipes/stability.json").read_text(encoding="utf-8"))
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({**recipe, key: value}))
+        out = tmp_path / "g.csv"
+        assert main(["gen-data", "--seed", "1", "--out", str(out), "--recipe", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
     def test_unknown_recipe_names_the_flag_and_the_shipped_recipes(self, tmp_path, capsys):
@@ -435,9 +480,9 @@ class TestEvalCommand:
             ("split.json", lambda p: p.update(temporal_len="8"), "temporal_len must be an integer, got '8'"),
             # it used to fail late, with numpy's broadcast error
             ("checkpoint.json", lambda p: p["norm_stats"].update(mean=[0.0, 1.0, 2.0]),
-             "norm_stats mean must be 5 numbers, got [0.0, 1.0, 2.0]"),
+             "mean must be 5 numbers, got [0.0, 1.0, 2.0]"),
             # it used to end in "'std'"
-            ("checkpoint.json", lambda p: p["norm_stats"].pop("std"), "norm_stats std must be 5 numbers, got None"),
+            ("checkpoint.json", lambda p: p["norm_stats"].pop("std"), "std must be 5 numbers, got None"),
         ],
         ids=["negative-index", "index-past-end", "string-temporal-len", "three-means", "missing-std"],
     )
@@ -454,6 +499,45 @@ class TestEvalCommand:
         n = json.loads((trained / "split.json").read_text())["n_windows"]
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].endswith(f": {bad}: {message.format(n=n)}"), lines
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            # these used to end in "'list' object has no attribute 'get'"
+            (lambda text: "[1, 2]", "a checkpoint must hold a JSON object, got [1, 2]"),
+            (_edited(lambda p: p.update(norm_stats=[1, 2])),
+             "missing norm_stats block: want a JSON object, got [1, 2]"),
+            # the decoder's message used to come without the path
+            (lambda text: text + "}", "Extra data: line 2 column 1 "),
+            # these used to end in "SeedSequence expects int" and "expected non-negative
+            # integer", and to exit 0 with seed 0
+            (_edited(lambda p: p.update(seed="abc")), "seed must be an integer, got 'abc'"),
+            (_edited(lambda p: p.update(seed=-1)), "seed must be an integer >= 0, got -1"),
+            (_edited(lambda p: p.pop("seed")), "seed must be an integer, got None"),
+            # a checkpoint without statistics was the shape only tests wrote
+            (_edited(lambda p: p.update(norm_stats=None)),
+             "missing norm_stats block: want a JSON object, got None"),
+            # these used to end in numpy's conversion error, naming neither the block nor the parameter
+            (_edited(lambda p: p["norm_stats"]["mean"].__setitem__(0, "a")), "mean must be 5 numbers, got ['a', "),
+            (_edited(lambda p: p["params"].update(ffn_b2="abc")),
+             "parameter ffn_b2: could not convert string to float: 'abc'"),
+            (_edited(lambda p: p["norm_stats"]["std"].__setitem__(2, 0.0)), "std must be > 0, got ["),
+            # it used to exit 0
+            (_edited(lambda p: p.update(extra=1)), "unknown checkpoint keys ['extra']"),
+        ],
+        ids=["list-top-level", "list-norm-stats", "extra-data", "string-seed", "negative-seed", "no-seed",
+             "null-norm-stats", "string-mean", "string-parameter", "zero-std", "extra-key"],
+    )
+    def test_bad_checkpoint_refused_naming_the_file_and_the_key(self, trained, tmp_path, capsys, edit, message):
+        bad = tmp_path / "c.json"
+        bad.write_text(edit((trained / "checkpoint.json").read_text()))
+        out = tmp_path / "e"
+        code = main(["eval", "--checkpoint", str(bad), "--data", str(trained / "dataset.csv"),
+                     "--plan", str(trained / "split.json"), "--out", str(out)])
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: stage 'load-checkpoint': {bad}: {message}"), lines
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -294,7 +294,7 @@ def _comparison_windows(seed=10, per_class=12):
 class TestCompare:
     def test_single_model_single_repetition(self):
         windows = _comparison_windows()
-        result = compare({"centroid": _centroid_fitter}, windows, "sample", 1, base_seed=11, k=2)
+        result = compare({"centroid": _centroid_fitter}, windows, "sample", 1, base_seed=11)
         (row,) = result.models
         assert row.mean_accuracy == row.accuracies[0]
         assert row.max_mean_error == 0.0
@@ -303,13 +303,13 @@ class TestCompare:
     def test_identical_models_p_one(self):
         windows = _comparison_windows()
         result = compare(
-            {"a": _centroid_fitter, "b": _centroid_fitter}, windows, "sample", 4, base_seed=12, k=2
+            {"a": _centroid_fitter, "b": _centroid_fitter}, windows, "sample", 4, base_seed=12
         )
         assert result.p_values["a|b"] == 1.0
 
     def test_mean_accuracy_definitional(self):
         windows = _comparison_windows()
-        result = compare({"centroid": _centroid_fitter}, windows, "sample", 5, base_seed=13, k=2)
+        result = compare({"centroid": _centroid_fitter}, windows, "sample", 5, base_seed=13)
         (row,) = result.models
         assert row.mean_accuracy == pytest.approx(np.mean(row.accuracies))
         assert row.max_mean_error == pytest.approx(
