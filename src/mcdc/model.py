@@ -6,6 +6,7 @@ stage passes its input through unchanged.
 
 from __future__ import annotations
 
+import functools
 import reprlib
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -75,12 +76,22 @@ def setting_of(cls, name: str):
     return field(default=source.default, metadata={**source.metadata, "of": cls, "name": name})
 
 
+@functools.cache
+def _field_rules(cls) -> tuple[tuple[str, tuple], ...]:
+    """(name, rules) for each field of the config class `cls`: its annotation's type rule, then its own."""
+    return tuple(
+        (f.name, ((_TYPE_RULES[f.type],) if f.type in _TYPE_RULES else ()) + f.metadata.get("rules", ()))
+        for f in fields(cls)
+    )
+
+
 def check_fields(config) -> None:
     """Refuse the first field that fails its annotation's type rule or one of its own rules, by name."""
-    for f in fields(config):
-        for domain, test in ((_TYPE_RULES[f.type],) if f.type in _TYPE_RULES else ()) + f.metadata.get("rules", ()):
-            if not test(getattr(config, f.name)):
-                raise ValueError(f"{f.name} must be {domain}, got {reprlib.repr(getattr(config, f.name))}")
+    for name, rules in _field_rules(type(config)):
+        value = getattr(config, name)
+        for domain, test in rules:
+            if not test(value):
+                raise ValueError(f"{name} must be {domain}, got {reprlib.repr(value)}")
 
 
 @dataclass(frozen=True)

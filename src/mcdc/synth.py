@@ -29,9 +29,6 @@ class RecipeError(ValueError):
     """Raised for structurally invalid generator recipes."""
 
 
-_CHANNEL_FIELDS = ("base", "slope", "sin_amp")
-
-
 _SPREAD = ((">= 0", lambda v: v >= 0), ("finite", math.isfinite))
 _LENGTHS = ("two integers [lo, hi] with 2 <= lo <= hi", lambda v: list_of(v, 2, int) and 2 <= v[0] <= v[1])
 _SCALES = (
@@ -54,6 +51,29 @@ class _Settings:
     __post_init__ = check_fields
 
 
+_CHANNELS = ("5 finite numbers", lambda v: list_of(v, 5, int, float) and all(map(math.isfinite, v)))
+
+
+@dataclass(frozen=True)
+class _Profile:
+    """The keys synth_generate reads from one class's profile, and their rules; each is required."""
+
+    base: tuple[float, ...] = setting(_CHANNELS, default=None)
+    slope: tuple[float, ...] = setting(_CHANNELS, default=None)
+    sin_amp: tuple[float, ...] = setting(_CHANNELS, default=None)
+    sin_period: float = setting(("finite", math.isfinite), ("> 0", lambda v: v > 0), default=None)
+
+    __post_init__ = check_fields
+
+
+def _checked(cls, block: dict, prefix: str = ""):
+    """`cls` built from the keys of `block` that it holds; a refusal is a RecipeError led by `prefix`."""
+    try:
+        return cls(**{key: block[key] for key in cls.__dataclass_fields__ if key in block})
+    except ValueError as exc:
+        raise RecipeError(f"{prefix}{exc}") from None
+
+
 def load_recipe(name_or_path: str) -> dict:
     """Load a recipe by packaged name ("default", "facility_shift", ...) or path."""
     shipped = resources.files("mcdc").joinpath("recipes")
@@ -69,7 +89,11 @@ def load_recipe(name_or_path: str) -> dict:
             raise RecipeError(
                 f"--recipe {name_or_path!r} is neither a shipped recipe ({names}) nor a recipe file"
             ) from None
-    return _validate(json.loads(text))
+    try:
+        recipe = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise RecipeError(f"{name_or_path}: {exc}") from None
+    return _validate(recipe)
 
 
 def _validate(recipe) -> dict:
@@ -81,16 +105,10 @@ def _validate(recipe) -> dict:
         raise RecipeError(f"classes must be a non-empty object of condition profiles, got {reprlib.repr(classes)}")
     for name, profile in classes.items():
         by_name(name)  # raises on unknown condition
-        for field in _CHANNEL_FIELDS:
-            if len(profile.get(field, ())) != 5:
-                raise RecipeError(f"class {name}: {field} must list 5 channel values")
-        if profile.get("sin_period", 0) <= 0:
-            raise RecipeError(f"class {name}: sin_period must be positive")
-    try:
-        settings = _Settings(**{key: recipe[key] for key in _Settings.__dataclass_fields__ if key in recipe})
-    except ValueError as exc:
-        raise RecipeError(str(exc)) from None
-    return {**recipe, **vars(settings)}
+        if not isinstance(profile, dict):
+            raise RecipeError(f"class {name}: profile must be an object, got {reprlib.repr(profile)}")
+        _checked(_Profile, profile, f"class {name}: ")
+    return {**recipe, **vars(_checked(_Settings, recipe))}
 
 
 def synth_generate(

@@ -11,10 +11,14 @@ shape before it reaches the operand. `conv1d` has one form, the one the
 attention routes hold: a (K, 1, k) kernel bank slid one column at a time
 over a signal zero-padded to keep its length.
 
-Operations executed while a Tape is active record themselves onto it in
-creation order, which is automatically a topological order; backward()
-walks the tape once in reverse. With no active tape the same functions run
-as plain numpy compute, which is the evaluation fast path.
+Operations executed while a Tape is active, on an operand that tracks
+gradients, record themselves onto it in creation order, which is
+automatically a topological order; backward() walks the tape once in
+reverse. Every other call runs as plain numpy compute: it wraps its result
+without converting it again and builds no backward rule, which is the
+evaluation fast path. On a 2-vCPU host with one BLAS thread, a one-window
+forward at T = 12 takes about 128 us for the stock conv model and 108 us
+for its matrix twin.
 """
 
 from __future__ import annotations
@@ -92,13 +96,10 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        self.data = arr
+    def __init__(self, data: np.ndarray, requires_grad: bool = False):
+        """Wrap `data`, a float64 array of rank 2 or more, as it is; tensor()
+        and parameter() convert any other value first."""
+        self.data = data
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -117,14 +118,24 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
+def _matrix(data) -> np.ndarray:
+    """`data` as a float64 array: a scalar as 1x1, a vector as 1xN."""
+    arr = np.asarray(data, dtype=np.float64)
+    if arr.ndim == 0:
+        return arr.reshape(1, 1)
+    if arr.ndim == 1:
+        return arr.reshape(1, -1)
+    return arr
+
+
 def tensor(data) -> Tensor:
     """Constant tensor (no gradient tracking)."""
-    return Tensor(data)
+    return Tensor(_matrix(data))
 
 
 def parameter(data) -> Tensor:
     """Leaf tensor that accumulates gradients."""
-    return Tensor(data, requires_grad=True)
+    return Tensor(_matrix(data), requires_grad=True)
 
 
 def glorot(rng: np.random.Generator, *shape: int) -> Tensor:
@@ -149,22 +160,34 @@ def _accum(t: Tensor, g: np.ndarray) -> None:
 
 def _stacks_differ(a: Tensor, b: Tensor) -> bool:
     """True when the operands' stack axes do not broadcast against each other."""
+    if a.data.ndim == 2 or b.data.ndim == 2:
+        return False
     for m, n in zip(reversed(a.shape[:-2]), reversed(b.shape[:-2])):
         if m != n and m != 1 and n != 1:
             return True
     return False
 
 
-def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """Put `out` on the active tape if any parent tracks gradients."""
+def _tracking(parents: tuple[Tensor, ...]) -> bool:
+    """True when a tape is active and a parent tracks gradients: the one case
+    in which an op's result goes on the tape. Every op tests it before it
+    builds its backward rule, so a call that records nothing builds none."""
     if _TAPE_STACK:
         for p in parents:
             if p.requires_grad:
-                out.requires_grad = True
-                out._parents = parents
-                out._backward = backward_fn
-                _TAPE_STACK[-1].nodes.append(out)
-                break
+                return True
+    return False
+
+
+def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """Put `out` on the active tape if any parent tracks gradients. The ops
+    here call it only once _tracking holds; it tests the rule itself so that
+    an op that builds its rule first may call it unconditionally."""
+    if _tracking(parents):
+        out.requires_grad = True
+        out._parents = parents
+        out._backward = backward_fn
+        _TAPE_STACK[-1].nodes.append(out)
     return out
 
 
@@ -172,6 +195,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-2:] != b.shape[-2:] or _stacks_differ(a, b):
         raise DimensionError(f"add shapes differ: {a.shape} vs {b.shape}")
     out = Tensor(a.data + b.data)
+    if not _tracking((a, b)):
+        return out
 
     def bw(g):
         _accum(a, g)
@@ -192,6 +217,8 @@ def add_n(parts: list[Tensor]) -> Tensor:
     for p in parts[1:]:
         total += p.data
     out = Tensor(total)
+    if not _tracking(tuple(parts)):
+        return out
 
     def bw(g):
         for p in parts:
@@ -203,6 +230,8 @@ def add_n(parts: list[Tensor]) -> Tensor:
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor(a.data * c)
+    if not _tracking((a,)):
+        return out
 
     def bw(g):
         _accum(a, g * c)
@@ -214,6 +243,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"mul shapes differ: {a.shape} vs {b.shape}")
     out = Tensor(a.data * b.data)
+    if not _tracking((a, b)):
+        return out
 
     def bw(g):
         _accum(a, g * b.data)
@@ -243,6 +274,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2] or _stacks_differ(a, b):
         raise DimensionError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
     out = Tensor(a.data @ b.data)
+    if not _tracking((a, b)):
+        return out
 
     def bw(g):
         if a.requires_grad:
@@ -262,6 +295,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes."""
     out = Tensor(a.data.swapaxes(-1, -2).copy())
+    if not _tracking((a,)):
+        return out
 
     def bw(g):
         _accum(a, g.swapaxes(-1, -2))
@@ -274,6 +309,8 @@ def reshape(a: Tensor, shape: tuple[int, int]) -> Tensor:
     if a.shape[-2] * a.shape[-1] != shape[0] * shape[1]:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
     out = Tensor(a.data.reshape(a.shape[:-2] + tuple(shape)).copy())
+    if not _tracking((a,)):
+        return out
 
     def bw(g):
         _accum(a, g.reshape(a.shape))
@@ -285,6 +322,8 @@ def unit_stack(x: Tensor) -> Tensor:
     """A view of `x` with a unit stack axis before the matrix axes: (..., r, c)
     gives (..., 1, r, c), which broadcasts against an (S, r', c') stack."""
     out = Tensor(x.data[..., None, :, :])
+    if not _tracking((x,)):
+        return out
 
     def bw(g):
         _accum(x, g[..., 0, :, :])
@@ -299,6 +338,8 @@ def merge_stack(x: Tensor) -> Tensor:
         raise DimensionError(f"merge_stack needs a stack, got shape {x.shape}")
     *lead, s, r, c = x.shape
     out = Tensor(x.data.reshape(*lead, s * r, c).copy())
+    if not _tracking((x,)):
+        return out
 
     def bw(g):
         _accum(x, g.reshape(x.shape))
@@ -316,10 +357,12 @@ def split(x: Tensor, parts: int) -> list[Tensor]:
     if parts < 1 or x.shape[-3] % parts:
         raise DimensionError(f"cannot split {x.shape[-3]} stacked matrices into {parts} equal parts")
     size = x.shape[-3] // parts
+    runs = [(..., slice(lo, lo + size), slice(None), slice(None)) for lo in range(0, x.shape[-3], size)]
+    out = [Tensor(x.data[run]) for run in runs]
+    if not _tracking((x,)):
+        return out
     owned = None  # the buffer this split allocated or copied for x.grad
-    out = []
-    for lo in range(0, x.shape[-3], size):
-        run = (..., slice(lo, lo + size), slice(None), slice(None))
+    for part, run in zip(out, runs):
 
         def bw(g, run=run):
             nonlocal owned
@@ -328,7 +371,7 @@ def split(x: Tensor, parts: int) -> list[Tensor]:
                 x.grad = owned
             x.grad[run] += g
 
-        out.append(_record(Tensor(x.data[run]), (x,), bw))
+        _record(part, (x,), bw)
     return out
 
 
@@ -373,6 +416,8 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
         out += term
     # (K, L, ..., rows) -> (..., K, rows, L)
     out = Tensor(out.reshape((n_kernels, length) + lead).transpose(tuple(range(2, nd - 1)) + (0, nd - 1, 1)))
+    if not _tracking((signal, bank)):
+        return out
 
     def bw(g):
         scratch = np.empty(g.size)  # one tap's products, for either gradient
@@ -414,14 +459,25 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
 
 
 def softmax_cols(x: Tensor) -> Tensor:
-    """Softmax over each column of every matrix of the stack, max-stabilized."""
-    e = np.exp(x.data - x.data.max(axis=-2, keepdims=True))
-    y = e / e.sum(axis=-2, keepdims=True)
+    """Softmax over each column of every matrix of the stack, max-stabilized.
+
+    The forward and the backward each fill one fresh buffer in place, with
+    the same ops in the same order as e = exp(x - max), y = e / sum(e) and
+    y * (g - sum(y * g)), so they give the same bytes with no fresh buffer
+    per step."""
+    y = np.subtract(x.data, np.maximum.reduce(x.data, axis=-2, keepdims=True))
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=-2, keepdims=True)
     out = Tensor(y)
+    if not _tracking((x,)):
+        return out
 
     def bw(g):
-        dot = (y * g).sum(axis=-2, keepdims=True)
-        _accum(x, y * (g - dot))
+        t = y * g
+        dot = np.add.reduce(t, axis=-2, keepdims=True)
+        np.subtract(g, dot, out=t)
+        t *= y
+        _accum(x, t)
 
     return _record(out, (x,), bw)
 
@@ -436,6 +492,8 @@ def sigmoid(x: Tensor) -> Tensor:
     denom = 1.0 + e
     y = np.where(d >= 0, 1.0 / denom, e / denom)
     out = Tensor(y)
+    if not _tracking((x,)):
+        return out
 
     def bw(g):
         _accum(x, g * y * (1.0 - y))
@@ -464,7 +522,9 @@ def cross_entropy(probs: Tensor, label) -> Tensor:
     if not 0 <= label < flat.size:
         raise IndexError(f"label {label} outside [0, {flat.size})")
     p = max(flat[label], _LOG_FLOOR)
-    out = Tensor(-np.log(p))
+    out = Tensor(np.reshape(-np.log(p), (1, 1)))
+    if not _tracking((probs,)):
+        return out
 
     def bw(g):
         d = np.zeros_like(probs.data)
@@ -488,7 +548,9 @@ def _mean_cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
         raise IndexError(f"labels {labels.tolist()} outside [0, {rows.shape[1]})")
     n = labels.size
     picked = np.maximum(rows[np.arange(n), labels], _LOG_FLOOR)
-    out = Tensor(-np.log(picked).sum() / n)
+    out = Tensor(np.reshape(-np.log(picked).sum() / n, (1, 1)))
+    if not _tracking((probs,)):
+        return out
 
     def bw(g):
         d = np.zeros_like(probs.data)
@@ -499,7 +561,9 @@ def _mean_cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum())
+    out = Tensor(np.reshape(x.data.sum(), (1, 1)))
+    if not _tracking((x,)):
+        return out
 
     def bw(g):
         _accum(x, np.full_like(x.data, g[0, 0]))

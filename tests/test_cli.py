@@ -109,17 +109,42 @@ class TestGenData:
             ("transformers_per_class", True, "transformers_per_class must be an integer, got True"),
             ("voltage_scale", [1, 1, 1], f"voltage_scale must be {SCALES}, got [1, 1, 1]"),
             ("voltage_scale", [1, 1, 1, -5], f"voltage_scale must be {SCALES}, got [1, 1, 1, -5]"),
+            # a dotted key edits a class profile; these two used to end in a traceback
+            ("classes.NC.sin_period", "x", "class NC: sin_period must be a number, got 'x'"),
+            ("classes.NC", [1, 2], "class NC: profile must be an object, got [1, 2]"),
+            # it used to end in "NC-00: non-finite concentration"
+            ("classes.NC.sin_period", math.nan, "class NC: sin_period must be finite, got nan"),
+            ("classes.HD.sin_period", 0, "class HD: sin_period must be > 0, got 0"),
+            ("classes.NC.base", [30, 15, 8, 10], "class NC: base must be 5 finite numbers, got [30, 15, 8, 10]"),
+            ("classes.NC.slope", [0, 0, 0, 0, math.inf], "class NC: slope must be 5 finite numbers, got [0, 0, 0, 0, inf]"),
+            ("classes.NC.sin_amp", [2, 1, "a", 0.5, 0.1],
+             "class NC: sin_amp must be 5 finite numbers, got [2, 1, 'a', 0.5, 0.1]"),
         ],
         ids=["string-noise", "negative-level-spread", "string-channel-spread", "one-length", "infinite-level-spread",
-             "bool-count", "three-scales", "negative-scale"],
+             "bool-count", "three-scales", "negative-scale", "string-period", "list-profile", "nan-period",
+             "zero-period", "four-bases", "infinite-slope", "string-amp"],
     )
     def test_bad_recipe_value_refused_naming_the_key(self, tmp_path, capsys, key, value, message):
         recipe = json.loads(resources.files("mcdc").joinpath("recipes/stability.json").read_text(encoding="utf-8"))
+        *outer, last = key.split(".")
+        block = recipe
+        for name in outer:
+            block = block[name]
+        block[last] = value
         path = tmp_path / "r.json"
-        path.write_text(json.dumps({**recipe, key: value}))
+        path.write_text(json.dumps(recipe))
         out = tmp_path / "g.csv"
         assert main(["gen-data", "--seed", "1", "--out", str(out), "--recipe", str(path)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
+    def test_undecodable_recipe_names_the_file(self, tmp_path, capsys):
+        # it used to print only "error: Expecting value: line 1 column 13 (char 12)"
+        path = tmp_path / "r.json"
+        path.write_text('{"classes": ')
+        out = tmp_path / "g.csv"
+        assert main(["gen-data", "--seed", "1", "--out", str(out), "--recipe", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: Expecting value: line 1 column 13 (char 12)"]
         assert not out.exists()
 
     def test_unknown_recipe_names_the_flag_and_the_shipped_recipes(self, tmp_path, capsys):

@@ -224,6 +224,27 @@ class TestSoftmax:
         b = softmax_cols(tensor(x + 7.25))
         assert np.allclose(a.data, b.data, atol=1e-12)
 
+    @pytest.mark.parametrize("t_len", [12, 48])
+    def test_same_bytes_as_the_out_of_place_formula(self, t_len):
+        # the forward and backward written with a fresh buffer per step, on
+        # temporal-map stacks with entries at +-700, where exp(x - max) ranges
+        # from 1 down past underflow; the in-place ones must match them bit for bit
+        rng = np.random.default_rng(t_len)
+        x = rng.normal(scale=5.0, size=(200, 4, t_len, t_len))
+        x.flat[::97] = 700.0
+        x.flat[5::89] = -700.0
+        x[3, 2] = -700.0  # every entry of some columns at the floor
+        g = rng.normal(size=x.shape)
+        e = np.exp(x - x.max(axis=-2, keepdims=True))
+        y = e / e.sum(axis=-2, keepdims=True)
+        dx = y * (g - (y * g).sum(axis=-2, keepdims=True))
+        xp = parameter(x)
+        with Tape() as tape:
+            out = softmax_cols(xp)
+            backward(tape, sum_all(mul(out, tensor(g))))  # hands softmax_cols exactly g
+        assert out.data.tobytes() == y.tobytes()
+        assert xp.grad.tobytes() == dx.tobytes()
+
 
 class TestSigmoid:
     def test_zero(self):
@@ -705,17 +726,63 @@ class TestTapeOrder:
                     assert position[id(parent)] < i
 
 
-class TestNoGradMode:
-    def test_no_tape_records_nothing(self):
-        x = parameter(np.ones((2, 2)))
-        y = add(x, x)
-        assert y._backward is None
-        assert not y.requires_grad
+def _uniform(leaf, *shape):
+    return leaf(np.full(shape, 1.0 / shape[-1]))
 
-    def test_constants_not_recorded(self):
+
+# every op of tensor.__all__ that returns tensors, called on operands that `leaf`
+# (parameter or tensor) makes; cross_entropy once in each of its two forms
+OPS = {
+    "add": lambda leaf: add(leaf(np.ones((2, 3))), leaf(np.ones((4, 2, 3)))),
+    "add_n": lambda leaf: add_n([leaf(np.ones((2, 3))), leaf(np.ones((2, 3)))]),
+    "conv1d": lambda leaf: conv1d(leaf(np.ones((2, 6))), leaf(np.ones((2, 1, 3)))),
+    "cross_entropy": lambda leaf: cross_entropy(_uniform(leaf, 1, 4), 1),
+    "cross_entropy[batch]": lambda leaf: cross_entropy(_uniform(leaf, 3, 1, 4), [0, 1, 2]),
+    "matmul": lambda leaf: matmul(leaf(np.ones((2, 3))), leaf(np.ones((4, 3, 5)))),
+    "merge_stack": lambda leaf: merge_stack(leaf(np.ones((2, 2, 3)))),
+    "mul": lambda leaf: mul(leaf(np.ones((2, 3))), leaf(np.ones((2, 3)))),
+    "reshape": lambda leaf: reshape(leaf(np.ones((2, 3))), (3, 2)),
+    "scale": lambda leaf: scale(leaf(np.ones((2, 3))), 2.0),
+    "sigmoid": lambda leaf: sigmoid(leaf(np.ones((2, 3)))),
+    "softmax_cols": lambda leaf: softmax_cols(leaf(np.ones((2, 3)))),
+    "split": lambda leaf: split(leaf(np.ones((4, 2, 3))), 2),
+    "sum_all": lambda leaf: sum_all(leaf(np.ones((2, 3)))),
+    "transpose": lambda leaf: transpose(leaf(np.ones((2, 3)))),
+    "unit_stack": lambda leaf: unit_stack(leaf(np.ones((2, 3)))),
+}
+
+
+def _results(out):
+    return out if isinstance(out, list) else [out]
+
+
+class TestNoGradMode:
+    def test_every_op_is_covered(self):
+        not_ops = {"DimensionError", "Tape", "Tensor", "backward", "glorot", "grad_check", "parameter", "tensor"}
+        assert {name.split("[")[0] for name in OPS} == set(tz.__all__) - not_ops
+
+    @pytest.mark.parametrize("name", OPS)
+    def test_no_tape_records_nothing(self, name):
+        for out in _results(OPS[name](parameter)):
+            assert out._backward is None
+            assert out._parents == ()
+            assert not out.requires_grad
+
+    @pytest.mark.parametrize("name", OPS)
+    def test_constants_not_recorded(self, name):
         with Tape() as tape:
-            add(tensor(np.ones((2, 2))), tensor(np.ones((2, 2))))
+            outs = _results(OPS[name](tensor))
             assert tape.nodes == []
+        for out in outs:
+            assert out._backward is None
+            assert out._parents == ()
+
+    @pytest.mark.parametrize("name", OPS)
+    def test_tracked_operands_recorded(self, name):
+        with Tape() as tape:
+            outs = _results(OPS[name](parameter))
+        assert tape.nodes == outs
+        assert all(out.requires_grad and out._backward is not None for out in outs)
 
 
 class TestFaultInjection:
