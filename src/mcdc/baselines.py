@@ -29,7 +29,7 @@ class AnnHyper:
     input_mode: str = setting(one_of(INPUT_MODES), default="last_day")
     hidden1: int = setting(AT_LEAST_1, default=32)
     hidden2: int = setting(AT_LEAST_1, default=16)
-    n_classes: int = N_CONDITIONS
+    n_classes: int = setting(one_of((N_CONDITIONS,)), default=N_CONDITIONS)
 
     __post_init__ = check_fields
 

@@ -6,11 +6,11 @@ exactly, so load(save(model)) reproduces parameters bit for bit.
 from __future__ import annotations
 
 import json
-import reprlib
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass
 
 from .baselines import MODEL_KINDS, kind_of
 from .data import NormStats
+from .model import check_fields, one_of, read_object, setting, setting_of
 from .training import TrainConfig
 
 __all__ = ["CheckpointError", "load_checkpoint", "save_checkpoint"]
@@ -22,21 +22,35 @@ class CheckpointError(ValueError):
     """Raised for unreadable or incompatible checkpoint files."""
 
 
+@dataclass(frozen=True)
+class _Document:
+    """A checkpoint's top-level keys and their rules; each is required."""
+
+    format_version: int = setting(one_of((FORMAT_VERSION,)))
+    model_kind: str = setting(one_of(tuple(MODEL_KINDS)))
+    seed: int = setting_of(TrainConfig, "seed")
+    hyper: dict
+    norm_stats: dict
+    params: dict
+
+    __post_init__ = check_fields
+
+
 def save_checkpoint(path, model, norm_stats: NormStats) -> None:
     """Write the model as one line of JSON: json.dumps with sort_keys, no
     indent and the default ", " and ": " separators, then "\n". These are the
     bytes json.dump writes, encoded in one C call instead of json.dump's
     pure-Python encoder."""
-    payload = {
-        "format_version": FORMAT_VERSION,
-        "model_kind": kind_of(model),
-        "seed": model.seed,
-        "hyper": asdict(model.hyper),
-        "norm_stats": norm_stats.to_dict(),
-        "params": {name: arr.tolist() for name, arr in model.parameter_arrays().items()},
-    }
+    document = _Document(
+        format_version=FORMAT_VERSION,
+        model_kind=kind_of(model),
+        seed=model.seed,
+        hyper=asdict(model.hyper),
+        norm_stats=norm_stats.to_dict(),
+        params={name: arr.tolist() for name, arr in model.parameter_arrays().items()},
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        fh.write(json.dumps(vars(document), sort_keys=True) + "\n")
 
 
 def load_checkpoint(path):
@@ -45,32 +59,15 @@ def load_checkpoint(path):
     Every refusal is a CheckpointError that starts with the path."""
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise ValueError(f"a checkpoint must hold a JSON object, got {reprlib.repr(payload)}")
-        version = payload.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        unknown = sorted(set(payload) - {"format_version", "model_kind", "seed", "hyper", "norm_stats", "params"})
-        if unknown:
-            raise ValueError(f"unknown checkpoint keys {unknown}")
-        kind = payload.get("model_kind")
-        if kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {kind!r}")
-        for block in ("hyper", "norm_stats", "params"):
-            if not isinstance(payload.get(block), dict):
-                raise ValueError(f"missing {block} block: want a JSON object, got {reprlib.repr(payload.get(block))}")
-        model_cls, hyper_cls, pinned = MODEL_KINDS[kind]
-        hyper = payload["hyper"]
-        unknown = sorted(set(hyper) - {f.name for f in fields(hyper_cls)})
-        if unknown:
-            raise ValueError(f"unknown hyper keys {unknown}")
-        clash = {name: hyper.get(name) for name, value in pinned.items() if hyper.get(name) != value}
+            document = read_object(_Document, json.load(fh), "checkpoint")
+        model_cls, hyper_cls, pinned = MODEL_KINDS[document.model_kind]
+        hyper = read_object(hyper_cls, document.hyper, "hyper")
+        clash = {name: document.hyper.get(name) for name, value in pinned.items() if document.hyper.get(name) != value}
         if clash:
-            raise ValueError(f"model_kind {kind!r} pins {pinned}, but the hyper block has {clash}")
-        stats = NormStats(payload["norm_stats"].get("mean"), payload["norm_stats"].get("std"))
-        model = model_cls(hyper_cls(**hyper), TrainConfig(seed=payload.get("seed")).seed)
-        model.load_parameter_arrays(payload["params"])
+            raise ValueError(f"model_kind {document.model_kind!r} pins {pinned}, but the hyper block has {clash}")
+        stats = read_object(NormStats, document.norm_stats, "norm_stats")
+        model = model_cls(hyper, document.seed)
+        model.load_parameter_arrays(document.params)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     return model, stats

@@ -51,11 +51,7 @@ def _config_from_args(args) -> RunConfig:
     after a RunConfig field sets it, one named after a TrainConfig field
     merges into `train`."""
     overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
-    overrides["train"] = {
-        f.name: getattr(args, f.name)
-        for f in fields(TrainConfig)
-        if f.name != "seed" and getattr(args, f.name, None) is not None
-    }
+    overrides["train"] = {f.name: getattr(args, f.name, None) for f in fields(TrainConfig) if f.name != "seed"}
     return RunConfig.load(args.config, overrides)
 
 

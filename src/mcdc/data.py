@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conditions import CONDITIONS, ConditionLabel, by_name
-from .model import check_fields, list_of, one_of, setting
+from .model import check_fields, list_of, one_of, read_object, setting
 
 __all__ = [
     "CSV_HEADER",
@@ -363,7 +363,7 @@ class SplitPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "SplitPlan":
-        return cls(**json.loads(text))
+        return read_object(cls, json.loads(text), "plan")
 
 
 def kfold(indices: list[int], k: int, seed: int) -> list[list[int]]:

@@ -60,14 +60,20 @@ _TYPE_RULES = {
     "float": ("a number", of_type(int, float)),
     "str": ("a string", of_type(str)),
     "str | None": ("a string or null", of_type(str, type(None))),
+    "dict": ("a JSON object", of_type(dict)),
     "list[int]": ("a list of integers", lambda v: isinstance(v, list) and set(map(type, v)) <= {int}),
+    "list[list[int]]": (
+        "a list of lists of integers",
+        lambda v: isinstance(v, list) and all(isinstance(x, list) and set(map(type, x)) <= {int} for x in v),
+    ),
+    "list[str]": ("a list of strings", lambda v: isinstance(v, list) and set(map(type, v)) <= {str}),
     "tuple[tuple[int, float], ...]": ("[epoch, rate] pairs of an integer and a number", _is_decay),
 }
 
 
-def setting(*rules: tuple, default=MISSING):
+def setting(*rules: tuple, default=MISSING, default_factory=MISSING):
     """A config dataclass field: check_fields refuses a value unless it passes each (domain, test) rule."""
-    return field(default=default, metadata={"rules": rules})
+    return field(default=default, default_factory=default_factory, metadata={"rules": rules})
 
 
 def setting_of(cls, name: str):
@@ -94,6 +100,24 @@ def check_fields(config) -> None:
                 raise ValueError(f"{name} must be {domain}, got {reprlib.repr(value)}")
 
 
+def read_object(cls, block, what: str, **given):
+    """The config class `cls` built from the JSON object `block`, named `what`
+    in a refusal, with the values the caller supplies in `given` over the
+    block's. A block that is not an object, a key `cls` has no field for and
+    a field without a default that neither holds are refused before the
+    fields' own rules run."""
+    if not isinstance(block, dict):
+        raise ValueError(f"{what} must be a JSON object, got {reprlib.repr(block)}")
+    unknown = sorted(block.keys() - cls.__dataclass_fields__.keys())
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}")
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    missing = sorted(required - block.keys() - given.keys())
+    if missing:
+        raise ValueError(f"missing {what} keys {missing}")
+    return cls(**{**block, **given})
+
+
 @dataclass(frozen=True)
 class ModelHyper:
     temporal_len: int = setting(AT_LEAST_1, default=12)
@@ -101,7 +125,7 @@ class ModelHyper:
     kernel_temporal: int = setting(AT_LEAST_1, (f"<= {N_CHANNELS}{_SLIDES}", lambda v: v <= N_CHANNELS), default=5)
     kernel_channel: int = setting(AT_LEAST_1, default=6)
     ffn_hidden: int = setting(AT_LEAST_1, default=64)
-    n_classes: int = N_CONDITIONS
+    n_classes: int = setting(one_of((N_CONDITIONS,)), default=N_CONDITIONS)
     attention: str = setting(one_of(ATTENTIONS), default="conv")
 
     def __post_init__(self):

@@ -11,12 +11,11 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 
 from .baselines import MODEL_KINDS, AnnHyper, make_hyper
 from .checkpoint import load_checkpoint, save_checkpoint
-from .conditions import N_CONDITIONS
 from .data import (
     SPLIT_MODES,
     SplitPlan,
@@ -28,7 +27,7 @@ from .data import (
     write_series_csv,
 )
 from .evaluation import compare_plans, evaluate_model, roc_csv, split_repetitions
-from .model import ModelHyper, check_fields, one_of, setting, setting_of
+from .model import ModelHyper, check_fields, one_of, read_object, setting, setting_of
 from .synth import load_recipe, synth_generate
 from .training import TrainConfig, cross_validate, history_to_csv, train_fold
 
@@ -63,16 +62,12 @@ def _stage(name):
         raise PipelineError(f"stage '{name}': {exc}") from exc
 
 
-def _unknown_keys(block: dict, cls, *excluded: str) -> list[str]:
-    return sorted(set(block) - ({f.name for f in fields(cls)} - set(excluded)))
-
-
 @dataclass
 class RunConfig:
     """One run's settings. A model hyperparameter is its hyper class's field,
     default and rules; `train` holds TrainConfig fields other than seed."""
 
-    seed: int
+    seed: int = None  # not a missing key: __post_init__ refuses None, naming --seed
     out_dir: str = "runs/out"
     data_csv: str | None = None
     recipe: str = "default"
@@ -87,7 +82,8 @@ class RunConfig:
     ann_input_mode: str = setting_of(AnnHyper, "input_mode")
     split_mode: str = setting(one_of(SPLIT_MODES), default="sample")
     train_fraction: float = setting(("in (0, 1)", lambda v: 0 < v < 1), default=0.8)
-    train: dict = field(default_factory=dict)
+    train: dict = setting(("an object without seed, which the run's seed sets", lambda v: "seed" not in v),
+                          default_factory=dict)
 
     def __post_init__(self):
         if self.seed is None:
@@ -103,28 +99,25 @@ class RunConfig:
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "RunConfig":
         """The JSON config at `path` (if any) with every non-None override on
-        top; a `train` override merges into the file's `train` block."""
-        raw = {}
-        if path:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-            if not isinstance(raw, dict):
-                raise ValueError(f"config file {path} must hold a JSON object, got {type(raw).__name__}")
-        if not isinstance(raw.get("train", {}), dict):
-            raise ValueError(f"train must be a JSON object, got {type(raw['train']).__name__}")
-        for key, value in overrides.items():
-            if value is not None:
-                raw[key] = {**raw.get("train", {}), **value} if key == "train" else value
-        unknown = _unknown_keys(raw, cls) + [
-            f"train.{key}" for key in _unknown_keys(raw.get("train", {}), TrainConfig, "seed")
-        ]
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}")
-        raw.setdefault("seed", None)  # refused by name in __post_init__
-        return cls(**raw)
+        top; the non-None values of a `train` override merge into the file's
+        `train` block. A refusal of a config read from a file leads with the
+        file's path."""
+        given = {key: value for key, value in overrides.items() if value is not None}
+        train = {key: value for key, value in given.pop("train", {}).items() if value is not None}
+        try:
+            raw = {}
+            if path:
+                with open(path, encoding="utf-8") as fh:
+                    raw = json.load(fh)
+            config = read_object(cls, raw, "config", **given)
+            return replace(config, train={**config.train, **train}) if train else config
+        except ValueError as exc:
+            if path:
+                raise ValueError(f"{path}: {exc}") from None
+            raise
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(seed=self.seed, **self.train)
+        return read_object(TrainConfig, self.train, "train", seed=self.seed)
 
     def hyper(self, kind: str):
         """`kind`'s hyperparameters: temporal_len and each field this config holds of its hyper class."""
@@ -224,7 +217,7 @@ def run_eval(
     with _stage("load-plan"), open(plan_path, encoding="utf-8") as fh:
         try:
             plan = SplitPlan.from_json(fh.read())
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{plan_path}: {exc}") from None
     with _stage("window"):
         windows = build_windows(load_series(data_csv), model.hyper.temporal_len)
@@ -233,8 +226,6 @@ def run_eval(
             raise ValueError(
                 f"plan temporal length {plan.temporal_len} != checkpoint {model.hyper.temporal_len}"
             )
-        if model.hyper.n_classes != N_CONDITIONS:
-            raise ValueError(f"checkpoint has {model.hyper.n_classes} classes, dataset has {N_CONDITIONS}")
         if plan.n_windows != len(windows):
             raise ValueError(f"plan lists {plan.n_windows} windows, dataset yields {len(windows)}")
     with _stage("evaluate"):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import reprlib
 from dataclasses import dataclass
 from importlib import resources
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .conditions import by_name
 from .data import GasSeries, VOLTAGE_LEVELS
-from .model import AT_LEAST_1, check_fields, list_of, setting
+from .model import AT_LEAST_1, check_fields, list_of, read_object, setting
 
 __all__ = ["RecipeError", "load_recipe", "synth_generate"]
 
@@ -35,47 +34,47 @@ _SCALES = (
     f"{len(VOLTAGE_LEVELS)} finite numbers > 0, one per voltage level",
     lambda v: list_of(v, len(VOLTAGE_LEVELS), int, float) and all(0 < x < math.inf for x in v),
 )
-
-
-@dataclass(frozen=True)
-class _Settings:
-    """Each top-level key synth_generate reads, classes aside, and its rules; a None default marks a required key."""
-
-    transformers_per_class: int = setting(AT_LEAST_1, default=None)
-    length_range: tuple[int, int] = setting(_LENGTHS, default=None)
-    noise_level: float = setting(*_SPREAD, default=None)
-    level_spread: float = setting(*_SPREAD, default=0.0)
-    channel_spread: float = setting(*_SPREAD, default=0.0)
-    voltage_scale: tuple[float, ...] = setting(_SCALES, default=(1.0,) * len(VOLTAGE_LEVELS))
-
-    __post_init__ = check_fields
-
-
 _CHANNELS = ("5 finite numbers", lambda v: list_of(v, 5, int, float) and all(map(math.isfinite, v)))
 
 
 @dataclass(frozen=True)
 class _Profile:
-    """The keys synth_generate reads from one class's profile, and their rules; each is required."""
+    """The keys of one class's profile, and their rules; each is required."""
 
-    base: tuple[float, ...] = setting(_CHANNELS, default=None)
-    slope: tuple[float, ...] = setting(_CHANNELS, default=None)
-    sin_amp: tuple[float, ...] = setting(_CHANNELS, default=None)
-    sin_period: float = setting(("finite", math.isfinite), ("> 0", lambda v: v > 0), default=None)
+    base: tuple[float, ...] = setting(_CHANNELS)
+    slope: tuple[float, ...] = setting(_CHANNELS)
+    sin_amp: tuple[float, ...] = setting(_CHANNELS)
+    sin_period: float = setting(("finite", math.isfinite), ("> 0", lambda v: v > 0))
 
     __post_init__ = check_fields
 
 
-def _checked(cls, block: dict, prefix: str = ""):
-    """`cls` built from the keys of `block` that it holds; a refusal is a RecipeError led by `prefix`."""
-    try:
-        return cls(**{key: block[key] for key in cls.__dataclass_fields__ if key in block})
-    except ValueError as exc:
-        raise RecipeError(f"{prefix}{exc}") from None
+@dataclass(frozen=True)
+class _Settings:
+    """Each top-level key of a recipe, and its rules; a key without a default is required."""
+
+    transformers_per_class: int = setting(AT_LEAST_1)
+    length_range: tuple[int, int] = setting(_LENGTHS)
+    noise_level: float = setting(*_SPREAD)
+    classes: dict = setting(("a non-empty object of condition profiles", bool))
+    name: str | None = None
+    level_spread: float = setting(*_SPREAD, default=0.0)
+    channel_spread: float = setting(*_SPREAD, default=0.0)
+    voltage_scale: tuple[float, ...] = setting(_SCALES, default=(1.0,) * len(VOLTAGE_LEVELS))
+
+    def __post_init__(self):
+        check_fields(self)
+        for name, profile in self.classes.items():
+            by_name(name)  # raises on unknown condition
+            try:
+                read_object(_Profile, profile, "profile")
+            except ValueError as exc:
+                raise ValueError(f"class {name}: {exc}") from None
 
 
 def load_recipe(name_or_path: str) -> dict:
-    """Load a recipe by packaged name ("default", "facility_shift", ...) or path."""
+    """Load a recipe by packaged name ("default", "facility_shift", ...) or
+    path; a refusal leads with that name or path."""
     shipped = resources.files("mcdc").joinpath("recipes")
     packaged = shipped.joinpath(f"{name_or_path}.json")
     if packaged.is_file():
@@ -90,25 +89,9 @@ def load_recipe(name_or_path: str) -> dict:
                 f"--recipe {name_or_path!r} is neither a shipped recipe ({names}) nor a recipe file"
             ) from None
     try:
-        recipe = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return vars(read_object(_Settings, json.loads(text), "recipe"))
+    except ValueError as exc:
         raise RecipeError(f"{name_or_path}: {exc}") from None
-    return _validate(recipe)
-
-
-def _validate(recipe) -> dict:
-    """The recipe with _Settings' defaults filled in, once every key synth_generate reads passes its rules."""
-    if not isinstance(recipe, dict):
-        raise RecipeError(f"a recipe must be a JSON object, got {reprlib.repr(recipe)}")
-    classes = recipe.get("classes")
-    if not isinstance(classes, dict) or not classes:
-        raise RecipeError(f"classes must be a non-empty object of condition profiles, got {reprlib.repr(classes)}")
-    for name, profile in classes.items():
-        by_name(name)  # raises on unknown condition
-        if not isinstance(profile, dict):
-            raise RecipeError(f"class {name}: profile must be an object, got {reprlib.repr(profile)}")
-        _checked(_Profile, profile, f"class {name}: ")
-    return {**recipe, **vars(_checked(_Settings, recipe))}
 
 
 def synth_generate(
@@ -131,7 +114,10 @@ def synth_generate(
         "length_range": length_range,
         "noise_level": noise_level,
     }
-    recipe = _validate({**recipe, **{k: v for k, v in overrides.items() if v is not None}})
+    try:
+        recipe = vars(read_object(_Settings, recipe, "recipe", **{k: v for k, v in overrides.items() if v is not None}))
+    except ValueError as exc:
+        raise RecipeError(str(exc)) from None
     n_per_class = recipe["transformers_per_class"]
     lo, hi = recipe["length_range"]
     noise = recipe["noise_level"]

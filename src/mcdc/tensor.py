@@ -180,14 +180,11 @@ def _tracking(parents: tuple[Tensor, ...]) -> bool:
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
-    """Put `out` on the active tape if any parent tracks gradients. The ops
-    here call it only once _tracking holds; it tests the rule itself so that
-    an op that builds its rule first may call it unconditionally."""
-    if _tracking(parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward_fn
-        _TAPE_STACK[-1].nodes.append(out)
+    """Put `out` on the active tape; every op calls it only once _tracking holds."""
+    out.requires_grad = True
+    out._parents = parents
+    out._backward = backward_fn
+    _TAPE_STACK[-1].nodes.append(out)
     return out
 
 

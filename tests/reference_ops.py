@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from mcdc.data import NormStats
-from mcdc.tensor import DimensionError, Tensor, _accum, _record
+from mcdc.tensor import DimensionError, Tensor, _accum, _record, _tracking
 
 
 def _concat(parts: list[Tensor], axis: int, name: str) -> Tensor:
@@ -28,6 +28,8 @@ def _concat(parts: list[Tensor], axis: int, name: str) -> Tensor:
         if off_axis(p.data.shape) != first:
             raise DimensionError(f"{name} shapes differ off the joined axis: {parts[0].shape} vs {p.shape}")
     out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    if not _tracking(tuple(parts)):
+        return out
     offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
     def bw(g):

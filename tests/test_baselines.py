@@ -194,13 +194,13 @@ class TestCheckpointContainer:
             match = "parameter ffn_b1: non-finite"
         elif case == "missing-hyper":
             del payload["hyper"]
-            match = "missing hyper block"
+            match = r"missing checkpoint keys \['hyper'\]"
         elif case == "bogus-hyper":
             payload["hyper"]["bogus"] = 1
             match = r"unknown hyper keys \['bogus'\]"
         elif case == "missing-params":
             del payload["params"]
-            match = "missing params block"
+            match = r"missing checkpoint keys \['params'\]"
         else:
             payload["norm_stats"]["std"][2] = 0.0
             match = r"std must be > 0, got \["
@@ -225,7 +225,7 @@ class TestCheckpointContainer:
                     payload["params"][f"{route}_head_{h}_{suffix}"] = bank[p * heads + h]
         payload["format_version"] = 1
         path.write_text(json.dumps(payload))
-        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: unsupported checkpoint version 1$"):
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: format_version must be one of \\(2,\\), got 1$"):
             load_checkpoint(path)
 
     def test_unknown_version_rejected(self, tmp_path):
@@ -234,6 +234,9 @@ class TestCheckpointContainer:
         from mcdc.checkpoint import CheckpointError
 
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format_version": 99}))
-        with pytest.raises(CheckpointError, match="version"):
+        save_checkpoint(path, make_model("mcdc", temporal_len=8, seed=22), STATS)
+        payload = json.loads(path.read_text())
+        payload["format_version"] = 99
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: format_version must be one of \\(2,\\), got 99$"):
             load_checkpoint(path)

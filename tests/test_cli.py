@@ -48,10 +48,45 @@ def _edited(change):
     return edit
 
 
+def _holder(doc, path: str):
+    """The object in `doc` that holds the dotted key `path`, and the key's last name."""
+    *outer, last = path.split(".")
+    for name in outer:
+        doc = doc[name]
+    return doc, last
+
+
+def _set(path: str, value):
+    """A document edit that sets the dotted key `path` to `value`."""
+    def edit(doc):
+        block, key = _holder(doc, path)
+        block[key] = value
+        return doc
+
+    return edit
+
+
+def _pop(path: str):
+    """A document edit that removes the dotted key `path`."""
+    def edit(doc):
+        block, key = _holder(doc, path)
+        del block[key]
+        return doc
+
+    return edit
+
+
 def train_once(tmp_path, name, seed="21", extra=()):
     out = tmp_path / name
     code = main(["train", "--seed", seed, "--out", str(out), *TINY_FLAGS, *extra])
     assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    out = tmp_path_factory.mktemp("trained") / "run"
+    assert main(["train", "--seed", "21", "--out", str(out), *TINY_FLAGS]) == 0
     return out
 
 
@@ -109,9 +144,8 @@ class TestGenData:
             ("transformers_per_class", True, "transformers_per_class must be an integer, got True"),
             ("voltage_scale", [1, 1, 1], f"voltage_scale must be {SCALES}, got [1, 1, 1]"),
             ("voltage_scale", [1, 1, 1, -5], f"voltage_scale must be {SCALES}, got [1, 1, 1, -5]"),
-            # a dotted key edits a class profile; these two used to end in a traceback
+            # a dotted key edits a class profile; it used to end in a traceback
             ("classes.NC.sin_period", "x", "class NC: sin_period must be a number, got 'x'"),
-            ("classes.NC", [1, 2], "class NC: profile must be an object, got [1, 2]"),
             # it used to end in "NC-00: non-finite concentration"
             ("classes.NC.sin_period", math.nan, "class NC: sin_period must be finite, got nan"),
             ("classes.HD.sin_period", 0, "class HD: sin_period must be > 0, got 0"),
@@ -121,21 +155,16 @@ class TestGenData:
              "class NC: sin_amp must be 5 finite numbers, got [2, 1, 'a', 0.5, 0.1]"),
         ],
         ids=["string-noise", "negative-level-spread", "string-channel-spread", "one-length", "infinite-level-spread",
-             "bool-count", "three-scales", "negative-scale", "string-period", "list-profile", "nan-period",
+             "bool-count", "three-scales", "negative-scale", "string-period", "nan-period",
              "zero-period", "four-bases", "infinite-slope", "string-amp"],
     )
     def test_bad_recipe_value_refused_naming_the_key(self, tmp_path, capsys, key, value, message):
         recipe = json.loads(resources.files("mcdc").joinpath("recipes/stability.json").read_text(encoding="utf-8"))
-        *outer, last = key.split(".")
-        block = recipe
-        for name in outer:
-            block = block[name]
-        block[last] = value
         path = tmp_path / "r.json"
-        path.write_text(json.dumps(recipe))
+        path.write_text(json.dumps(_set(key, value)(recipe)))
         out = tmp_path / "g.csv"
         assert main(["gen-data", "--seed", "1", "--out", str(out), "--recipe", str(path)]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
         assert not out.exists()
 
     def test_undecodable_recipe_names_the_file(self, tmp_path, capsys):
@@ -255,8 +284,8 @@ class TestTrainCommand:
             ({"seed": 1, "train_fraction": None}, "train_fraction must be a number, got None"),
             ({"seed": 1, "model": ["mcdc"]}, "model must be a string, got ['mcdc']"),
             ({"seed": 1, "train": {"lr0": "0.1"}}, "lr0 must be a number, got '0.1'"),
-            ({"seed": 1, "train": []}, "train must be a JSON object, got list"),
-            ([], "config file {path} must hold a JSON object, got list"),
+            # it used to print the decoder's message without the file
+            ('{"seed": ', "Expecting value: line 1 column 10 (char 9)"),
             # it used to open file descriptor 0 and read the recipe from stdin
             ({"seed": 1, "recipe": 0}, "recipe must be a string, got 0"),
             # it used to train on synthetic data
@@ -269,30 +298,13 @@ class TestTrainCommand:
     )
     def test_bad_config_value_refused_before_load(self, tmp_path, capsys, config, message):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
         out = tmp_path / "x"
         # no flags: TINY_FLAGS' --heads would override the file's
         assert main(["train", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.splitlines() == [f"error: {message.format(path=path)}"]
+        assert err.splitlines() == [f"error: {path}: {message}"]
         assert "stage" not in err and "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "config,message",
-        [
-            ({"seed": 9, "bogus": 1}, "unknown config keys ['bogus']"),
-            ({"seed": 9, "train": {"epochs": 2, "bogus": 1}}, "unknown config keys ['train.bogus']"),
-        ],
-    )
-    def test_unknown_config_key_refused(self, tmp_path, capsys, config, message):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(config))
-        out = tmp_path / "x"
-        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert message in err
-        assert "Traceback" not in err
         assert not out.exists()
 
     def test_train_flag_merges_into_file_train_block(self, tmp_path):
@@ -370,7 +382,7 @@ class TestConfigContract:
         monkeypatch.chdir(tmp_path)
         assert main(["train", "--config", "config.json"]) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: {key} must be "), lines
+        assert len(lines) == 1 and lines[0].startswith(f"error: config.json: {key} must be "), lines
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
@@ -486,12 +498,6 @@ class TestEvalCommand:
         assert "temporal length" in capsys.readouterr().err
 
 
-    @pytest.fixture(scope="class")
-    def trained(self, tmp_path_factory):
-        out = tmp_path_factory.mktemp("trained") / "run"
-        assert main(["train", "--seed", "21", "--out", str(out), *TINY_FLAGS]) == 0
-        return out
-
     @pytest.mark.parametrize(
         "artifact,edit,message",
         [
@@ -506,10 +512,8 @@ class TestEvalCommand:
             # it used to fail late, with numpy's broadcast error
             ("checkpoint.json", lambda p: p["norm_stats"].update(mean=[0.0, 1.0, 2.0]),
              "mean must be 5 numbers, got [0.0, 1.0, 2.0]"),
-            # it used to end in "'std'"
-            ("checkpoint.json", lambda p: p["norm_stats"].pop("std"), "std must be 5 numbers, got None"),
         ],
-        ids=["negative-index", "index-past-end", "string-temporal-len", "three-means", "missing-std"],
+        ids=["negative-index", "index-past-end", "string-temporal-len", "three-means"],
     )
     def test_bad_plan_or_norm_stats_refused_when_read(self, trained, tmp_path, capsys, artifact, edit, message):
         payload = json.loads((trained / artifact).read_text())
@@ -529,30 +533,23 @@ class TestEvalCommand:
     @pytest.mark.parametrize(
         "edit,message",
         [
-            # these used to end in "'list' object has no attribute 'get'"
-            (lambda text: "[1, 2]", "a checkpoint must hold a JSON object, got [1, 2]"),
-            (_edited(lambda p: p.update(norm_stats=[1, 2])),
-             "missing norm_stats block: want a JSON object, got [1, 2]"),
             # the decoder's message used to come without the path
             (lambda text: text + "}", "Extra data: line 2 column 1 "),
-            # these used to end in "SeedSequence expects int" and "expected non-negative
-            # integer", and to exit 0 with seed 0
+            # these used to end in "SeedSequence expects int" and "expected non-negative integer"
             (_edited(lambda p: p.update(seed="abc")), "seed must be an integer, got 'abc'"),
             (_edited(lambda p: p.update(seed=-1)), "seed must be an integer >= 0, got -1"),
-            (_edited(lambda p: p.pop("seed")), "seed must be an integer, got None"),
-            # a checkpoint without statistics was the shape only tests wrote
-            (_edited(lambda p: p.update(norm_stats=None)),
-             "missing norm_stats block: want a JSON object, got None"),
             # these used to end in numpy's conversion error, naming neither the block nor the parameter
             (_edited(lambda p: p["norm_stats"]["mean"].__setitem__(0, "a")), "mean must be 5 numbers, got ['a', "),
             (_edited(lambda p: p["params"].update(ffn_b2="abc")),
              "parameter ffn_b2: could not convert string to float: 'abc'"),
             (_edited(lambda p: p["norm_stats"]["std"].__setitem__(2, 0.0)), "std must be > 0, got ["),
-            # it used to exit 0
-            (_edited(lambda p: p.update(extra=1)), "unknown checkpoint keys ['extra']"),
+            # these used to end in "negative dimensions are not allowed" and in
+            # "parameter ffn_w2: stored (7, 64) != expected (3, 64)"
+            (_edited(lambda p: p["hyper"].update(n_classes=-1)), "n_classes must be one of (7,), got -1"),
+            (_edited(lambda p: p["hyper"].update(n_classes=3)), "n_classes must be one of (7,), got 3"),
         ],
-        ids=["list-top-level", "list-norm-stats", "extra-data", "string-seed", "negative-seed", "no-seed",
-             "null-norm-stats", "string-mean", "string-parameter", "zero-std", "extra-key"],
+        ids=["extra-data", "string-seed", "negative-seed", "string-mean", "string-parameter", "zero-std",
+             "negative-classes", "three-classes"],
     )
     def test_bad_checkpoint_refused_naming_the_file_and_the_key(self, trained, tmp_path, capsys, edit, message):
         bad = tmp_path / "c.json"
@@ -594,6 +591,87 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and f"{bad}: {message}" in err
         assert "Traceback" not in err
+
+
+class TestDocumentContract:
+    """Each JSON document a command reads, and each object nested in one, is
+    read by one reader: a top level that is not an object, an unknown key and
+    a missing required key exit 1 with one error line that names the file and
+    the key, and nothing is written under --out."""
+
+    @pytest.mark.parametrize(
+        "document,edit,message",
+        [
+            ("config", lambda d: [], "config must be a JSON object, got []"),
+            ("config", _set("bogus", 1), "unknown config keys ['bogus']"),
+            ("config", _pop("seed"), "seed is mandatory; pass --seed or set it in the config file"),
+            ("config", _set("train", []), "train must be a JSON object, got []"),
+            ("config", _set("train.bogus", 1), "unknown train keys ['bogus']"),
+            # every train key has a default; the run's seed is the one a train block may not hold
+            ("config", _set("train.seed", 3),
+             "train must be an object without seed, which the run's seed sets, "
+             "got {'batch_size': 64, 'epochs': 1, 'folds': 2, 'seed': 3}"),
+            ("recipe", lambda d: "x", "recipe must be a JSON object, got 'x'"),
+            # these three used to generate data, with exit 0
+            ("recipe", lambda d: {("level_sprad" if k == "level_spread" else k): v for k, v in d.items()},
+             "unknown recipe keys ['level_sprad']"),
+            ("recipe", _set("name", 3), "name must be a string or null, got 3"),
+            ("recipe", _set("classes.NC.sin_amps", [2, 1, 1, 0.5, 0.1]), "class NC: unknown profile keys ['sin_amps']"),
+            ("recipe", _pop("noise_level"), "missing recipe keys ['noise_level']"),
+            # it used to end in a traceback
+            ("recipe", _set("classes.NC", [1, 2]), "class NC: profile must be a JSON object, got [1, 2]"),
+            ("recipe", _pop("classes.NC.slope"), "class NC: missing profile keys ['slope']"),
+            # these two used to end in "'list' object has no attribute 'get'"
+            ("checkpoint", lambda d: [1, 2], "checkpoint must be a JSON object, got [1, 2]"),
+            ("checkpoint", _set("norm_stats", [1, 2]), "norm_stats must be a JSON object, got [1, 2]"),
+            # it used to exit 0
+            ("checkpoint", _set("extra", 1), "unknown checkpoint keys ['extra']"),
+            # it used to exit 0 with seed 0
+            ("checkpoint", _pop("seed"), "missing checkpoint keys ['seed']"),
+            ("checkpoint", _set("hyper", 4), "hyper must be a JSON object, got 4"),
+            ("checkpoint", _set("hyper.head", 1), "unknown hyper keys ['head']"),
+            # a checkpoint without statistics was the shape only tests wrote
+            ("checkpoint", _set("norm_stats", None), "norm_stats must be a JSON object, got None"),
+            # it used to exit 0
+            ("checkpoint", _set("norm_stats.bogus", 1), "unknown norm_stats keys ['bogus']"),
+            # it used to end in "'std'"
+            ("checkpoint", _pop("norm_stats.std"), "missing norm_stats keys ['std']"),
+            ("plan", lambda d: "x", "plan must be a JSON object, got 'x'"),
+            # it used to end in "SplitPlan.__init__() got an unexpected keyword argument 'extra'"
+            ("plan", _set("extra", 1), "unknown plan keys ['extra']"),
+            ("plan", _pop("folds"), "missing plan keys ['folds']"),
+            # these two used to exit 0
+            ("plan", _set("folds", "abc"), "folds must be a list of lists of integers, got 'abc'"),
+            ("plan", _set("train_transformers", 5), "train_transformers must be a list of strings, got 5"),
+        ],
+        ids=["config-list", "config-unknown", "config-no-seed", "train-list", "train-unknown", "train-seed",
+             "recipe-string", "recipe-misspelt", "recipe-number-name", "profile-plural", "recipe-no-noise", "profile-list", "profile-no-slope", "checkpoint-list", "norm-stats-list",
+             "checkpoint-unknown", "checkpoint-no-seed", "hyper-number", "hyper-unknown", "norm-stats-null",
+             "norm-stats-unknown", "norm-stats-no-std", "plan-string", "plan-unknown", "plan-no-folds",
+             "plan-string-folds", "plan-number-transformers"],
+    )
+    def test_edit_exits_1_naming_the_file_and_the_key(self, trained, tmp_path, capsys, document, edit, message):
+        sources = {
+            "config": json.dumps(SMALL_RUN),
+            "recipe": resources.files("mcdc").joinpath("recipes/stability.json").read_text(encoding="utf-8"),
+            "checkpoint": (trained / "checkpoint.json").read_text(),
+            "plan": (trained / "split.json").read_text(),
+        }
+        bad = tmp_path / f"{document}.json"
+        bad.write_text(json.dumps(edit(json.loads(sources[document]))))
+        out = tmp_path / "out"
+        read = {"checkpoint": trained / "checkpoint.json", "plan": trained / "split.json", document: bad}
+        evaluate = ["eval", "--checkpoint", str(read["checkpoint"]), "--plan", str(read["plan"]),
+                    "--data", str(trained / "dataset.csv")]
+        argv, stage = {
+            "config": (["train", "--config", str(bad)], ""),
+            "recipe": (["gen-data", "--seed", "1", "--recipe", str(bad)], ""),
+            "checkpoint": (evaluate, "stage 'load-checkpoint': "),
+            "plan": (evaluate, "stage 'load-plan': "),
+        }[document]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {stage}{bad}: {message}"]
+        assert not out.exists()
 
 
 class TestArgparseRefusals:

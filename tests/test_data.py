@@ -711,7 +711,7 @@ class TestSynthGenerate:
 
     def test_empty_class_set_rejected(self):
         with pytest.raises(RecipeError, match=r"classes must be a non-empty object of condition profiles, got \{\}"):
-            synth_generate({"classes": {}}, seed=14)
+            synth_generate({**load_recipe("default"), "classes": {}}, seed=14)
 
     @pytest.mark.parametrize(
         "overrides,error,message",

@@ -1,14 +1,19 @@
 """Staged forward pass: shapes, residual wiring, probabilities, gradients."""
 
+import dataclasses
+import importlib
+import inspect
 import itertools
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
+import mcdc
 from mcdc.baselines import MODEL_KINDS, kind_of, make_model
 from mcdc.conditions import N_CONDITIONS
-from mcdc.model import McdcModel, ModelHyper, positional_encoding
+from mcdc.model import _TYPE_RULES, McdcModel, ModelHyper, check_fields, positional_encoding
 from mcdc.pipeline import DEFAULT_SWEEP_GRID
 from mcdc.tensor import DimensionError, Tape, add, backward, cross_entropy, grad_check, tensor
 
@@ -69,6 +74,33 @@ class TestHyper:
         ModelHyper(temporal_len=8, kernel_temporal=5, kernel_channel=8, attention="matrix")
         for cell in itertools.product(*DEFAULT_SWEEP_GRID.values()):
             ModelHyper(**dict(zip(DEFAULT_SWEEP_GRID, cell)))
+
+
+def _checked_classes() -> list[type]:
+    """Each dataclass of a package module whose __post_init__ runs check_fields."""
+    found = []
+    for info in pkgutil.iter_modules(mcdc.__path__):
+        module = importlib.import_module(f"mcdc.{info.name}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__:
+                post = getattr(cls, "__post_init__", None)
+                if post is check_fields or (post is not None and "check_fields(self)" in inspect.getsource(post)):
+                    found.append(cls)
+    return found
+
+
+class TestFieldRules:
+    def test_every_checked_field_has_a_rule(self):
+        # a field without a type rule or one of its own takes any value, e.g. a plan's folds as "abc"
+        classes = _checked_classes()
+        assert {"ModelHyper", "TrainConfig", "RunConfig", "SplitPlan", "_Settings"} <= {c.__name__ for c in classes}
+        bare = [
+            f"{cls.__name__}.{f.name}"
+            for cls in classes
+            for f in dataclasses.fields(cls)
+            if f.type not in _TYPE_RULES and not f.metadata.get("rules")
+        ]
+        assert bare == []
 
 
 class TestEmbed:
