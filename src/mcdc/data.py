@@ -13,6 +13,7 @@ import io
 import json
 import logging
 import math
+import reprlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -357,6 +358,9 @@ class SplitPlan:
             bad = [i for i in getattr(self, name) if not 0 <= i < self.n_windows]
             if bad:
                 raise ValueError(f"{name} must be window indices in [0, {self.n_windows}), but holds {bad[0]}")
+        # split() lists train_indices in ascending order, so sorting them is one linear pass
+        if sorted(i for fold in self.folds for i in fold) != sorted(self.train_indices):
+            raise ValueError(f"folds must partition train_indices, got {reprlib.repr(self.folds)}")
 
     def to_json(self) -> str:
         return json.dumps(self.__dict__, sort_keys=True)
@@ -373,8 +377,7 @@ def kfold(indices: list[int], k: int, seed: int) -> list[list[int]]:
     if k > len(indices):
         raise DatasetError(f"folds={k} exceeds training size {len(indices)}")
     order = np.random.default_rng(seed).permutation(len(indices))
-    shuffled = [indices[i] for i in order]
-    return [sorted(part.tolist()) for part in np.array_split(np.array(shuffled), k)]
+    return [np.sort(part).tolist() for part in np.array_split(np.asarray(indices)[order], k)]
 
 
 def split(

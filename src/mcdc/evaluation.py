@@ -5,6 +5,7 @@ the repeated-training comparison harness.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import combinations
@@ -51,6 +52,12 @@ def confusion(true_labels, predicted_labels) -> np.ndarray:
 
 @dataclass
 class EvalReport:
+    """Scores of one model on labeled windows. The ROC part (per_class_auc,
+    macro_auc, micro_auc and curves) comes from `roc_auc` over `scored`,
+    computed on first read, so a caller that only reads the confusion
+    metrics never pays for the curves. A report without scores, as
+    `metrics` builds it, has an empty ROC part."""
+
     accuracy: float
     precision: list[float]
     recall: list[float]
@@ -60,14 +67,28 @@ class EvalReport:
     macro_f1: float
     confusion: list[list[int]]
     n_samples: int
-    per_class_auc: list[float | None] = field(default_factory=list)
-    macro_auc: float | None = None
-    micro_auc: float | None = None
-    curves: list[dict] = field(default_factory=list)
+    # (true labels, probability matrix), the arguments of roc_auc
+    scored: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def _roc(self) -> dict:
+        if self.scored is None:
+            return {"per_class_auc": [], "macro_auc": None, "micro_auc": None, "curves": []}
+        return roc_auc(*self.scored)
+
+    per_class_auc = property(lambda self: self._roc["per_class_auc"])
+    macro_auc = property(lambda self: self._roc["macro_auc"])
+    micro_auc = property(lambda self: self._roc["micro_auc"])
+    curves = property(lambda self: self._roc["curves"])
 
     def to_dict(self) -> dict:
-        """Every field but the ROC curves, which roc_csv writes."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "curves"}
+        """Every metric but the ROC curves, which roc_csv writes."""
+        return {
+            **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "scored"},
+            "per_class_auc": self.per_class_auc,
+            "macro_auc": self.macro_auc,
+            "micro_auc": self.micro_auc,
+        }
 
 
 def metrics(cm: np.ndarray) -> EvalReport:
@@ -172,7 +193,8 @@ def roc_csv(curves: list[dict], path) -> None:
 
 
 def evaluate_model(model, windows) -> EvalReport:
-    """Full report for one fitted model on labeled windows.
+    """Report for one fitted model on labeled windows; its ROC part is
+    computed when first read.
 
     `model.predict_proba` must take a stack (B, 5, T) of windows and return
     (B, n_classes). It is called on stacks of at most
@@ -180,15 +202,25 @@ def evaluate_model(model, windows) -> EvalReport:
     """
     truths = np.array([w.label.code for w in windows])
     probs = score_windows(model, windows)
-    predictions = probs.argmax(axis=1)
-    return replace(metrics(confusion(truths, predictions)), **roc_auc(truths, probs))
+    return replace(metrics(confusion(truths, probs.argmax(axis=1))), scored=(truths, probs))
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing the mean of their positions: a run of
-    `count` equal values ending at position `end` ranks end - (count - 1) / 2."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+def _midranks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """1-based ranks, ties sharing the mean of their positions, and the length
+    of each run of equal values in ascending order, from one stable sort: a
+    run of `count` equal values ending at position `end` ranks
+    end - (count - 1) / 2."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    n = values.size
+    run_starts = np.empty(n + 1, dtype=bool)  # position i starts a run; n closes the last
+    run_starts[0] = run_starts[n] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=run_starts[1:n])
+    bounds = np.flatnonzero(run_starts)
+    counts = bounds[1:] - bounds[:-1]
+    ranks = np.empty(n)
+    ranks[order] = np.repeat(bounds[1:] - (counts - 1) / 2.0, counts)
+    return ranks, counts
 
 
 def _exact_two_sided(ranks: np.ndarray, n1: int, observed: float) -> float:
@@ -204,11 +236,11 @@ def _exact_two_sided(ranks: np.ndarray, n1: int, observed: float) -> float:
     return hits / total
 
 
-def _normal_two_sided(ranks: np.ndarray, n1: int, observed: float) -> float:
+def _normal_two_sided(ranks: np.ndarray, counts: np.ndarray, n1: int, observed: float) -> float:
+    """`counts` holds the length of each run of tied values, as _midranks gives it."""
     n = ranks.size
     n2 = n - n1
     mu = n1 * (n + 1) / 2.0
-    _, counts = np.unique(ranks, return_counts=True)
     tie_term = float(np.sum(counts.astype(np.float64) ** 3 - counts))
     sigma2 = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))
     if sigma2 <= 0:
@@ -231,11 +263,11 @@ def wilcoxon_rank_sum(sample_a, sample_b) -> float:
     for name, sample in (("sample_a", a), ("sample_b", b)):
         if not np.isfinite(sample).all():
             raise ValueError(f"{name} must be finite, got {sample.tolist()}")
-    ranks = _midranks(np.concatenate([a, b]))
+    ranks, counts = _midranks(np.concatenate([a, b]))
     w = float(ranks[:a.size].sum())
     if a.size + b.size <= 20:
         return _exact_two_sided(ranks, a.size, w)
-    return _normal_two_sided(ranks, a.size, w)
+    return _normal_two_sided(ranks, counts, a.size, w)
 
 
 @dataclass

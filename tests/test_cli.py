@@ -9,14 +9,14 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from mcdc import pipeline
+from mcdc import evaluation, pipeline
 from mcdc.baselines import MODEL_KINDS, make_model
 from mcdc.checkpoint import load_checkpoint, save_checkpoint
 from mcdc.cli import _add_config_flags, build_parser, main
 from mcdc.data import SPLIT_MODES, NormStats, SplitPlan, load_series
 from mcdc.evaluation import evaluate_model, roc_csv
 from mcdc.pipeline import (
-    DEFAULT_SWEEP_GRID, PipelineError, RunConfig, _stage, build_windows, run_eval, run_sweep,
+    DEFAULT_SWEEP_GRID, PipelineError, RunConfig, _stage, build_windows, run_compare, run_eval, run_sweep,
 )
 from mcdc.training import TrainConfig
 
@@ -593,6 +593,45 @@ class TestEvalCommand:
         assert "Traceback" not in err
 
 
+class TestRocOnFirstRead:
+    """An evaluation report computes its ROC part when it is first read. compare
+    and sweep never read it; eval reads it once, to write report.json and roc.csv."""
+
+    @staticmethod
+    def _refuse(*args):
+        raise RuntimeError("roc_auc ran")
+
+    def test_compare_and_sweep_never_compute_it(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(evaluation, "roc_auc", self._refuse)
+        config = RunConfig(
+            seed=41, out_dir=str(tmp_path / "run"), recipe="stability", temporal_len=8, heads=1,
+            kernel_temporal=3, kernel_channel=4, train={"epochs": 1, "batch_size": 64, "folds": 2},
+        )
+        compared = run_compare(config, ["mcdc", "ann"], 2, ["sample"])["results"]["sample"]
+        assert [len(m.accuracies) for m in compared.models] == [2, 2]
+        one_cell = {"kernel_temporal": [3], "kernel_channel": [4], "heads": [1], "temporal_len": [8]}
+        assert len(run_sweep(config, one_cell, workers=1)["rows"]) == 1
+
+    def test_eval_computes_it_once(self, trained, tmp_path, monkeypatch):
+        calls = []
+        eager = evaluation.roc_auc
+
+        def counted(*args):
+            calls.append(args)
+            return eager(*args)
+
+        def run(out):
+            run_eval(str(trained / "checkpoint.json"), str(trained / "dataset.csv"), str(trained / "split.json"),
+                     str(tmp_path / out))
+
+        monkeypatch.setattr(evaluation, "roc_auc", counted)
+        run("counted")
+        assert len(calls) == 1
+        monkeypatch.setattr(evaluation, "roc_auc", self._refuse)
+        with pytest.raises(PipelineError, match="^stage 'save': roc_auc ran$"):
+            run("refused")
+
+
 class TestDocumentContract:
     """Each JSON document a command reads, and each object nested in one, is
     read by one reader: a top level that is not an object, an unknown key and
@@ -636,6 +675,11 @@ class TestDocumentContract:
             ("checkpoint", _set("norm_stats.bogus", 1), "unknown norm_stats keys ['bogus']"),
             # it used to end in "'std'"
             ("checkpoint", _pop("norm_stats.std"), "missing norm_stats keys ['std']"),
+            # a hyper value of the wrong JSON type, a bool and a whole float among them, is no setting
+            ("checkpoint", _set("hyper.heads", "4"), "heads must be an integer, got '4'"),
+            ("checkpoint", _set("hyper.heads", True), "heads must be an integer, got True"),
+            ("checkpoint", _set("hyper.temporal_len", 12.0), "temporal_len must be an integer, got 12.0"),
+            ("checkpoint", _set("hyper.attention", 3), "attention must be a string, got 3"),
             ("plan", lambda d: "x", "plan must be a JSON object, got 'x'"),
             # it used to end in "SplitPlan.__init__() got an unexpected keyword argument 'extra'"
             ("plan", _set("extra", 1), "unknown plan keys ['extra']"),
@@ -643,12 +687,15 @@ class TestDocumentContract:
             # these two used to exit 0
             ("plan", _set("folds", "abc"), "folds must be a list of lists of integers, got 'abc'"),
             ("plan", _set("train_transformers", 5), "train_transformers must be a list of strings, got 5"),
+            # it used to exit 0, though no split of this plan's training side makes these folds
+            ("plan", _set("folds", [[99999], [-5]]), "folds must partition train_indices, got [[99999], [-5]]"),
         ],
         ids=["config-list", "config-unknown", "config-no-seed", "train-list", "train-unknown", "train-seed",
              "recipe-string", "recipe-misspelt", "recipe-number-name", "profile-plural", "recipe-no-noise", "profile-list", "profile-no-slope", "checkpoint-list", "norm-stats-list",
              "checkpoint-unknown", "checkpoint-no-seed", "hyper-number", "hyper-unknown", "norm-stats-null",
-             "norm-stats-unknown", "norm-stats-no-std", "plan-string", "plan-unknown", "plan-no-folds",
-             "plan-string-folds", "plan-number-transformers"],
+             "norm-stats-unknown", "norm-stats-no-std", "string-heads", "bool-heads", "float-temporal-len",
+             "number-attention", "plan-string", "plan-unknown", "plan-no-folds", "plan-string-folds",
+             "plan-number-transformers", "plan-foreign-folds"],
     )
     def test_edit_exits_1_naming_the_file_and_the_key(self, trained, tmp_path, capsys, document, edit, message):
         sources = {

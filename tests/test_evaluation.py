@@ -4,6 +4,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from mcdc.conditions import by_code
@@ -193,7 +195,7 @@ class TestWilcoxon:
         [([0.5, np.nan], [0.25], "sample_a"), ([0.5], [np.inf, 0.0], "sample_b"), ([1.0], [-np.inf], "sample_b")],
     )
     def test_non_finite_sample_rejected_by_name(self, a, b, name):
-        # np.unique would rank every NaN as one tie group
+        # a NaN has no rank: it sorts last and equals no other value, itself included
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             wilcoxon_rank_sum(a, b)
 
@@ -214,7 +216,9 @@ class TestWilcoxon:
         for trial in range(2000):
             n = int(rng.integers(1, 30))
             values = rng.integers(0, 5, size=n).astype(float) if trial % 2 else rng.normal(size=n)
-            assert _midranks(values).tobytes() == loop_midranks(values).tobytes()
+            ranks, counts = _midranks(values)
+            assert ranks.tobytes() == loop_midranks(values).tobytes()
+            assert counts.tolist() == np.unique(values, return_counts=True)[1].tolist()
 
     def test_exact_branch_vs_scipy_without_ties(self):
         rng = np.random.default_rng(5)
@@ -240,10 +244,10 @@ class TestWilcoxon:
         for _ in range(25):
             a = rng.normal(size=10)
             b = rng.normal(loc=rng.uniform(0, 1.5), size=10)
-            ranks = _midranks(np.concatenate([a, b]))
+            ranks, counts = _midranks(np.concatenate([a, b]))
             w = float(ranks[:10].sum())
             exact = _exact_two_sided(ranks, 10, w)
-            approx = _normal_two_sided(ranks, 10, w)
+            approx = _normal_two_sided(ranks, counts, 10, w)
             assert abs(exact - approx) < 0.02
 
     def test_large_samples_use_normal_branch(self):
@@ -327,3 +331,56 @@ class TestEvaluateModel:
         assert len(report.per_class_auc) == 7
         assert 0.0 <= report.accuracy <= 1.0
         assert np.array(report.confusion).sum() == len(windows)
+        assert set(report.to_dict()) == {
+            "accuracy", "precision", "recall", "f1", "macro_precision", "macro_recall", "macro_f1",
+            "confusion", "n_samples", "per_class_auc", "macro_auc", "micro_auc",
+        }
+        assert "scored" not in repr(report)
+        with pytest.raises(AttributeError):
+            report.macro_auc = 0.5
+
+    def test_report_from_a_confusion_matrix_alone_has_no_roc_part(self):
+        report = metrics(np.eye(7, dtype=int))
+        assert (report.per_class_auc, report.macro_auc, report.micro_auc, report.curves) == ([], None, None, [])
+        assert report.to_dict()["per_class_auc"] == [] and report.to_dict()["micro_auc"] is None
+
+
+class _FixedModel:
+    """Returns the stored probability row of each window, which holds its row index."""
+
+    def __init__(self, probs):
+        self.probs = probs
+
+    def predict_proba(self, values):
+        return self.probs[values[:, 0, 0].astype(int)]
+
+
+@st.composite
+def _scored(draw):
+    """(labels, probabilities) for 1 to 60 windows. Some rows are one-hot;
+    the others come from small integer weights, so scores tie, and a label
+    drawn from a narrow range leaves classes absent."""
+    n = draw(st.integers(1, 60))
+    top = draw(st.integers(0, 6))
+    labels = np.array(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)))
+    rows = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            row = [0] * 7
+            row[draw(st.integers(0, 6))] = 1
+        else:
+            row = draw(st.lists(st.integers(0, 3), min_size=7, max_size=7).filter(any))
+        rows.append(row)
+    weights = np.array(rows, dtype=float)
+    return labels, weights / weights.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scored())
+def test_roc_part_read_later_equals_an_eager_roc_auc(scored):
+    labels, probs = scored
+    windows = [CdgdWindow("t", i, np.full((5, 2), float(i)), by_code(int(c))) for i, c in enumerate(labels)]
+    report = evaluate_model(_FixedModel(probs), windows)
+    eager = roc_auc(labels, probs)
+    for key in ("per_class_auc", "macro_auc", "micro_auc", "curves"):
+        assert repr(getattr(report, key)) == repr(eager[key]), key
