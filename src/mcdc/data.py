@@ -71,12 +71,12 @@ class GasSeries:
                 f"{self.transformer_id}: readings shape {self.readings.shape} "
                 f"!= (5, {self.days.size})"
             )
-        if self.days.size > 1 and np.any(np.diff(self.days) <= 0):
+        if (self.days[1:] <= self.days[:-1]).any():
             raise DatasetError(f"{self.transformer_id}: days not strictly increasing")
-        if not np.isfinite(self.readings).all():
-            raise DatasetError(f"{self.transformer_id}: non-finite concentration")
-        if np.any(self.readings < 0):
-            raise DatasetError(f"{self.transformer_id}: negative concentration")
+        r = self.readings
+        if not ((r >= 0.0) & (r < np.inf)).all():  # nan fails both tests
+            kind = "non-finite" if not np.isfinite(r).all() else "negative"
+            raise DatasetError(f"{self.transformer_id}: {kind} concentration")
 
 
 @dataclass
@@ -137,9 +137,12 @@ def load_series(path) -> list[GasSeries]:
 def _bulk_series(rows: np.ndarray) -> list[GasSeries] | None:
     """The series of parsed rows, or None if any row fails a check that
     _load_series_rows makes."""
+    tids, spelt_conditions = rows["tid"].tolist(), rows["condition"].tolist()
     ids: dict[str, int] = {}  # stripped id -> code, in first-row order
-    code = np.array([ids.setdefault(t.strip(), len(ids)) for t in rows["tid"].tolist()])
-    condition = np.array([_CONDITION_CODES.get(c.strip(), -1) for c in rows["condition"].tolist()])
+    code_of = {t: ids.setdefault(t.strip(), len(ids)) for t in dict.fromkeys(tids)}
+    condition_of = {c: _CONDITION_CODES.get(c.strip(), -1) for c in dict.fromkeys(spelt_conditions)}
+    code = np.fromiter(map(code_of.__getitem__, tids), np.int64, len(tids))
+    condition = np.fromiter(map(condition_of.__getitem__, spelt_conditions), np.int64, len(tids))
     voltage, day = rows["voltage"], rows["day"]
     first = np.unique(code, return_index=True)[1]  # each id's first row
     if (voltage != voltage[first][code]).any() or (condition != condition[first][code]).any():
@@ -289,19 +292,43 @@ def overlapping_sample(series: GasSeries, window_len: int) -> list[CdgdWindow]:
 _FIVE_FINITE = (("5 numbers", lambda v: list_of(v, 5, int, float)), ("finite", lambda v: all(map(math.isfinite, v))))
 
 
-@dataclass
+@dataclass(frozen=True)
 class NormStats:
-    """Per-channel z-score statistics, computed from training windows only."""
+    """Per-channel z-score statistics, computed from training windows only.
+    Frozen, with read-only arrays, so the operands apply keeps stay true."""
 
     mean: np.ndarray = setting(*_FIVE_FINITE)
     std: np.ndarray = setting(*_FIVE_FINITE, ("> 0", lambda v: all(x > 0 for x in v)))  # normalize floors it at 1e-6
 
     def __post_init__(self):
         check_fields(self)
-        self.mean, self.std = np.asarray(self.mean, dtype=np.float64), np.asarray(self.std, dtype=np.float64)
+        for name in ("mean", "std"):
+            array = np.array(getattr(self, name), dtype=np.float64)  # a copy, so the caller's array stays writable
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        # (5, T) -> mean and std, each expanded to (5, T); not a field, so
+        # repr, ==, to_dict and read_object never see it
+        object.__setattr__(self, "_operands", {})
+
+    def __reduce__(self):
+        # a copy or an unpickled instance is built anew, so its arrays are read-only too
+        return type(self), (self.mean, self.std)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
-        return (values - self.mean[:, None]) / self.std[:, None]
+        """(values - mean[:, None]) / std[:, None], byte for byte, for one
+        (5, T) window or a stack of them. numpy runs a ufunc with a broadcast
+        (5, 1) operand through its buffered iterator, two to three times slower
+        per window than its plain loop over same-shape operands, so mean and std
+        are expanded to the window shape once per shape and the division
+        runs in place."""
+        shape = values.shape[-2:]
+        operands = self._operands.get(shape)
+        if operands is None:
+            operands = [np.broadcast_to(a[:, None], shape).copy() for a in (self.mean, self.std)]
+            self._operands[shape] = operands
+        mean, std = operands
+        out = np.subtract(values, mean)
+        return np.divide(out, std, out=out)
 
     def scale_windows(self, windows: list[CdgdWindow]) -> list[CdgdWindow]:
         """New windows holding `windows`' values z-scored, all of them as one

@@ -45,9 +45,8 @@ def confusion(true_labels, predicted_labels) -> np.ndarray:
         and 0 <= predicted_labels.min() and predicted_labels.max() < N_CONDITIONS
     ):
         raise ValueError(f"labels outside [0, {N_CONDITIONS})")
-    cm = np.zeros((N_CONDITIONS, N_CONDITIONS), dtype=np.int64)
-    np.add.at(cm, (true_labels, predicted_labels), 1)
-    return cm
+    cells = true_labels * N_CONDITIONS + predicted_labels
+    return np.bincount(cells, minlength=N_CONDITIONS * N_CONDITIONS).reshape(N_CONDITIONS, N_CONDITIONS)
 
 
 @dataclass
@@ -104,10 +103,11 @@ def metrics(cm: np.ndarray) -> EvalReport:
     tp = np.diag(cm).astype(np.float64)
     fp = cm.sum(axis=0) - tp
     fn = cm.sum(axis=1) - tp
-    with np.errstate(invalid="ignore", divide="ignore"):
-        precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
-        recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
-        f1 = np.where(precision + recall > 0, 2 * precision * recall / (precision + recall), 0.0)
+    predicted, actual = tp + fp, tp + fn
+    precision = np.divide(tp, predicted, out=np.zeros_like(tp), where=predicted > 0)
+    recall = np.divide(tp, actual, out=np.zeros_like(tp), where=actual > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros_like(tp), where=both > 0)
     return EvalReport(
         accuracy=float(tp.sum() / total),
         precision=precision.tolist(),

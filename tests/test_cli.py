@@ -3,6 +3,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from importlib import resources
 
@@ -752,6 +755,33 @@ class TestArgparseRefusals:
             main(["train", "--help"])
         assert exc.value.code == 0
         assert "--heads" in capsys.readouterr().out
+
+
+class TestModuleEntry:
+    """`python -m mcdc` runs the command line the `mcdc` script runs."""
+
+    @staticmethod
+    def _run(*argv):
+        src = os.path.dirname(os.path.dirname(evaluation.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
+
+    def test_help_exits_0(self):
+        result = self._run("-m", "mcdc", "--help")
+        assert result.returncode == 0 and "usage: mcdc" in result.stdout
+
+    def test_no_arguments_match_the_script(self, tmp_path):
+        # the wrapper that the console-script entry point in pyproject.toml installs
+        script = tmp_path / "mcdc"
+        script.write_text(
+            "import re\nimport sys\nfrom mcdc.cli import main\n"
+            "if __name__ == '__main__':\n"
+            "    sys.argv[0] = re.sub(r'(-script\\.pyw|\\.exe)?$', '', sys.argv[0])\n"
+            "    sys.exit(main())\n"
+        )
+        module, installed = self._run("-m", "mcdc"), self._run(str(script))
+        assert module.returncode == installed.returncode != 0
+        assert module.stderr == installed.stderr and module.stderr.startswith("error: ")
 
 
 class TestDeterminism:

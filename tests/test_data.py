@@ -1,7 +1,10 @@
 """Dataset pipeline: parsing, interpolation, windowing, splits, generator."""
 
+import copy
 import csv
+import dataclasses
 import io
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -18,6 +21,7 @@ from mcdc.data import (
     CdgdWindow,
     DatasetError,
     GasSeries,
+    NormStats,
     SplitPlan,
     fold0_sets,
     fold_sets,
@@ -89,6 +93,27 @@ class TestLoadSeries:
         readings[3, 2] = value
         with pytest.raises(DatasetError, match="tx1: non-finite"):
             make_series(days=range(4), readings=readings)
+
+    @pytest.mark.parametrize(
+        "days, cells, message",
+        [
+            (range(4), {(1, 2): -1.0}, "negative concentration"),
+            (range(4), {(1, 2): -1.0, (4, 0): np.nan}, "non-finite concentration"),
+            (range(4), {(0, 0): -0.0, (2, 3): 0.0}, None),
+            ([1, 1, 2, 3], {}, "days not strictly increasing"),
+            ([1, 3, 2, 4], {}, "days not strictly increasing"),
+        ],
+        ids=["negative", "negative-and-nan", "signed-zeros", "equal-days", "decreasing-days"],
+    )
+    def test_in_memory_series_checks(self, days, cells, message):
+        readings = np.ones((5, 4))
+        for cell, value in cells.items():
+            readings[cell] = value
+        if message is None:
+            assert make_series(days=days, readings=readings).readings.tobytes() == readings.tobytes()
+        else:
+            with pytest.raises(DatasetError, match=f"^tx1: {message}$"):
+                make_series(days=days, readings=readings)
 
     def test_unknown_column_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -224,6 +249,47 @@ class TestNormalize:
         normalized, stats = normalize(windows[:8], windows)
         for orig, norm in zip(windows, normalized):
             assert np.allclose(invert(stats, norm.values), orig.values, atol=1e-9)
+
+
+class TestNormStats:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_apply_equals_the_broadcast_formula_byte_for_byte(self, data):
+        """One window or a stack of 1 to 70, at T in {1, 8, 12, 48}, with
+        shapes interleaved on one instance, against the (5, 1) broadcast."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        mean = rng.normal(size=5) * 10.0 ** rng.integers(-3, 7, size=5)
+        mean[rng.random(5) < 0.2] = -0.0
+        stats = NormStats(mean, np.maximum(rng.random(5) * 10.0 ** rng.integers(-6, 7, size=5), 1e-6))
+        for _ in range(data.draw(st.integers(1, 6))):
+            t_len = data.draw(st.sampled_from([1, 8, 12, 48]))
+            n = data.draw(st.one_of(st.none(), st.integers(1, 70)))
+            shape = (5, t_len) if n is None else (n, 5, t_len)
+            values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+            values[rng.random(shape) < 0.1] = 0.0
+            values[rng.random(shape) < 0.1] = -0.0
+            if data.draw(st.booleans()):
+                values = np.asfortranarray(values)
+            before = values.tobytes()
+            got = stats.apply(values)
+            assert got.tobytes() == ((values - stats.mean[:, None]) / stats.std[:, None]).tobytes()
+            assert got.shape == shape and values.tobytes() == before
+
+    def test_frozen_with_read_only_arrays(self):
+        mean, std = np.arange(5.0), np.full(5, 2.0)
+        stats = NormStats(mean, std)
+        stats.apply(np.ones((3, 5, 4)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stats.mean = np.zeros(5)
+        with pytest.raises(ValueError, match="read-only"):
+            stats.std[0] = 1.0
+        mean[0] = std[0] = 9.0  # the caller's arrays are not the instance's
+        assert stats.to_dict() == {"mean": [0.0, 1.0, 2.0, 3.0, 4.0], "std": [2.0] * 5}
+        assert repr(stats) == f"NormStats(mean={stats.mean!r}, std={stats.std!r})"
+        for copied in (copy.copy(stats), copy.deepcopy(stats), pickle.loads(pickle.dumps(stats))):
+            assert not copied.mean.flags.writeable and not copied.std.flags.writeable
+            assert copied.to_dict() == stats.to_dict()
+            assert copied.apply(np.ones((5, 4))).tobytes() == stats.apply(np.ones((5, 4))).tobytes()
 
 
 class TestSplit:
@@ -655,6 +721,21 @@ class TestLoadSeriesBulk:
             assert isinstance(got, list) and got
         else:
             assert got[0] == "DatasetError" and message in got[1]
+
+    def test_mixed_padding_of_ids_and_conditions_loads_in_bulk(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(csv_text([
+            "T2 ,220,HD ,4,1,2,3,4,5",
+            " T1,110, LT,2,1,2,3,4,5",
+            "T1 ,110,LT ,1,1,2,3,4,5",
+            "T1,110,LT,3,1,2,3,4,5",
+            " T2,220,HD,5,1,2,3,4,5",
+        ]))
+        got, expected, fell_back = _load_both(path)
+        assert not fell_back and got == expected
+        assert [(s.transformer_id, s.condition.name, s.days.tolist()) for s in load_series(path)] == [
+            ("T2", "HD", [4, 5]), ("T1", "LT", [1, 2, 3])
+        ]
 
     def test_hash_quotes_padding_and_blank_lines_load_in_bulk(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -83,6 +83,21 @@ class TestConfusion:
         with pytest.raises(ValueError):
             confusion([0, 1], [0])
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=60))
+    def test_equals_a_scatter_add_reference(self, pairs):
+        true, pred = (np.array([p[i] for p in pairs], dtype=np.int64) for i in (0, 1))
+        expected = np.zeros((7, 7), dtype=np.int64)
+        np.add.at(expected, (true, pred), 1)
+        cm = confusion(true.tolist(), pred.tolist())
+        assert cm.dtype == np.int64 and cm.shape == (7, 7)
+        assert np.array_equal(cm, expected)
+
+    @pytest.mark.parametrize("true, pred", [([7], [0]), ([0], [-1]), ([-1, 2], [0, 2])])
+    def test_labels_out_of_range(self, true, pred):
+        with pytest.raises(ValueError, match=r"labels outside \[0, 7\)"):
+            confusion(true, pred)
+
 
 class TestMetrics:
     def test_binary_hand_values(self):
@@ -122,6 +137,37 @@ class TestMetrics:
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError):
             metrics(np.zeros((7, 7), dtype=int))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_every_field_equals_the_masked_formula(self, data):
+        """Against the formula as first written: every ratio divided in full
+        under a silenced errstate, then its 0/0 entries replaced by 0."""
+        cm = np.array(data.draw(st.lists(st.lists(st.integers(0, 9), min_size=7, max_size=7), min_size=7, max_size=7)))
+        for axis, index in data.draw(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 6)), max_size=4)):
+            np.moveaxis(cm, axis, 0)[index] = 0  # an empty row (true class) or column (predicted class)
+        if cm.sum() == 0:
+            cm[data.draw(st.integers(0, 6)), data.draw(st.integers(0, 6))] = 1
+        tp = np.diag(cm).astype(np.float64)
+        fp, fn = cm.sum(axis=0) - tp, cm.sum(axis=1) - tp
+        with np.errstate(invalid="ignore", divide="ignore"):
+            precision = np.where(tp + fp > 0, tp / (tp + fp), 0.0)
+            recall = np.where(tp + fn > 0, tp / (tp + fn), 0.0)
+            f1 = np.where(precision + recall > 0, 2 * precision * recall / (precision + recall), 0.0)
+        expected = {
+            "accuracy": float(tp.sum() / cm.sum()),
+            "precision": precision.tolist(),
+            "recall": recall.tolist(),
+            "f1": f1.tolist(),
+            "macro_precision": float(precision.mean()),
+            "macro_recall": float(recall.mean()),
+            "macro_f1": float(f1.mean()),
+            "confusion": cm.tolist(),
+            "n_samples": int(cm.sum()),
+        }
+        report = metrics(cm)
+        for key, value in expected.items():
+            assert repr(getattr(report, key)) == repr(value), key
 
 
 class TestRocAuc:
