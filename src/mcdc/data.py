@@ -53,7 +53,7 @@ class DatasetError(ValueError):
     """Raised for malformed dataset files or unsatisfiable split requests."""
 
 
-@dataclass
+@dataclass(eq=False)
 class GasSeries:
     """Daily concentrations of the five gases for one transformer."""
 
@@ -79,7 +79,7 @@ class GasSeries:
             raise DatasetError(f"{self.transformer_id}: {kind} concentration")
 
 
-@dataclass
+@dataclass(eq=False)
 class CdgdWindow:
     """One fixed-length training sample cut from a series."""
 
@@ -292,7 +292,7 @@ def overlapping_sample(series: GasSeries, window_len: int) -> list[CdgdWindow]:
 _FIVE_FINITE = (("5 numbers", lambda v: list_of(v, 5, int, float)), ("finite", lambda v: all(map(math.isfinite, v))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormStats:
     """Per-channel z-score statistics, computed from training windows only.
     Frozen, with read-only arrays, so the operands apply keeps stay true."""
@@ -307,7 +307,7 @@ class NormStats:
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         # (5, T) -> mean and std, each expanded to (5, T); not a field, so
-        # repr, ==, to_dict and read_object never see it
+        # repr, to_dict and read_object never see it
         object.__setattr__(self, "_operands", {})
 
     def __reduce__(self):

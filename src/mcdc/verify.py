@@ -3,6 +3,13 @@ equivalences and determinism, runnable from a fresh checkout in a couple of
 minutes. Each check returns (name, passed, detail); the CLI turns any failure
 into a nonzero exit code.
 
+This module is the one home of the naive oracles, and the checks below, the
+tests and the acceptance suite all read them here: `naive_correlate` and
+`naive_conv` (conv1d's forward as a tap loop), `naive_conv_grads` (both of
+its gradients as tap loops), `naive_matmul`, `naive_midranks` (the tie
+loop), `enumeration_p` (the exhaustive two-sided rank-sum p) and `rank_auc`
+(the pairwise U statistic).
+
 The backward check also requires that backward leaves no gradient on a
 tape node, only on the leaves. The conv gradient checks double as a
 negative control: with fault injection armed (verify --inject-fault
@@ -24,25 +31,42 @@ from .evaluation import roc_auc, wilcoxon_rank_sum
 from .tensor import Tape, backward, conv1d, cross_entropy, grad_check, matmul, mul, parameter, sigmoid, sum_all, tensor
 from .training import TrainConfig, train_fold
 
-__all__ = ["run_checks"]
+__all__ = [
+    "enumeration_p",
+    "naive_conv",
+    "naive_conv_grads",
+    "naive_correlate",
+    "naive_matmul",
+    "naive_midranks",
+    "rank_auc",
+    "run_checks",
+]
 
 
-def _naive_conv(signal, kernel):
-    """The tap loop of a same-length correlation: (k - 1) // 2 zeros on the
-    left of each row, the rest of k - 1 on the right."""
-    rows, length = signal.shape
-    left = (kernel.size - 1) // 2
-    padded = np.zeros((rows, length + kernel.size - 1))
-    padded[:, left:left + length] = signal
-    out = np.zeros((rows, length))
+def _pad(signal, k):
+    """conv1d's same-length padding of the last axis for k taps: (k - 1) // 2
+    zeros on the left, k // 2 on the right."""
+    return np.pad(signal, [(0, 0)] * (signal.ndim - 1) + [((k - 1) // 2, k // 2)])
+
+
+def naive_correlate(padded, kernel):
+    """The valid-mode tap loop over each row: out[r, j] adds
+    padded[r, j + t] * kernel[t] tap by tap from zero."""
+    rows, width = padded.shape
+    out = np.zeros((rows, width - len(kernel) + 1))
     for r in range(rows):
-        for j in range(length):
-            for t in range(kernel.size):
+        for j in range(out.shape[1]):
+            for t in range(len(kernel)):
                 out[r, j] += padded[r, j + t] * kernel[t]
     return out
 
 
-def _naive_conv_grads(signal, bank, g):
+def naive_conv(signal, kernel):
+    """conv1d's same-length correlation of each row of `signal` with one kernel."""
+    return naive_correlate(_pad(signal, len(kernel)), kernel)
+
+
+def naive_conv_grads(signal, bank, g):
     """Both gradients of conv1d(signal, bank) under the output gradient `g`,
     as tap loops: kernel i's tap t is the whole-array sum of g[..., i, :, :]
     times tap t's window of the padded signal; the signal's is, per kernel,
@@ -50,9 +74,7 @@ def _naive_conv_grads(signal, bank, g):
     the kernels added in order."""
     kernels = bank.reshape(bank.shape[0], -1)
     k, length = kernels.shape[1], signal.shape[-1]
-    left = (k - 1) // 2
-    padded = np.zeros(signal.shape[:-1] + (length + k - 1,))
-    padded[..., left:left + length] = signal
+    padded = _pad(signal, k)
     d_bank = np.array([
         [(g[..., i, :, :] * padded[..., t:t + length]).sum() for t in range(k)] for i in range(kernels.shape[0])
     ])
@@ -62,7 +84,52 @@ def _naive_conv_grads(signal, bank, g):
         for t in range(k):
             one[..., t:t + length] += g[..., i, :, :] * kernels[i, t]
         d_padded += one
+    left = (k - 1) // 2
     return d_padded[..., left:left + length], d_bank.reshape(bank.shape)
+
+
+def naive_matmul(a, b):
+    """The triple loop: out[i, j] adds a[i, t] * b[t, j] term by term from zero."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            for t in range(a.shape[1]):
+                out[i, j] += a[i, t] * b[t, j]
+    return out
+
+
+def naive_midranks(values):
+    """1-based ranks, each run of ties given the mean of its ranks, found by
+    walking the stable sort order."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def enumeration_p(a, b):
+    """The two-sided rank-sum p of samples `a` and `b` by exhaustion: the share
+    of the ways to pick len(a) of the pooled midranks whose sum lies at least
+    as far from its mean as `a`'s does."""
+    pooled = np.concatenate([a, b])
+    ranks = naive_midranks(pooled)
+    mu = len(a) * (pooled.size + 1) / 2.0
+    observed = abs(ranks[:len(a)].sum() - mu)
+    sums = [ranks[list(subset)].sum() for subset in combinations(range(pooled.size), len(a))]
+    return sum(abs(s - mu) >= observed - 1e-9 for s in sums) / len(sums)
+
+
+def rank_auc(pos, neg):
+    """The pairwise U statistic over n1 * n2: a positive score above a
+    negative one counts 1, a tie 1/2."""
+    u = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)
+    return u / (len(pos) * len(neg))
 
 
 def _check_conv_oracle():
@@ -82,9 +149,9 @@ def _check_conv_oracle():
             backward(tape, sum_all(mul(out, tensor(g))))
         for idx in np.ndindex(*lead):
             for i in range(kernels):
-                if not np.array_equal(out.data[idx + (i,)], _naive_conv(sig[idx], bank[i, 0])):
+                if not np.array_equal(out.data[idx + (i,)], naive_conv(sig[idx], bank[i, 0])):
                     return False, f"forward mismatch at K={kernels} L={length} k={k} kernel {i}"
-        d_sig, d_bank = _naive_conv_grads(sig, bank, g)
+        d_sig, d_bank = naive_conv_grads(sig, bank, g)
         if b.grad.tobytes() != d_bank.tobytes():
             return False, f"kernel gradient mismatch at K={kernels} L={length} k={k}"
         if s.grad.tobytes() != d_sig.tobytes():
@@ -98,8 +165,7 @@ def _check_matmul_oracle():
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(4, 2))
         ours = matmul(tensor(a), tensor(b)).data
-        naive = np.array([[sum(a[i, t] * b[t, j] for t in range(4)) for j in range(2)] for i in range(3)])
-        if not np.allclose(ours, naive, atol=1e-12):
+        if not np.allclose(ours, naive_matmul(a, b), atol=1e-12):
             return False, "matmul mismatch"
     return True, "20 instances within 1e-12"
 
@@ -152,9 +218,7 @@ def _check_auc_rank_equivalence():
             labels[0] = 1 - labels[0]
         probs = np.stack([1.0 - scores, scores], axis=1)
         auc = roc_auc(labels, probs)["per_class_auc"][1]
-        pos, neg = scores[labels == 1], scores[labels == 0]
-        u = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)
-        if abs(auc - u / (len(pos) * len(neg))) > 1e-9:
+        if abs(auc - rank_auc(scores[labels == 1], scores[labels == 0])) > 1e-9:
             return False, "trapezoid vs rank statistic mismatch"
     return True, "30 score sets within 1e-9"
 
@@ -165,24 +229,7 @@ def _check_wilcoxon_oracle():
         for n2 in range(1, 6):
             a = rng.integers(0, 5, size=n1).astype(float)
             b = rng.integers(0, 5, size=n2).astype(float)
-            pooled = np.concatenate([a, b])
-            order = np.argsort(pooled, kind="stable")
-            ranks = np.empty(pooled.size)
-            i = 0
-            while i < pooled.size:
-                j = i
-                while j + 1 < pooled.size and pooled[order[j + 1]] == pooled[order[i]]:
-                    j += 1
-                ranks[order[i:j + 1]] = np.mean(np.arange(i, j + 1) + 1.0)
-                i = j + 1
-            mu = n1 * (pooled.size + 1) / 2.0
-            observed = abs(ranks[:n1].sum() - mu)
-            hits = total = 0
-            for subset in combinations(range(pooled.size), n1):
-                total += 1
-                if abs(ranks[list(subset)].sum() - mu) >= observed - 1e-9:
-                    hits += 1
-            if abs(wilcoxon_rank_sum(a, b) - hits / total) > 1e-12:
+            if abs(wilcoxon_rank_sum(a, b) - enumeration_p(a, b)) > 1e-12:
                 return False, f"exact branch mismatch at n1={n1} n2={n2}"
     return True, "all n1,n2 <= 5 match enumeration"
 

@@ -6,7 +6,6 @@ criteria 5-7 train real models and together take several minutes.
 
 import json
 import time
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,6 +20,7 @@ from mcdc.pipeline import RunConfig, _fitter_for, build_series, build_windows
 from mcdc.synth import load_recipe, synth_generate
 from mcdc.tensor import conv1d, cross_entropy, grad_check, tensor
 from mcdc.training import TrainConfig, lr_schedule, train_fold
+from mcdc.verify import enumeration_p, naive_conv, rank_auc
 from reference_ops import invert
 
 
@@ -96,41 +96,6 @@ def test_criterion_03_shape_and_normalization_contract():
             assert np.allclose(uniform, 1.0 / 7.0, atol=1e-12)
 
 
-def _naive_conv(signal, kernel):
-    """Same-length correlation: (k - 1) // 2 zeros on the left, k // 2 on the right."""
-    rows, length = signal.shape
-    left = (kernel.size - 1) // 2
-    padded = np.zeros((rows, length + kernel.size - 1))
-    padded[:, left:left + length] = signal
-    out = np.zeros((rows, length))
-    for r in range(rows):
-        for j in range(length):
-            for t in range(kernel.size):
-                out[r, j] += padded[r, j + t] * kernel[t]
-    return out
-
-
-def _enumeration_p(a, b):
-    pooled = np.concatenate([a, b])
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(pooled.size)
-    i = 0
-    while i < pooled.size:
-        j = i
-        while j + 1 < pooled.size and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = np.mean(np.arange(i, j + 1) + 1.0)
-        i = j + 1
-    mu = len(a) * (pooled.size + 1) / 2.0
-    observed = abs(ranks[: len(a)].sum() - mu)
-    hits = total = 0
-    for subset in combinations(range(pooled.size), len(a)):
-        total += 1
-        if abs(ranks[list(subset)].sum() - mu) >= observed - 1e-9:
-            hits += 1
-    return hits / total
-
-
 def test_criterion_04_oracle_equivalences():
     with criterion(4, "conv/naive exact; wilcoxon exact = enumeration; AUC = rank statistic"):
         rng = np.random.default_rng(8)
@@ -140,13 +105,13 @@ def test_criterion_04_oracle_equivalences():
             sig = rng.normal(size=(int(rng.integers(1, 6)), length))
             kern = rng.normal(size=k)
             ours = conv1d(tensor(sig), tensor(kern.reshape(1, 1, k))).data
-            assert np.array_equal(ours[0], _naive_conv(sig, kern))
+            assert np.array_equal(ours[0], naive_conv(sig, kern))
 
         for n1 in range(1, 9):
             for n2 in range(1, 9):
                 values = rng.integers(0, 6, size=n1 + n2).astype(float)
                 a, b = values[:n1], values[n1:]
-                assert wilcoxon_rank_sum(a, b) == pytest.approx(_enumeration_p(a, b), abs=1e-12)
+                assert wilcoxon_rank_sum(a, b) == pytest.approx(enumeration_p(a, b), abs=1e-12)
 
         for trial in range(100):
             n = int(rng.integers(4, 30))
@@ -156,9 +121,7 @@ def test_criterion_04_oracle_equivalences():
                 labels[0] = 1 - labels[0]
             probs = np.stack([1.0 - scores, scores], axis=1)
             auc = roc_auc(labels, probs)["per_class_auc"][1]
-            pos, neg = scores[labels == 1], scores[labels == 0]
-            u = sum(1.0 if p > q else 0.5 if p == q else 0.0 for p in pos for q in neg)
-            assert abs(auc - u / (len(pos) * len(neg))) < 1e-9
+            assert abs(auc - rank_auc(scores[labels == 1], scores[labels == 0])) < 1e-9
 
 
 def test_criterion_05_synthetic_end_to_end():

@@ -1045,11 +1045,24 @@ class TestVerifyCommand:
 
     def test_fault_injection_caught(self, capsys):
         # both the finite differences and the conv oracle's byte-for-byte
-        # kernel-gradient comparison catch the corrupted backward
+        # kernel-gradient comparison catch the corrupted backward, and no
+        # other check fails
         assert main(["verify", "--inject-fault", "conv-kernel-grad"]) == 1
         out = capsys.readouterr().out
-        assert "FAIL  gradient-finite-differences" in out
+        *lines, summary = out.splitlines()
+        assert [line.split(": ")[0] for line in lines] == [
+            "FAIL  conv-naive-oracle",
+            "PASS  matmul-naive-oracle",
+            "FAIL  gradient-finite-differences",
+            "PASS  attention-map-stochastic",
+            "PASS  auc-rank-equivalence",
+            "PASS  wilcoxon-exact-enumeration",
+            "PASS  training-determinism",
+            "PASS  backward-determinism",
+            "PASS  forward-finite",
+        ]
         assert "FAIL  conv-naive-oracle: kernel gradient mismatch" in out
+        assert summary == "7/9 checks passed"
 
     def test_backward_check_catches_gradients_left_on_the_tape(self, monkeypatch):
         from mcdc import verify

@@ -292,6 +292,26 @@ class TestNormStats:
             assert copied.apply(np.ones((5, 4))).tobytes() == stats.apply(np.ones((5, 4))).tobytes()
 
 
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: NormStats(np.arange(5.0), np.full(5, 2.0)),
+        make_series,
+        lambda: CdgdWindow("tx1", 0, np.ones((5, 4)), by_name("NC")),
+    ],
+    ids=["NormStats", "GasSeries", "CdgdWindow"],
+)
+def test_array_holders_compare_and_hash_by_identity(make):
+    # a generated == over array fields would raise on two distinct instances
+    x, y = make(), make()
+    assert x == x and x != y and not x == y
+    assert hash(x) == hash(x) and len({x, y}) == 2
+    if isinstance(x, NormStats):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(x, "std", np.ones(5))
+
+
 class TestSplit:
     def _windows(self, n_transformers=10, per=10, t_len=4, n_conditions=7):
         rng = np.random.default_rng(3)

@@ -1,7 +1,5 @@
 """Metrics, ROC/AUC and rank-sum tests against independent oracles."""
 
-from itertools import combinations
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,43 +19,7 @@ from mcdc.evaluation import (
     roc_auc,
     wilcoxon_rank_sum,
 )
-
-
-def mann_whitney_auc(positive, scores):
-    """Pairwise U-statistic oracle: ties count half."""
-    pos_scores = scores[positive]
-    neg_scores = scores[~positive]
-    u = 0.0
-    for p in pos_scores:
-        for n in neg_scores:
-            if p > n:
-                u += 1.0
-            elif p == n:
-                u += 0.5
-    return u / (len(pos_scores) * len(neg_scores))
-
-
-def enumeration_p_value(a, b):
-    """Independent exhaustive oracle for the two-sided rank-sum p."""
-    pooled = np.concatenate([a, b])
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(pooled.size)
-    i = 0
-    while i < pooled.size:
-        j = i
-        while j + 1 < pooled.size and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = np.mean(np.arange(i, j + 1) + 1.0)
-        i = j + 1
-    n1 = len(a)
-    mu = n1 * (pooled.size + 1) / 2.0
-    observed = abs(ranks[:n1].sum() - mu)
-    extreme = total = 0
-    for subset in combinations(range(pooled.size), n1):
-        total += 1
-        if abs(ranks[list(subset)].sum() - mu) >= observed - 1e-9:
-            extreme += 1
-    return extreme / total
+from mcdc.verify import enumeration_p, naive_midranks, rank_auc
 
 
 class TestConfusion:
@@ -192,8 +154,10 @@ class TestRocAuc:
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
             result = roc_auc(labels, self._probs(scores))
-            oracle = mann_whitney_auc(labels == 1, scores)
+            pos, neg = scores[labels == 1], scores[labels == 0]
+            oracle = rank_auc(pos, neg)
             assert result["per_class_auc"][1] == pytest.approx(oracle, abs=1e-9)
+            assert oracle == scipy_stats.mannwhitneyu(pos, neg).statistic / (len(pos) * len(neg))
 
     def test_absent_class_excluded_from_macro(self):
         probs = np.full((4, 3), 1.0 / 3.0)
@@ -210,7 +174,7 @@ class TestRocAuc:
         result = roc_auc(labels, probs)
         onehot = np.zeros_like(probs, dtype=bool)
         onehot[np.arange(20), labels] = True
-        oracle = mann_whitney_auc(onehot.ravel(), probs.ravel())
+        oracle = rank_auc(probs[onehot], probs[~onehot])
         assert result["micro_auc"] == pytest.approx(oracle, abs=1e-9)
 
     def test_permuting_samples_changes_nothing(self):
@@ -246,24 +210,12 @@ class TestWilcoxon:
             wilcoxon_rank_sum(a, b)
 
     def test_midranks_equal_the_tie_loop_byte_for_byte(self):
-        def loop_midranks(values):
-            order = np.argsort(values, kind="stable")
-            ranks = np.empty(values.size)
-            i = 0
-            while i < values.size:
-                j = i
-                while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-                    j += 1
-                ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-                i = j + 1
-            return ranks
-
         rng = np.random.default_rng(10)
         for trial in range(2000):
             n = int(rng.integers(1, 30))
             values = rng.integers(0, 5, size=n).astype(float) if trial % 2 else rng.normal(size=n)
             ranks, counts = _midranks(values)
-            assert ranks.tobytes() == loop_midranks(values).tobytes()
+            assert ranks.tobytes() == naive_midranks(values).tobytes()
             assert counts.tolist() == np.unique(values, return_counts=True)[1].tolist()
 
     def test_exact_branch_vs_scipy_without_ties(self):
@@ -275,6 +227,7 @@ class TestWilcoxon:
                 ours = wilcoxon_rank_sum(a, b)
                 ref = scipy_stats.mannwhitneyu(a, b, alternative="two-sided", method="exact").pvalue
                 assert ours == pytest.approx(ref, abs=1e-12), (n1, n2)
+                assert enumeration_p(a, b) == pytest.approx(ref, abs=1e-12), (n1, n2)
 
     def test_exact_branch_vs_enumeration_with_ties(self):
         rng = np.random.default_rng(6)
@@ -283,7 +236,7 @@ class TestWilcoxon:
             n2 = int(rng.integers(1, 7))
             a = rng.integers(0, 4, size=n1).astype(float)
             b = rng.integers(0, 4, size=n2).astype(float)
-            assert wilcoxon_rank_sum(a, b) == pytest.approx(enumeration_p_value(a, b), abs=1e-12)
+            assert wilcoxon_rank_sum(a, b) == pytest.approx(enumeration_p(a, b), abs=1e-12)
 
     def test_exact_vs_normal_agreement_at_ten_ten(self):
         rng = np.random.default_rng(7)

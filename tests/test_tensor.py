@@ -1,4 +1,8 @@
-"""Core tensor ops against naive oracles and finite differences."""
+"""Core tensor ops against naive oracles and finite differences.
+
+The naive oracles (`naive_matmul`, and conv1d's tap loops `naive_correlate`,
+`naive_conv` and `naive_conv_grads`) live once, in `mcdc.verify`, which the
+`mcdc verify` checks and the acceptance suite read too."""
 
 import math
 import warnings
@@ -30,37 +34,8 @@ from mcdc.tensor import (
     transpose,
     unit_stack,
 )
+from mcdc.verify import naive_conv, naive_conv_grads, naive_correlate, naive_matmul
 from reference_ops import concat_rows
-
-
-def naive_matmul(a, b):
-    r, k = a.shape
-    k2, c = b.shape
-    out = np.zeros((r, c))
-    for i in range(r):
-        for j in range(c):
-            for t in range(k):
-                out[i, j] += a[i, t] * b[t, j]
-    return out
-
-
-def naive_conv1d(signal, kernel, pad_left, pad_right):
-    rows, length = signal.shape
-    padded = np.zeros((rows, length + pad_left + pad_right))
-    padded[:, pad_left:pad_left + length] = signal
-    k = len(kernel)
-    out_len = padded.shape[1] - k + 1
-    out = np.zeros((rows, out_len))
-    for r in range(rows):
-        for j in range(out_len):
-            for t in range(k):
-                out[r, j] += padded[r, j + t] * kernel[t]
-    return out
-
-
-def naive_same(signal, kernel):
-    """naive_conv1d with conv1d's padding: (k - 1) // 2 left, k // 2 right."""
-    return naive_conv1d(signal, kernel, (len(kernel) - 1) // 2, len(kernel) // 2)
 
 
 class TestMatmul:
@@ -112,7 +87,7 @@ class TestConv1d:
         kern = rng.normal(size=k)
         out = conv1d(tensor(sig), tensor(kern.reshape(1, 1, k)))
         assert out.shape == (1, 2, 10)
-        assert np.array_equal(out.data[0], naive_conv1d(sig, kern, *pads))
+        assert np.array_equal(out.data[0], naive_correlate(np.pad(sig, ((0, 0), pads)), kern))
 
     @pytest.mark.parametrize("shape", [(5,), (1, 5), (3, 2, 2), (2, 1, 0)])
     def test_refuses_anything_but_a_k_by_1_by_taps_bank(self, shape):
@@ -131,27 +106,26 @@ class TestConv1d:
                 sig = rng.normal(size=(rows, length))
                 kern = rng.normal(size=k)
                 out = conv1d(tensor(sig), tensor(kern.reshape(1, 1, k)))
-                assert np.array_equal(out.data[0], naive_same(sig, kern))
+                assert np.array_equal(out.data[0], naive_conv(sig, kern))
                 continue
             sig = rng.normal(size=(int(rng.integers(1, 5)), rows, length))
             bank = rng.normal(size=(12, 1, k))
             out = conv1d(tensor(sig), tensor(bank)).data
             for b in range(sig.shape[0]):
                 for i in range(12):
-                    assert np.array_equal(out[b, i], naive_same(sig[b], bank[i, 0]))
+                    assert np.array_equal(out[b, i], naive_conv(sig[b], bank[i, 0]))
 
     def test_gradients_bit_exact_against_tap_loops(self):
-        # dkernel[i, t] is the whole-array sum of g[..., i, :, :] times tap t's
-        # window; dsignal adds g * kernel[i, t] tap by tap from zero for each
-        # kernel, then the kernels in order. Zeros and signed zeros check that
-        # padding terms leave every bit, zero signs included, unchanged. Every
-        # other case is a 12-kernel stack, a route's 3H bank at H = 4, over a
-        # (B, rows, L) stack of signals; the rest are one-kernel banks.
+        # both gradients byte for byte against naive_conv_grads' tap loops,
+        # which add tap by tap and then kernel by kernel. Zeros and signed
+        # zeros check that padding terms leave every bit, zero signs included,
+        # unchanged. Every other case is a 12-kernel stack, a route's 3H bank
+        # at H = 4, over a (B, rows, L) stack of signals; the rest are
+        # one-kernel banks.
         rng = np.random.default_rng(4)
         for case in range(400):
             length = int(rng.integers(1, 14))
             k = int(rng.integers(1, 8))
-            left, right = (k - 1) // 2, k // 2
             rows = int(rng.integers(1, 13))
             stacked = case % 2 == 1
             lead = (int(rng.integers(1, 5)),) if stacked else ()
@@ -167,21 +141,9 @@ class TestConv1d:
                 if case % 3 == 2:
                     g[rng.random(g.shape) < 0.5] = 0.0
                 backward(tape, sum_all(mul(out, tensor(g))))
-            bank = kern.reshape(-1, k)
-            padded = np.zeros(lead + (rows, length + left + right))
-            padded[..., left:left + length] = sig
-            dk = np.array([
-                [(g[..., i, :, :] * padded[..., t:t + length]).sum() for t in range(k)]
-                for i in range(bank.shape[0])
-            ])
-            dsig = np.zeros_like(padded)
-            for i in range(bank.shape[0]):
-                dpad = np.zeros_like(padded)
-                for t in range(k):
-                    dpad[..., t:t + length] += g[..., i, :, :] * bank[i, t]
-                dsig += dpad
-            assert kt.grad.tobytes() == dk.reshape(kern.shape).tobytes()
-            assert s.grad.tobytes() == dsig[..., left:left + length].tobytes()
+            dsig, dk = naive_conv_grads(sig, kern, g)
+            assert kt.grad.tobytes() == dk.tobytes()
+            assert s.grad.tobytes() == dsig.tobytes()
 
     @pytest.mark.parametrize("lead", [(), (1,)])
     def test_signal_gradient_of_a_lone_sample_adds_the_kernels_in_order(self, lead):
@@ -594,7 +556,7 @@ class TestStacks:
             out = conv1d(tensor(sig), tensor(kern.reshape(1, 1, k))).data
             assert out.shape == sig.shape[:1] + (1,) + sig.shape[1:]
             for b in range(sig.shape[0]):
-                assert np.array_equal(out[b, 0], naive_same(sig[b], kern))
+                assert np.array_equal(out[b, 0], naive_conv(sig[b], kern))
 
     def test_conv_kernel_stack_bit_exact_against_naive_loop(self):
         # every (kernel, row) pair of a kernel stack over a signal stack, odd
@@ -615,7 +577,7 @@ class TestStacks:
             assert out.shape == lead + (bank.shape[0],) + sig.shape[-2:]
             for i in range(bank.shape[0]):
                 for b in np.ndindex(*lead):
-                    assert np.array_equal(out.data[b + (i,)], naive_same(sig[b], bank[i, 0]))
+                    assert np.array_equal(out.data[b + (i,)], naive_conv(sig[b], bank[i, 0]))
                 alone = parameter(bank[i:i + 1])
                 with Tape() as tape:
                     one = conv1d(tensor(sig), alone)
