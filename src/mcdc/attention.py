@@ -31,7 +31,6 @@ from .tensor import (
     glorot,
     matmul,
     parameter,
-    scale,
     softmax_cols,
     split,
     transpose,
@@ -66,7 +65,8 @@ def cnn_qkv(inp: Tensor, bank: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     `inp` is tokens x features (n x d, or a stack of those). One conv1d per
     route runs the whole bank over the rows of `inp`; one transpose turns the
     (..., 3H, n, d) result into d x n matrices, which are split into one
-    (..., H, d, n) stack per projection.
+    (..., H, d, n) stack per projection, all views of the one C-contiguous
+    (..., 3H, d, n) block that conv1d's result is a view of.
     """
     qkv = transpose(conv1d(inp, bank))
     q, k, v = split(qkv, 3)
@@ -77,13 +77,13 @@ def attention_map(q: Tensor, k: Tensor) -> Tensor:
     """Column-stochastic token-to-token weights: softmax(K^T Q / sqrt(d)).
 
     d is the shared feature-axis length of Q and K; column j holds the
-    weights with which token j draws on every value token.
+    weights with which token j draws on every value token. softmax_cols
+    applies the 1/sqrt(d) in its own buffer.
     """
     if q.shape != k.shape:
         raise DimensionError(f"query/key shapes differ: {q.shape} vs {k.shape}")
     d = q.shape[-2]
-    scores = scale(matmul(transpose(k), q), 1.0 / math.sqrt(d))
-    return softmax_cols(scores)
+    return softmax_cols(matmul(transpose(k), q), 1.0 / math.sqrt(d))
 
 
 def attend(v: Tensor, amap: Tensor) -> Tensor:

@@ -43,7 +43,6 @@ __all__ = [
     "mul",
     "parameter",
     "reshape",
-    "scale",
     "sigmoid",
     "softmax_cols",
     "split",
@@ -224,18 +223,6 @@ def add_n(parts: list[Tensor]) -> Tensor:
     return _record(out, tuple(parts), bw)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.data * c)
-    if not _tracking((a,)):
-        return out
-
-    def bw(g):
-        _accum(a, g * c)
-
-    return _record(out, (a,), bw)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise DimensionError(f"mul shapes differ: {a.shape} vs {b.shape}")
@@ -290,8 +277,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    out = Tensor(a.data.swapaxes(-1, -2).copy())
+    """Swap the last two axes into C-contiguous data: a view of `a` when its
+    data already holds that layout (conv1d's result does), else a copy."""
+    out = Tensor(np.ascontiguousarray(a.data.swapaxes(-1, -2)))
     if not _tracking((a,)):
         return out
 
@@ -302,10 +290,11 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def reshape(a: Tensor, shape: tuple[int, int]) -> Tensor:
-    """Reshape each matrix of the stack to `shape`; leading axes stay."""
+    """Reshape each matrix of the stack to `shape`; leading axes stay. A view
+    of C-contiguous data, else a C-contiguous copy."""
     if a.shape[-2] * a.shape[-1] != shape[0] * shape[1]:
         raise DimensionError(f"cannot reshape {a.shape} to {shape}")
-    out = Tensor(a.data.reshape(a.shape[:-2] + tuple(shape)).copy())
+    out = Tensor(np.ascontiguousarray(a.data.reshape(a.shape[:-2] + tuple(shape))))
     if not _tracking((a,)):
         return out
 
@@ -330,11 +319,12 @@ def unit_stack(x: Tensor) -> Tensor:
 
 def merge_stack(x: Tensor) -> Tensor:
     """Join the matrices of the innermost stack axis end to end along the rows,
-    as one C-contiguous copy: (..., S, r, c) gives (..., S*r, c)."""
+    (..., S, r, c) to (..., S*r, c): a view of C-contiguous data (an attend
+    result), else a C-contiguous copy."""
     if x.data.ndim < 3:
         raise DimensionError(f"merge_stack needs a stack, got shape {x.shape}")
     *lead, s, r, c = x.shape
-    out = Tensor(x.data.reshape(*lead, s * r, c).copy())
+    out = Tensor(np.ascontiguousarray(x.data.reshape(*lead, s * r, c)))
     if not _tracking((x,)):
         return out
 
@@ -387,13 +377,14 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
     zero-padded and transposed into (L + k - 1, n) columns, the convolved
     axis first. The sums run in a (K, L, n) buffer against a (k, K, 1, 1)
     view of the bank's taps, so a tap is one product of an (L, n) column
-    slice with one scalar per kernel and one add. The result is a transpose
-    view of that buffer, and the columns are kept for the kernel gradient.
-    The signal gradient runs in the same (K, L, n) layout and adds the
-    kernels' parts with one reduce over the kernel axis. The backward makes
-    the kernel gradient first and frees its kernel-major copy of the output
-    gradient before it allocates the signal gradient's buffers, so the two
-    gradients' copies are never held at once.
+    slice with one scalar per kernel and one add. The sums are copied as one
+    C-contiguous (..., K, L, rows) block into the products' buffer, and the
+    result is that block's swapaxes view, which transpose hands on as it is.
+    The columns are kept for the kernel gradient. The signal gradient sums
+    the L padded rows it keeps in the (K, L, n) layout and adds the kernels'
+    parts with one reduce over the kernel axis. The backward makes the
+    kernel gradient first and frees its kernel-major copy of the output
+    gradient before it allocates the signal gradient's buffers.
     """
     if bank.data.ndim != 3 or bank.shape[1] != 1 or 0 in bank.shape:
         raise DimensionError(f"conv1d needs a (K, 1, k) kernel bank with K, k >= 1, got shape {bank.shape}")
@@ -406,13 +397,15 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
     taps = bank.data.reshape(n_kernels, k).T[:, :, None, None]  # taps[t]: tap t of every kernel
     cols = np.zeros((length + k - 1, n))
     cols[left:left + length] = signal.data.reshape(n, length).T
-    out = np.zeros((n_kernels, length, n))
-    term = np.empty(out.shape)
+    sums = np.zeros((n_kernels, length, n))
+    term = np.empty(sums.shape)
     for t in range(k):
         np.multiply(cols[t:t + length], taps[t], out=term)
-        out += term
-    # (K, L, ..., rows) -> (..., K, rows, L)
-    out = Tensor(out.reshape((n_kernels, length) + lead).transpose(tuple(range(2, nd - 1)) + (0, nd - 1, 1)))
+        sums += term
+    # (K, L, ..., rows) -> (..., K, L, rows), into term's buffer; sums is freed on return
+    block = term.reshape(lead[:-1] + (n_kernels, length, lead[-1]))
+    np.copyto(block, sums.reshape((n_kernels, length) + lead).transpose(tuple(range(2, nd - 1)) + (0, 1, nd - 1)))
+    out = Tensor(block.swapaxes(-1, -2))
     if not _tracking((signal, bank)):
         return out
 
@@ -436,33 +429,35 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
             _accum(bank, dk.reshape(bank.shape))
         if signal.requires_grad:
             # per kernel, g times tap t added tap by tap from zero into the
-            # padded columns; then the kernels' gradients added in kernel
-            # order by one reduce. d_cols has one spare zero row past the
-            # padding so that the reduced window keeps two or more elements:
-            # numpy adds a reduce axis in order across an output of two or
-            # more elements, but sums it pairwise into a lone element.
+            # padded signal's kept rows, left to left + L - 1; then the kernels
+            # added in order by one reduce. A spare zero row in d_cols keeps
+            # the reduce's output at two or more elements: numpy adds a reduce
+            # axis in order across those, but pairwise into a lone element.
             # (..., K, rows, L) -> (K, L, ..., rows), the forward's layout
             to_cols = (nd - 3, nd - 1) + tuple(range(nd - 3)) + (nd - 2,)
             g_cols = np.ascontiguousarray(g.transpose(to_cols)).reshape(n_kernels, length, n)
-            d_cols = np.zeros((n_kernels, length + k, n))
-            term = scratch.reshape(g_cols.shape)
+            d_cols = np.zeros((n_kernels, length + 1, n))
             for t in range(k):
-                np.multiply(g_cols, taps[t], out=term)
-                d_cols[:, t:t + length] += term
-            d_signal = np.add.reduce(d_cols[:, left:left + length + 1], axis=0)[:length]
-            _accum(signal, d_signal.T.reshape(signal.shape))
+                lo, hi = max(t - left, 0), min(t - left, 0) + length  # the kept rows tap t reaches
+                if lo < hi:
+                    term = scratch[:n_kernels * (hi - lo) * n].reshape(n_kernels, hi - lo, n)
+                    np.multiply(g_cols[:, lo + left - t:hi + left - t], taps[t], out=term)
+                    d_cols[:, lo:hi] += term
+            _accum(signal, np.add.reduce(d_cols, axis=0)[:length].T.reshape(signal.shape))
 
     return _record(out, (signal, bank), bw)
 
 
-def softmax_cols(x: Tensor) -> Tensor:
-    """Softmax over each column of every matrix of the stack, max-stabilized.
+def softmax_cols(x: Tensor, factor: float = 1.0) -> Tensor:
+    """Softmax over each column of every matrix of factor * x, max-stabilized;
+    attention_map passes its 1/sqrt(d) as the factor.
 
     The forward and the backward each fill one fresh buffer in place, with
-    the same ops in the same order as e = exp(x - max), y = e / sum(e) and
-    y * (g - sum(y * g)), so they give the same bytes with no fresh buffer
-    per step."""
-    y = np.subtract(x.data, np.maximum.reduce(x.data, axis=-2, keepdims=True))
+    the ops and order of s = x * factor, e = exp(s - max), y = e / sum(e)
+    and y * (g - sum(y * g)) * factor: the bytes of a scale node feeding a
+    plain softmax, with no buffer for the scaled scores or for each step."""
+    y = np.multiply(x.data, factor)
+    y -= np.maximum.reduce(y, axis=-2, keepdims=True)
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis=-2, keepdims=True)
     out = Tensor(y)
@@ -474,6 +469,7 @@ def softmax_cols(x: Tensor) -> Tensor:
         dot = np.add.reduce(t, axis=-2, keepdims=True)
         np.subtract(g, dot, out=t)
         t *= y
+        t *= factor
         _accum(x, t)
 
     return _record(out, (x,), bw)

@@ -1,13 +1,17 @@
 """Plain reference ops that the package does not ship: joining separate
-tensors end to end along the rows or the columns of their matrices, and
-undoing a normalization.
+tensors end to end along the rows or the columns of their matrices, scaling
+a tensor by a constant, and undoing a normalization.
 
 The model joins a route's heads along the rows with `tensor.merge_stack`,
 which is held to `concat_rows` (tests/test_tensor.py). The per-head
 reference forward (tests/test_attention.py) joins the temporal route's
 heads with `concat_rows` and the channel route's with `concat_cols`, where
-the model transposes its row join instead. They record on the active tape
-like any engine op.
+the model transposes its row join instead. `scale` is a node of its own:
+the per-window reference of a batch loss (tests/test_batching.py) scales
+the summed window losses by 1/B with it, and `tensor.softmax_cols`, which
+applies attention's 1/sqrt(d) in its own buffer, is held to `scale`
+before a plain softmax (tests/test_tensor.py). They record on the active
+tape like any engine op.
 """
 
 from __future__ import annotations
@@ -45,6 +49,18 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
     return _concat(parts, -1, "concat_cols")
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+    out = Tensor(a.data * c)
+    if not _tracking((a,)):
+        return out
+
+    def bw(g):
+        _accum(a, g * c)
+
+    return _record(out, (a,), bw)
 
 
 def invert(stats: NormStats, values: np.ndarray) -> np.ndarray:

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from mcdc.baselines import MODEL_KINDS, make_model
 from mcdc.conditions import N_CONDITIONS, by_code
 from mcdc.data import CdgdWindow
-from mcdc.tensor import Tape, add_n, backward, cross_entropy, scale
+from mcdc.tensor import Tape, add_n, backward, cross_entropy
 from mcdc.training import SCORE_CHUNK, _batch_loss, score_windows
+from reference_ops import scale
 
 T_LEN = 8
 # Deterministic draws keep the suite reproducible; no example database is written.

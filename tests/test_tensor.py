@@ -25,7 +25,6 @@ from mcdc.tensor import (
     mul,
     parameter,
     reshape,
-    scale,
     sigmoid,
     softmax_cols,
     split,
@@ -35,7 +34,7 @@ from mcdc.tensor import (
     unit_stack,
 )
 from mcdc.verify import naive_conv, naive_conv_grads, naive_correlate, naive_matmul
-from reference_ops import concat_rows
+from reference_ops import concat_rows, scale
 
 
 class TestMatmul:
@@ -207,6 +206,24 @@ class TestSoftmax:
         assert out.data.tobytes() == y.tobytes()
         assert xp.grad.tobytes() == dx.tobytes()
 
+    @pytest.mark.parametrize("d", [5, 12, 48])
+    def test_factor_gives_the_bytes_of_a_scale_node_before_it(self, d):
+        # attention_map's 1/sqrt(d) in softmax_cols' own buffer: the forward
+        # and the gradient are those of a scale node feeding a plain softmax
+        rng = np.random.default_rng(d)
+        x = rng.normal(scale=5.0, size=(20, 4, 12, 12))
+        g = tensor(rng.normal(size=x.shape))
+        results = []
+        for fold in (True, False):
+            xp = parameter(x)
+            with Tape() as tape:
+                out = softmax_cols(xp, 1.0 / math.sqrt(d)) if fold else softmax_cols(scale(xp, 1.0 / math.sqrt(d)))
+                backward(tape, sum_all(mul(out, g)))
+            results.append((out.data.tobytes(), xp.grad.tobytes(), len(tape.nodes)))
+        (out, grad, nodes), (ref_out, ref_grad, ref_nodes) = results
+        assert out == ref_out and grad == ref_grad
+        assert nodes == ref_nodes - 1  # the scale node
+
 
 class TestSigmoid:
     def test_zero(self):
@@ -361,6 +378,11 @@ class TestFiniteDifferences:
     @pytest.mark.parametrize("seed", range(10))
     def test_softmax_col(self, seed):
         err = _fd_case(lambda x: sum_all(mul(softmax_cols(x), x)), [(4, 3)], seed)
+        assert err < 1e-4
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_softmax_col_with_factor(self, seed):
+        err = _fd_case(lambda x: sum_all(mul(softmax_cols(x, 0.37), x)), [(4, 3)], seed)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
@@ -651,6 +673,40 @@ class TestStacks:
             matmul(tensor(np.zeros((2, 3, 3))), tensor(np.zeros((4, 3, 3))))
 
 
+def _layouts():
+    """One (3, 4, 5) value in three memory layouts: C-contiguous, the
+    swapaxes view of a C-contiguous (3, 5, 4) array, and a strided slice."""
+    rng = np.random.default_rng(20)
+    return {
+        "contiguous": rng.normal(size=(3, 4, 5)),
+        "swapped": rng.normal(size=(3, 5, 4)).swapaxes(-1, -2),
+        "strided": rng.normal(size=(3, 4, 10))[..., ::2],
+    }
+
+
+class TestLayoutOps:
+    """transpose, reshape and merge_stack hand out C-contiguous data, and
+    share memory with their input exactly when the input already holds the
+    result's layout; on a tape or off it."""
+
+    CASES = {
+        "transpose": (transpose, lambda x: x.swapaxes(-1, -2), "swapped"),
+        "reshape": (lambda t: reshape(t, (2, 10)), lambda x: x.reshape(3, 2, 10), "contiguous"),
+        "merge_stack": (merge_stack, lambda x: x.reshape(12, 5), "contiguous"),
+    }
+
+    @pytest.mark.parametrize("leaf", [tensor, parameter])
+    @pytest.mark.parametrize("name", CASES)
+    def test_contiguous_and_a_view_only_of_the_layout_it_hands_out(self, name, leaf):
+        op, expected, shared_from = self.CASES[name]
+        for layout, x in _layouts().items():
+            with Tape():
+                out = op(leaf(x)).data
+            assert out.flags.c_contiguous, layout
+            assert np.array_equal(out, expected(x)), layout
+            assert np.shares_memory(out, x) == (layout == shared_from), layout
+
+
 class TestGradCheck:
     def test_quadratic_is_exact(self):
         x = parameter([[3.0]])
@@ -704,7 +760,6 @@ OPS = {
     "merge_stack": lambda leaf: merge_stack(leaf(np.ones((2, 2, 3)))),
     "mul": lambda leaf: mul(leaf(np.ones((2, 3))), leaf(np.ones((2, 3)))),
     "reshape": lambda leaf: reshape(leaf(np.ones((2, 3))), (3, 2)),
-    "scale": lambda leaf: scale(leaf(np.ones((2, 3))), 2.0),
     "sigmoid": lambda leaf: sigmoid(leaf(np.ones((2, 3)))),
     "softmax_cols": lambda leaf: softmax_cols(leaf(np.ones((2, 3)))),
     "split": lambda leaf: split(leaf(np.ones((4, 2, 3))), 2),
