@@ -14,8 +14,9 @@ each route returns (..., H, d, n) with head h at index h. The conv variant's
 stack is the (3H, 1, k) kernel bank of its one conv1d, which slides it at
 stride 1 with same-length padding, so features' == features. The matrix
 variant splits its (3H, d, d) stack into one (H, d, d) part per projection
-and makes one matmul per projection. Either way a route has one attention
-map and one attend, whatever its head count.
+and makes one matmul per projection, against a `reshape` of the input with
+a unit head axis. Either way a route has one attention map and one attend,
+whatever its head count.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from .tensor import (
     glorot,
     matmul,
     parameter,
+    reshape,
     softmax_cols,
     split,
     transpose,
-    unit_stack,
 )
 
 __all__ = [
@@ -103,9 +104,9 @@ def matrix_attention(inp: Tensor, weights: Tensor) -> Tensor:
     """All heads of a matrix route on `inp` (d x n or a stack): (..., H, d, n).
 
     `weights` is the route's (3H, d, d) stack (see new_qkv). Each projection
-    is one matmul of its (H, d, d) part with a unit_stack view of the input,
-    whose head axis of length 1 broadcasts it over the heads.
+    is one matmul of its (H, d, d) part with a view of the input that has a
+    unit head axis before its matrix axes, which broadcasts it over the heads.
     """
-    x = unit_stack(inp)
+    x = reshape(inp, inp.shape[:-2] + (1,) + inp.shape[-2:])
     q, k, v = (matmul(w, x) for w in split(weights, 3))
     return attend(v, attention_map(q, k))

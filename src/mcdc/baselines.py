@@ -54,7 +54,7 @@ class AnnModel(Classifier):
         self._check_window(window.shape)
         if self.hyper.input_mode == "last_day":
             return tensor(np.ascontiguousarray(window[..., -1:]))
-        return reshape(tensor(window), (N_CHANNELS * self.hyper.temporal_len, 1))
+        return reshape(tensor(window), window.shape[:-2] + (-1, 1))
 
     def forward(self, window: np.ndarray) -> Tensor:
         p = self.params

@@ -373,8 +373,8 @@ class SplitPlan:
     train_fraction: float
     n_windows: int
     temporal_len: int
-    train_indices: list[int]
-    test_indices: list[int]
+    train_indices: list[int] = setting(("non-empty", bool))
+    test_indices: list[int] = setting(("non-empty", bool))
     folds: list[list[int]]
     train_transformers: list[str] = field(default_factory=list)
     test_transformers: list[str] = field(default_factory=list)

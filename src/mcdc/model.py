@@ -20,7 +20,6 @@ from .tensor import (
     add,
     glorot,
     matmul,
-    merge_stack,
     parameter,
     reshape,
     sigmoid,
@@ -239,25 +238,26 @@ class McdcModel(Classifier):
 
     def _route(self, x: Tensor, qkv: Tensor, tokens: str) -> Tensor:
         """All heads of a route on the 5 x T map `x` (or a stack), whose tokens
-        are its "cols" (time steps) or its "rows" (channels): (..., H, d, n).
-        The conv route takes tokens on rows and the matrix route features on
-        rows, so `x` is transposed only when it arrives the other way round."""
+        are its "cols" (time steps) or its "rows" (channels), each head's d x n
+        matrix joined end to end along the rows: (..., H*d, n). The conv route
+        takes tokens on rows and the matrix route features on rows, so `x` is
+        transposed only when it arrives the other way round."""
         if self.hyper.attention == "conv":
-            return attention.cnn_attention(x if tokens == "rows" else transpose(x), qkv)
-        return attention.matrix_attention(transpose(x) if tokens == "rows" else x, qkv)
+            heads = attention.cnn_attention(x if tokens == "rows" else transpose(x), qkv)
+        else:
+            heads = attention.matrix_attention(transpose(x) if tokens == "rows" else x, qkv)
+        return reshape(heads, heads.shape[:-3] + (-1, heads.shape[-1]))
 
     def temporal_interaction(self, embedded: Tensor) -> Tensor:
-        heads = self._route(embedded, self.params["temporal_qkv"], "cols")
-        return matmul(self.params["temporal_mix"], merge_stack(heads))
+        return matmul(self.params["temporal_mix"], self._route(embedded, self.params["temporal_qkv"], "cols"))
 
     def channel_interaction(self, mixed: Tensor) -> Tensor:
         """Heads (..., H, T, 5) joined along rows, transposed and mixed to 5 x T."""
-        heads = self._route(mixed, self.params["channel_qkv"], "rows")
-        return matmul(transpose(merge_stack(heads)), self.params["channel_mix"])
+        return matmul(transpose(self._route(mixed, self.params["channel_qkv"], "rows")), self.params["channel_mix"])
 
     def project(self, z: Tensor) -> Tensor:
         p = self.params
-        flat = reshape(z, (N_CHANNELS * self.hyper.temporal_len, 1))
+        flat = reshape(z, z.shape[:-2] + (-1, 1))
         hidden = sigmoid(add(matmul(p["ffn_w1"], flat), p["ffn_b1"]))
         return transpose(softmax_cols(add(matmul(p["ffn_w2"], hidden), p["ffn_b2"])))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .conditions import by_name
 from .data import GasSeries, VOLTAGE_LEVELS
-from .model import AT_LEAST_1, check_fields, list_of, read_object, setting
+from .model import AT_LEAST_1, check_fields, list_of, of_type, read_object, setting
 
 __all__ = ["RecipeError", "load_recipe", "synth_generate"]
 
@@ -107,7 +107,7 @@ def synth_generate(
     and are checked as the recipe's own are. Negative draws are clamped to
     zero, keeping concentrations physical.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not of_type(int, np.integer)(seed) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     overrides = {
         "transformers_per_class": transformers_per_class,

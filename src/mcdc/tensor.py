@@ -39,7 +39,6 @@ __all__ = [
     "glorot",
     "grad_check",
     "matmul",
-    "merge_stack",
     "mul",
     "parameter",
     "reshape",
@@ -49,7 +48,6 @@ __all__ = [
     "sum_all",
     "tensor",
     "transpose",
-    "unit_stack",
 ]
 
 
@@ -289,12 +287,15 @@ def transpose(a: Tensor) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def reshape(a: Tensor, shape: tuple[int, int]) -> Tensor:
-    """Reshape each matrix of the stack to `shape`; leading axes stay. A view
-    of C-contiguous data, else a C-contiguous copy."""
-    if a.shape[-2] * a.shape[-1] != shape[0] * shape[1]:
-        raise DimensionError(f"cannot reshape {a.shape} to {shape}")
-    out = Tensor(np.ascontiguousarray(a.data.reshape(a.shape[:-2] + tuple(shape))))
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """`a` under the whole new `shape`, by numpy's rules (at most one -1): a
+    view of C-contiguous data, else a C-contiguous copy. It gives a stack a
+    unit axis, joins its matrices along the rows or flattens each matrix."""
+    try:
+        data = a.data.reshape(shape)
+    except ValueError:
+        raise DimensionError(f"cannot reshape {a.shape} to {tuple(shape)}") from None
+    out = Tensor(np.ascontiguousarray(data))
     if not _tracking((a,)):
         return out
 
@@ -302,36 +303,6 @@ def reshape(a: Tensor, shape: tuple[int, int]) -> Tensor:
         _accum(a, g.reshape(a.shape))
 
     return _record(out, (a,), bw)
-
-
-def unit_stack(x: Tensor) -> Tensor:
-    """A view of `x` with a unit stack axis before the matrix axes: (..., r, c)
-    gives (..., 1, r, c), which broadcasts against an (S, r', c') stack."""
-    out = Tensor(x.data[..., None, :, :])
-    if not _tracking((x,)):
-        return out
-
-    def bw(g):
-        _accum(x, g[..., 0, :, :])
-
-    return _record(out, (x,), bw)
-
-
-def merge_stack(x: Tensor) -> Tensor:
-    """Join the matrices of the innermost stack axis end to end along the rows,
-    (..., S, r, c) to (..., S*r, c): a view of C-contiguous data (an attend
-    result), else a C-contiguous copy."""
-    if x.data.ndim < 3:
-        raise DimensionError(f"merge_stack needs a stack, got shape {x.shape}")
-    *lead, s, r, c = x.shape
-    out = Tensor(np.ascontiguousarray(x.data.reshape(*lead, s * r, c)))
-    if not _tracking((x,)):
-        return out
-
-    def bw(g):
-        _accum(x, g.reshape(x.shape))
-
-    return _record(out, (x,), bw)
 
 
 def split(x: Tensor, parts: int) -> list[Tensor]:
@@ -497,42 +468,21 @@ def sigmoid(x: Tensor) -> Tensor:
 _LOG_FLOOR = 1e-12
 
 
-def cross_entropy(probs: Tensor, label) -> Tensor:
-    """-ln(probs[label]) with a 1e-12 floor before the log.
+def cross_entropy(probs: Tensor, labels) -> Tensor:
+    """Mean over the rows of -ln(row[label]), with a 1e-12 floor before the log.
 
-    `probs` is a probability vector (1xV or Vx1) that must sum to 1 within
-    1e-6; `label` indexes the class. For a batch, `probs` is a stack
-    (B, 1, V) of such vectors and `label` a length-B vector; the result is
-    the mean over the batch, as one node.
+    `probs` is a (B, 1, V) stack of probability rows, each summing to 1
+    within 1e-6, and `labels` a length-B vector of class indices, B >= 1.
+    One (1, V) row with an int label is a stack of one. The result is one
+    1x1 node.
     """
-    if not isinstance(label, (int, np.integer)):
-        return _mean_cross_entropy(probs, np.asarray(label))
-    if probs.data.ndim != 2 or min(probs.shape) != 1:
-        raise DimensionError(f"probs must be a vector, got shape {probs.shape}")
-    flat = probs.data.ravel()
-    if abs(flat.sum() - 1.0) > 1e-6:
-        raise ValueError(f"probs sum to {flat.sum():.9f}, not 1")
-    if not 0 <= label < flat.size:
-        raise IndexError(f"label {label} outside [0, {flat.size})")
-    p = max(flat[label], _LOG_FLOOR)
-    out = Tensor(np.reshape(-np.log(p), (1, 1)))
-    if not _tracking((probs,)):
-        return out
-
-    def bw(g):
-        d = np.zeros_like(probs.data)
-        d.flat[label] = -g[0, 0] / p
-        _accum(probs, d)
-
-    return _record(out, (probs,), bw)
-
-
-def _mean_cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
-    """Batch form of cross_entropy: the one-vector form, written out on its
-    own so that the per-window path stays an independent reference."""
-    if probs.data.ndim != 3 or probs.shape[1] != 1 or labels.shape != probs.shape[:1]:
-        raise DimensionError(f"probs {probs.shape} must be (B, 1, V) for {labels.shape} labels")
-    rows = probs.data[:, 0, :]
+    one = isinstance(labels, (int, np.integer))
+    labels = np.array([int(labels)]) if one else np.asarray(labels)
+    stack = probs.data[None] if one else probs.data  # one row is a stack of one
+    if stack.ndim != 3 or stack.shape[1] != 1 or labels.shape != stack.shape[:1] or not labels.size:
+        raise DimensionError(f"probs {probs.shape} must be a (B, 1, V) stack for B >= 1 labels, or a (1, V) row "
+                             f"for an int label; labels have shape {labels.shape}")
+    rows = stack[:, 0, :]
     sums = rows.sum(axis=1)
     worst = int(np.argmax(np.abs(sums - 1.0)))
     if abs(sums[worst] - 1.0) > 1e-6:
@@ -546,9 +496,9 @@ def _mean_cross_entropy(probs: Tensor, labels: np.ndarray) -> Tensor:
         return out
 
     def bw(g):
-        d = np.zeros_like(probs.data)
-        d[np.arange(n), 0, labels] = -g[0, 0] / (n * picked)
-        _accum(probs, d)
+        d = np.zeros(rows.shape)
+        d[np.arange(n), labels] = -g[0, 0] / (n * picked)
+        _accum(probs, d.reshape(probs.shape))
 
     return _record(out, (probs,), bw)
 

@@ -2,7 +2,7 @@
 tensors end to end along the rows or the columns of their matrices, scaling
 a tensor by a constant, and undoing a normalization.
 
-The model joins a route's heads along the rows with `tensor.merge_stack`,
+The model joins a route's heads along the rows with `tensor.reshape`,
 which is held to `concat_rows` (tests/test_tensor.py). The per-head
 reference forward (tests/test_attention.py) joins the temporal route's
 heads with `concat_rows` and the channel route's with `concat_cols`, where

@@ -27,7 +27,7 @@ from mcdc.tensor import (
     cross_entropy,
     glorot,
     matmul,
-    merge_stack,
+    reshape,
     split,
     tensor,
     transpose,
@@ -204,14 +204,14 @@ def heads_of(qkv):
 
 def reference_cnn_head(inp, kernels):
     tokens_rows = transpose(inp)
-    # each kernel alone as a one-kernel bank; merge_stack drops the bank axis
-    q, k, v = (transpose(merge_stack(conv1d(tokens_rows, kern))) for kern in kernels)
+    # each kernel alone as a one-kernel bank; reshape drops the bank axis
+    q, k, v = (transpose(reshape(conv1d(tokens_rows, kern), tokens_rows.shape)) for kern in kernels)
     return attend(v, attention_map(q, k))
 
 
 def reference_matrix_head(inp, matrices):
-    # merge_stack turns each (1, d, d) part into its d x d matrix
-    q, k, v = (matmul(merge_stack(w), inp) for w in matrices)
+    # reshape turns each (1, d, d) part into its d x d matrix
+    q, k, v = (matmul(reshape(w, w.shape[1:]), inp) for w in matrices)
     return attend(v, attention_map(q, k))
 
 

@@ -692,13 +692,16 @@ class TestDocumentContract:
             ("plan", _set("train_transformers", 5), "train_transformers must be a list of strings, got 5"),
             # it used to exit 0, though no split of this plan's training side makes these folds
             ("plan", _set("folds", [[99999], [-5]]), "folds must partition train_indices, got [[99999], [-5]]"),
+            # it used to end in "stage 'evaluate': need at least one array to concatenate"
+            ("plan", _set("test_indices", []), "test_indices must be non-empty, got []"),
+            ("plan", _set("train_indices", []), "train_indices must be non-empty, got []"),
         ],
         ids=["config-list", "config-unknown", "config-no-seed", "train-list", "train-unknown", "train-seed",
              "recipe-string", "recipe-misspelt", "recipe-number-name", "profile-plural", "recipe-no-noise", "profile-list", "profile-no-slope", "checkpoint-list", "norm-stats-list",
              "checkpoint-unknown", "checkpoint-no-seed", "hyper-number", "hyper-unknown", "norm-stats-null",
              "norm-stats-unknown", "norm-stats-no-std", "string-heads", "bool-heads", "float-temporal-len",
              "number-attention", "plan-string", "plan-unknown", "plan-no-folds", "plan-string-folds",
-             "plan-number-transformers", "plan-foreign-folds"],
+             "plan-number-transformers", "plan-foreign-folds", "plan-empty-test", "plan-empty-train"],
     )
     def test_edit_exits_1_naming_the_file_and_the_key(self, trained, tmp_path, capsys, document, edit, message):
         sources = {

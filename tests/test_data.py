@@ -819,6 +819,8 @@ class TestSynthGenerate:
         [
             ({"seed": -1}, ValueError, r"seed must be an integer >= 0, got -1"),
             ({"seed": 1.5}, ValueError, r"seed must be an integer >= 0, got 1.5"),
+            # it used to run as seed 1
+            ({"seed": True}, ValueError, r"seed must be an integer >= 0, got True"),
             ({"transformers_per_class": 0}, RecipeError, r"transformers_per_class must be >= 1, got 0"),
             ({"transformers_per_class": 2.5}, RecipeError, r"transformers_per_class must be an integer, got 2.5"),
             ({"noise_level": -0.1}, RecipeError, r"noise_level must be >= 0, got -0.1"),

@@ -43,7 +43,7 @@ class TestStackFiniteDifferences:
     def test_structural_ops(self, seed):
         def f(a, b):
             cat = concat_rows([a, b])
-            flat = reshape(cat, (1, 18))
+            flat = reshape(cat, (2, 1, 18))
             side = concat_cols([transpose(a), transpose(b)])
             return add(sum_all(sigmoid(flat)), sum_all(mul(side, side)))
 

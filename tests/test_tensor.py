@@ -21,7 +21,6 @@ from mcdc.tensor import (
     cross_entropy,
     grad_check,
     matmul,
-    merge_stack,
     mul,
     parameter,
     reshape,
@@ -31,7 +30,6 @@ from mcdc.tensor import (
     sum_all,
     tensor,
     transpose,
-    unit_stack,
 )
 from mcdc.verify import naive_conv, naive_conv_grads, naive_correlate, naive_matmul
 from reference_ops import concat_rows, scale
@@ -463,11 +461,13 @@ class TestStackFiniteDifferences:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("batch", [(), (2,)])
     def test_head_stack_broadcast_over_a_batch(self, seed, batch):
-        # an (H, d, d) stack of parameters times the (..., 1, d, n) unit_stack
-        # view of one window or a batch, then the head axis merged into rows,
-        # as the temporal route does, and transposed, as the channel route does
+        # an (H, d, d) stack of parameters times the (..., 1, d, n) unit-axis
+        # reshape of one window or a batch, then the head axis joined into
+        # rows, as the temporal route does, and transposed, as the channel
+        # route does
         def f(w, x):
-            merged = merge_stack(matmul(w, unit_stack(x)))
+            heads = matmul(w, reshape(x, x.shape[:-2] + (1,) + x.shape[-2:]))
+            merged = reshape(heads, heads.shape[:-3] + (-1, heads.shape[-1]))
             cols = transpose(merged)
             return add(sum_all(sigmoid(merged)), sum_all(mul(cols, cols)))
 
@@ -606,19 +606,23 @@ class TestStacks:
                     backward(tape, sum_all(mul(one, tensor(g[..., i:i + 1, :, :]))))
                 assert kt.grad[i].tobytes() == alone.grad[0].tobytes()
 
-    def test_merge_stack_equals_concat_of_the_parts(self):
+    def test_stack_join_reshape_equals_concat_of_the_parts(self):
         rng = np.random.default_rng(18)
         x = rng.normal(size=(4, 3, 2, 5))
-        rows = merge_stack(tensor(x)).data
+        rows = reshape(tensor(x), x.shape[:-3] + (-1, x.shape[-1])).data
         assert rows.tobytes() == concat_rows([tensor(x[:, h]) for h in range(3)]).data.tobytes()
         assert rows.flags.c_contiguous and rows.shape == (4, 6, 5)
-        with pytest.raises(DimensionError):
-            merge_stack(tensor(np.zeros((2, 3))))
+
+    def test_bad_reshape_names_both_shapes(self):
+        with pytest.raises(DimensionError, match=r"cannot reshape \(2, 3\) to \(4, -1\)"):
+            reshape(tensor(np.zeros((2, 3))), (4, -1))
+        with pytest.raises(DimensionError, match=r"cannot reshape \(2, 3\) to \(-1, -1\)"):
+            reshape(tensor(np.zeros((2, 3))), (-1, -1))
 
     @pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
-    def test_unit_stack_is_a_view_with_a_unit_axis_before_the_matrix(self, lead):
+    def test_unit_axis_reshape_is_a_view_before_the_matrix_axes(self, lead):
         x = tensor(np.random.default_rng(19).normal(size=lead + (2, 3)))
-        out = unit_stack(x).data
+        out = reshape(x, x.shape[:-2] + (1,) + x.shape[-2:]).data
         assert out.shape == lead + (1, 2, 3)
         assert np.shares_memory(out, x.data) and np.array_equal(out[..., 0, :, :], x.data)
 
@@ -657,6 +661,24 @@ class TestStacks:
         assert out.shape == (1, 1)
         assert out.item() == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("label", range(4))
+    def test_row_is_a_stack_of_one(self, label):
+        rng = np.random.default_rng(22)
+        row = rng.dirichlet(np.ones(4))[None, :]
+        losses, grads = [], []
+        for probs, labels in ((row, label), (row[None], np.array([label]))):
+            p = parameter(probs)
+            with Tape() as tape:
+                loss = cross_entropy(p, labels)
+                backward(tape, loss)
+            losses.append(loss.data.tobytes())
+            grads.append(p.grad.tobytes())
+        assert losses[0] == losses[1] and grads[0] == grads[1]
+        with pytest.raises(DimensionError, match=r"\(0, 1, 4\).*\(0,\)"):
+            cross_entropy(tensor(np.zeros((0, 1, 4))), np.array([], dtype=int))
+        with pytest.raises(DimensionError, match=r"\(4, 1\)"):
+            cross_entropy(tensor(row.T), label)
+
     def test_label_vector_must_match_the_stack(self):
         probs = tensor(np.full((3, 1, 2), 0.5))
         with pytest.raises(DimensionError):
@@ -685,14 +707,21 @@ def _layouts():
 
 
 class TestLayoutOps:
-    """transpose, reshape and merge_stack hand out C-contiguous data, and
-    share memory with their input exactly when the input already holds the
-    result's layout; on a tape or off it."""
+    """transpose and reshape hand out C-contiguous data, and share memory
+    with their input exactly when the input already holds the result's
+    layout; on a tape or off it. reshape is taken at each shape the models
+    give it: each matrix flattened to a column, a unit axis before the
+    matrix axes, and a stack's matrices joined along the rows."""
 
     CASES = {
         "transpose": (transpose, lambda x: x.swapaxes(-1, -2), "swapped"),
-        "reshape": (lambda t: reshape(t, (2, 10)), lambda x: x.reshape(3, 2, 10), "contiguous"),
-        "merge_stack": (merge_stack, lambda x: x.reshape(12, 5), "contiguous"),
+        "reshape[column]": (lambda t: reshape(t, t.shape[:-2] + (-1, 1)), lambda x: x.reshape(3, 20, 1), "contiguous"),
+        "reshape[unit-axis]": (
+            lambda t: reshape(t, t.shape[:-2] + (1,) + t.shape[-2:]), lambda x: x.reshape(3, 1, 4, 5), "contiguous"
+        ),
+        "reshape[stack-join]": (
+            lambda t: reshape(t, t.shape[:-3] + (-1, t.shape[-1])), lambda x: x.reshape(12, 5), "contiguous"
+        ),
     }
 
     @pytest.mark.parametrize("leaf", [tensor, parameter])
@@ -757,7 +786,6 @@ OPS = {
     "cross_entropy": lambda leaf: cross_entropy(_uniform(leaf, 1, 4), 1),
     "cross_entropy[batch]": lambda leaf: cross_entropy(_uniform(leaf, 3, 1, 4), [0, 1, 2]),
     "matmul": lambda leaf: matmul(leaf(np.ones((2, 3))), leaf(np.ones((4, 3, 5)))),
-    "merge_stack": lambda leaf: merge_stack(leaf(np.ones((2, 2, 3)))),
     "mul": lambda leaf: mul(leaf(np.ones((2, 3))), leaf(np.ones((2, 3)))),
     "reshape": lambda leaf: reshape(leaf(np.ones((2, 3))), (3, 2)),
     "sigmoid": lambda leaf: sigmoid(leaf(np.ones((2, 3)))),
@@ -765,7 +793,6 @@ OPS = {
     "split": lambda leaf: split(leaf(np.ones((4, 2, 3))), 2),
     "sum_all": lambda leaf: sum_all(leaf(np.ones((2, 3)))),
     "transpose": lambda leaf: transpose(leaf(np.ones((2, 3)))),
-    "unit_stack": lambda leaf: unit_stack(leaf(np.ones((2, 3)))),
 }
 
 
