@@ -1,22 +1,22 @@
 """Attention over tokens, with conv-derived or matrix-projected Q/K/V.
 
-The conv variant slides one short kernel per projection along each token's
-feature vector, so it takes its input tokens-on-rows, features-on-columns
-(n x d): the rows the kernels slide along. The matrix variant left-multiplies
-by a square learned matrix, so it takes features-on-rows, tokens-on-columns
-(d x n). Either input is one matrix or a stack of them, one per sample. Both
-give Q, K and V as d x n and feed the same scaled dot-product map, so they
-are drop-ins for each other at equal route and width.
+Both variants take features on rows and tokens on columns (d x n), one
+matrix or a stack of them, one per sample. The conv variant slides one
+short kernel per projection down each token's feature vector; the matrix
+variant left-multiplies by a square learned matrix. Both give Q, K and V as
+d x n and feed the same scaled dot-product map, so they are drop-ins for
+each other at equal route and width.
 
 A route's parameter is the one (3H, rows, cols) stack its forward consumes,
 the q entries of every head first, then the k and then the v entries, and
 each route returns (..., H, d, n) with head h at index h. The conv variant's
 stack is the (3H, 1, k) kernel bank of its one conv1d, which slides it at
-stride 1 with same-length padding, so features' == features. The matrix
-variant splits its (3H, d, d) stack into one (H, d, d) part per projection
-and makes one matmul per projection, against a `reshape` of the input with
-a unit head axis. Either way a route has one attention map and one attend,
-whatever its head count.
+stride 1 with same-length padding, so features' == features, and whose
+(..., 3H, d, n) result is the Q/K/V stack as it is. The matrix variant
+splits its (3H, d, d) stack into one (H, d, d) part per projection and makes
+one matmul per projection, against a `reshape` of the input with a unit head
+axis. Either way a route has one attention map and one attend, whatever its
+head count.
 """
 
 from __future__ import annotations
@@ -60,18 +60,11 @@ def new_qkv(rng: np.random.Generator, heads: int, rows: int, cols: int) -> Tenso
 
 
 def cnn_qkv(inp: Tensor, bank: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-    """Convolve each token's feature vector with every kernel of a route's
-    (3H, 1, k) bank (see new_qkv).
-
-    `inp` is tokens x features (n x d, or a stack of those). One conv1d per
-    route runs the whole bank over the rows of `inp`; one transpose turns the
-    (..., 3H, n, d) result into d x n matrices, which are split into one
-    (..., H, d, n) stack per projection, all views of the one C-contiguous
-    (..., 3H, d, n) block that conv1d's result is a view of.
-    """
-    qkv = transpose(conv1d(inp, bank))
-    q, k, v = split(qkv, 3)
-    return q, k, v
+    """Convolve each token's feature vector, a column of `inp` (d x n, or a
+    stack of those), with every kernel of a route's (3H, 1, k) bank (see
+    new_qkv): one (..., H, d, n) stack per projection, all views of conv1d's
+    one C-contiguous (..., 3H, d, n) block."""
+    return tuple(split(conv1d(inp, bank), 3))
 
 
 def attention_map(q: Tensor, k: Tensor) -> Tensor:
@@ -95,7 +88,7 @@ def attend(v: Tensor, amap: Tensor) -> Tensor:
 
 
 def cnn_attention(inp: Tensor, bank: Tensor) -> Tensor:
-    """All heads of a conv route on `inp` (n x d or a stack): (..., H, d, n)."""
+    """All heads of a conv route on `inp` (d x n or a stack): (..., H, d, n)."""
     q, k, v = cnn_qkv(inp, bank)
     return attend(v, attention_map(q, k))
 

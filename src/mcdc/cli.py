@@ -26,24 +26,28 @@ from .pipeline import (
 from .training import TrainConfig
 
 
-def _add_config_flags(parser):
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--seed", type=int, help="master seed (mandatory here or in the config)")
-    parser.add_argument("--out", dest="out_dir", help="output directory")
-    parser.add_argument("--data", dest="data_csv", help="dataset CSV (omit to generate synthetically)")
-    parser.add_argument("--recipe", help="synthetic recipe name or path (default: default)")
-    parser.add_argument("--model", help=f"model kind: {', '.join(MODEL_KINDS)}")
-    parser.add_argument("--temporal-len", type=int, dest="temporal_len")
-    parser.add_argument("--heads", type=int)
-    parser.add_argument("--kernel-temporal", type=int, dest="kernel_temporal")
-    parser.add_argument("--kernel-channel", type=int, dest="kernel_channel")
-    parser.add_argument("--split-mode", dest="split_mode", help=f"split mode: {', '.join(SPLIT_MODES)}")
-    parser.add_argument("--train-fraction", type=float, dest="train_fraction")
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--batch-size", type=int, dest="batch_size")
-    parser.add_argument("--lr0", type=float)
-    parser.add_argument("--patience", type=int)
-    parser.add_argument("--folds", type=int)
+# compare's list flags, by the RunConfig field each one ranges over
+COMPARED = {"model": ("--models", tuple(MODEL_KINDS)), "split_mode": ("--modes", SPLIT_MODES)}
+
+
+def _add_config_flags(parser, owned=()):
+    """The run's config flags, none for a RunConfig field in `owned`, which the command sets itself."""
+    def add(flag, **kwargs):
+        if kwargs.setdefault("dest", flag[2:].replace("-", "_")) not in owned:
+            parser.add_argument(flag, **kwargs)
+
+    add("--config", help="JSON config file; flags override its values")
+    add("--seed", type=int, help="master seed (mandatory here or in the config)")
+    add("--out", dest="out_dir", help="output directory")
+    add("--data", dest="data_csv", help="dataset CSV (omit to generate synthetically)")
+    add("--recipe", help="synthetic recipe name or path (default: default)")
+    add("--model", help=f"model kind: {', '.join(MODEL_KINDS)}")
+    add("--split-mode", help=f"split mode: {', '.join(SPLIT_MODES)}")
+    for flag in ("--temporal-len", "--heads", "--kernel-temporal", "--kernel-channel", "--epochs", "--batch-size",
+                 "--patience", "--folds"):
+        add(flag, type=int)
+    for flag in ("--train-fraction", "--lr0"):
+        add(flag, type=float)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -99,15 +103,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-train-eval", action="store_true")
     p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("compare", help="repeat-train several model kinds on identical splits")
-    _add_config_flags(p)
-    p.add_argument("--models", default=",".join(MODEL_KINDS), help="comma-separated kinds")
+    # allow_abbrev=False, so that --model is refused rather than read as --models
+    p = sub.add_parser("compare", help="repeat-train several model kinds on identical splits", allow_abbrev=False)
+    for field, (flag, values) in COMPARED.items():
+        p.add_argument(flag, default=",".join(values), help=f"comma-separated {field} values: {', '.join(values)}")
     p.add_argument("--repetitions", type=int, default=10)
-    p.add_argument("--modes", default="sample,facility", help="comma-separated split modes")
+    _add_config_flags(p, owned=COMPARED)
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("sweep", help="accuracy grid over kernel sizes, heads and window length")
-    _add_config_flags(p)
+    _add_config_flags(p, owned=DEFAULT_SWEEP_GRID)
     for axis in DEFAULT_SWEEP_GRID:
         p.add_argument(f"--grid-{axis.replace('_', '-')}", type=_int_list, dest=f"grid_{axis}")
     p.add_argument("--workers", type=int, default=1, help="processes that run the cells, >= 1 (default 1)")
@@ -151,8 +156,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _config_from_args(args)
-    kinds = [k for k in args.models.split(",") if k]
-    modes = [m for m in args.modes.split(",") if m]
+    kinds, modes = ([v for v in getattr(args, flag[2:]).split(",") if v] for flag, _ in COMPARED.values())
     result = run_compare(config, kinds, args.repetitions, modes)
     for mode, comparison in result["results"].items():
         print(f"[{mode}]")

@@ -47,6 +47,7 @@ CSV_HEADER = ("transformer_id", "voltage_kv", "condition", "day") + GAS_COLUMNS
 VOLTAGE_LEVELS = (35, 110, 220, 500)
 FACILITY_RETRIES = 1000  # shuffles a facility split tries before giving up
 SPLIT_MODES = ("sample", "facility")
+FRACTION = ("in (0, 1)", lambda v: 0 < v < 1)  # the rule a train_fraction meets, wherever it is held
 
 
 class DatasetError(ValueError):
@@ -370,7 +371,7 @@ class SplitPlan:
 
     mode: str = setting(one_of(SPLIT_MODES))
     seed: int
-    train_fraction: float
+    train_fraction: float = setting(FRACTION)
     n_windows: int
     temporal_len: int
     train_indices: list[int] = setting(("non-empty", bool))
@@ -422,6 +423,9 @@ def split(
     transformer carries one condition, a side with fewer transformers than
     there are conditions is refused before the first shuffle.
     """
+    domain, within = FRACTION
+    if not within(train_fraction):
+        raise DatasetError(f"train_fraction must be {domain}, got {reprlib.repr(train_fraction)}")
     if not windows:
         raise DatasetError("cannot split an empty window list")
     t_len = windows[0].values.shape[1]

@@ -236,24 +236,20 @@ class McdcModel(Classifier):
         self._check_window(x.shape)
         return add(x, self._pe)
 
-    def _route(self, x: Tensor, qkv: Tensor, tokens: str) -> Tensor:
-        """All heads of a route on the 5 x T map `x` (or a stack), whose tokens
-        are its "cols" (time steps) or its "rows" (channels), each head's d x n
-        matrix joined end to end along the rows: (..., H*d, n). The conv route
-        takes tokens on rows and the matrix route features on rows, so `x` is
-        transposed only when it arrives the other way round."""
-        if self.hyper.attention == "conv":
-            heads = attention.cnn_attention(x if tokens == "rows" else transpose(x), qkv)
-        else:
-            heads = attention.matrix_attention(transpose(x) if tokens == "rows" else x, qkv)
+    def _route(self, inp: Tensor, qkv: Tensor) -> Tensor:
+        """All heads of the hyper's attention variant on `inp`, features on
+        rows and tokens on columns (d x n, or a stack), each head's d x n
+        matrix joined end to end along the rows: (..., H*d, n)."""
+        variant = attention.cnn_attention if self.hyper.attention == "conv" else attention.matrix_attention
+        heads = variant(inp, qkv)
         return reshape(heads, heads.shape[:-3] + (-1, heads.shape[-1]))
 
     def temporal_interaction(self, embedded: Tensor) -> Tensor:
-        return matmul(self.params["temporal_mix"], self._route(embedded, self.params["temporal_qkv"], "cols"))
+        return matmul(self.params["temporal_mix"], self._route(embedded, self.params["temporal_qkv"]))
 
     def channel_interaction(self, mixed: Tensor) -> Tensor:
-        """Heads (..., H, T, 5) joined along rows, transposed and mixed to 5 x T."""
-        return matmul(transpose(self._route(mixed, self.params["channel_qkv"], "rows")), self.params["channel_mix"])
+        """The route on the map transposed, channels as tokens: heads (..., H*T, 5), transposed and mixed to 5 x T."""
+        return matmul(transpose(self._route(transpose(mixed), self.params["channel_qkv"])), self.params["channel_mix"])
 
     def project(self, z: Tensor) -> Tensor:
         p = self.params

@@ -17,6 +17,7 @@ from itertools import product
 from .baselines import MODEL_KINDS, AnnHyper, make_hyper
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
+    FRACTION,
     SPLIT_MODES,
     SplitPlan,
     interpolate_gaps,
@@ -81,7 +82,7 @@ class RunConfig:
     ann_hidden2: int = setting_of(AnnHyper, "hidden2")
     ann_input_mode: str = setting_of(AnnHyper, "input_mode")
     split_mode: str = setting(one_of(SPLIT_MODES), default="sample")
-    train_fraction: float = setting(("in (0, 1)", lambda v: 0 < v < 1), default=0.8)
+    train_fraction: float = setting(FRACTION, default=0.8)
     train: dict = setting(("an object without seed, which the run's seed sets", lambda v: "seed" not in v),
                           default_factory=dict)
 

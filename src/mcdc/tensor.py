@@ -8,8 +8,8 @@ per window. The stack axes of `add` and `matmul` operands broadcast as in
 numpy (a 2-D parameter over a batch, an (H, r, c) head stack over a
 (B, 1, r, c) batch); a broadcast operand's gradient is summed back to its
 shape before it reaches the operand. `conv1d` has one form, the one the
-attention routes hold: a (K, 1, k) kernel bank slid one column at a time
-over a signal zero-padded to keep its length.
+attention routes hold: a (K, 1, k) kernel bank slid down every column of a
+signal, one token's feature vector each, zero-padded to keep its length.
 
 Operations executed while a Tape is active, on an operand that tracks
 gradients, record themselves onto it in creation order, which is
@@ -276,7 +276,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def transpose(a: Tensor) -> Tensor:
     """Swap the last two axes into C-contiguous data: a view of `a` when its
-    data already holds that layout (conv1d's result does), else a copy."""
+    data already holds that layout, else a copy."""
     out = Tensor(np.ascontiguousarray(a.data.swapaxes(-1, -2)))
     if not _tracking((a,)):
         return out
@@ -334,49 +334,49 @@ def split(x: Tensor, parts: int) -> list[Tensor]:
 
 
 def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
-    """Correlate every row of `signal` with each kernel of a (K, 1, k) bank.
+    """Correlate every column of `signal` with each kernel of a (K, 1, k) bank.
 
-    The result is (..., K, rows, L), kernel i's rows at index i, as long as
-    the signal: the signal is zero-padded by (k - 1) // 2 on the left and the
-    rest of k - 1 on the right, so an even kernel has one more pad on the
-    right. Every output starts at zero and adds its taps' products in tap
-    order, as a naive tap loop does, so each (kernel, row) pair is computed
-    exactly as that row with that kernel on its own. Gradients w.r.t. both
-    the signal and the bank are recorded.
+    The signal is (..., L, cols), one token's feature vector per column, and
+    each kernel slides down the L rows. The result is the C-contiguous
+    (..., K, L, cols) block, kernel i's at index i, as long as the signal:
+    each column is zero-padded by (k - 1) // 2 above and the rest of k - 1
+    below, so an even kernel has one more pad below. Every output starts at
+    zero and adds its taps' products in tap order, as a naive tap loop does,
+    so each (kernel, column) pair is computed exactly as that column with
+    that kernel on its own. Gradients w.r.t. both the signal and the bank are
+    recorded.
 
-    Layouts: the signal's n = prod(..., rows) rows are one (n, L) block,
-    zero-padded and transposed into (L + k - 1, n) columns, the convolved
-    axis first. The sums run in a (K, L, n) buffer against a (k, K, 1, 1)
-    view of the bank's taps, so a tap is one product of an (L, n) column
-    slice with one scalar per kernel and one add. The sums are copied as one
-    C-contiguous (..., K, L, rows) block into the products' buffer, and the
-    result is that block's swapaxes view, which transpose hands on as it is.
-    The columns are kept for the kernel gradient. The signal gradient sums
-    the L padded rows it keeps in the (K, L, n) layout and adds the kernels'
-    parts with one reduce over the kernel axis. The backward makes the
-    kernel gradient first and frees its kernel-major copy of the output
-    gradient before it allocates the signal gradient's buffers.
+    Layouts: the signal's n = prod(..., cols) columns are one zero-padded
+    (L + k - 1, n) block, the convolved axis first. The sums run in a
+    (K, L, n) buffer against a (k, K, 1, 1) view of the bank's taps, so a tap
+    is one product of an (L, n) row slice with one scalar per kernel and one
+    add. The sums are copied as the result into the products' buffer. The
+    columns are kept for the kernel gradient. The signal gradient sums the L
+    padded rows it keeps in the (K, L, n) layout and adds the kernels' parts
+    with one reduce over the kernel axis. The backward makes the kernel
+    gradient first and frees its kernel-major copy of the output gradient
+    before it allocates the signal gradient's buffers.
     """
     if bank.data.ndim != 3 or bank.shape[1] != 1 or 0 in bank.shape:
         raise DimensionError(f"conv1d needs a (K, 1, k) kernel bank with K, k >= 1, got shape {bank.shape}")
     n_kernels, _, k = bank.shape
     left = (k - 1) // 2
-    length = signal.data.shape[-1]
-    lead = signal.data.shape[:-1]  # (..., rows)
-    n = math.prod(lead)
-    nd = len(lead) + 2  # the result's rank; its axes are (..., K, rows, L)
+    lead, (length, width) = signal.data.shape[:-2], signal.data.shape[-2:]
+    n = math.prod(lead) * width
+    s = len(lead)  # the signal's stack axes are 0 to s - 1
     taps = bank.data.reshape(n_kernels, k).T[:, :, None, None]  # taps[t]: tap t of every kernel
-    cols = np.zeros((length + k - 1, n))
-    cols[left:left + length] = signal.data.reshape(n, length).T
+    padded = np.zeros((length + k - 1,) + lead + (width,))
+    padded[left:left + length] = signal.data.transpose((s, *range(s), s + 1))  # (L, ..., cols)
+    cols = padded.reshape(length + k - 1, n)
     sums = np.zeros((n_kernels, length, n))
     term = np.empty(sums.shape)
     for t in range(k):
         np.multiply(cols[t:t + length], taps[t], out=term)
         sums += term
-    # (K, L, ..., rows) -> (..., K, L, rows), into term's buffer; sums is freed on return
-    block = term.reshape(lead[:-1] + (n_kernels, length, lead[-1]))
-    np.copyto(block, sums.reshape((n_kernels, length) + lead).transpose(tuple(range(2, nd - 1)) + (0, 1, nd - 1)))
-    out = Tensor(block.swapaxes(-1, -2))
+    # (K, L, ..., cols) -> (..., K, L, cols), into term's buffer; sums is freed on return
+    to_out = (*range(2, s + 2), 0, 1, s + 2)
+    out = Tensor(term.reshape(lead + (n_kernels, length, width)))
+    np.copyto(out.data, sums.reshape((n_kernels, length) + lead + (width,)).transpose(to_out))
     if not _tracking((signal, bank)):
         return out
 
@@ -386,12 +386,12 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
             # kernel i's tap-t gradient is the whole-array sum of g[..., i, :, :]
             # times tap t's window; each tap's products are written kernel-major,
             # so every kernel's are one contiguous row and summed as .sum() would
-            # (..., K, rows, L) -> (K, ..., rows, L)
-            by_kernel = np.ascontiguousarray(g.transpose((nd - 3,) + tuple(range(nd - 3)) + (nd - 2, nd - 1)))
+            # (..., K, L, cols) -> (K, ..., cols, L)
+            by_kernel = np.ascontiguousarray(g.transpose((s, *range(s), s + 2, s + 1)))
             prod = scratch.reshape(by_kernel.shape)
             dk = np.empty((n_kernels, k))
             for t in range(k):
-                window = np.ascontiguousarray(cols[t:t + length].T).reshape(lead + (length,))
+                window = np.ascontiguousarray(cols[t:t + length].T).reshape(lead + (width, length))
                 np.multiply(by_kernel, window, out=prod)
                 dk[:, t] = prod.reshape(n_kernels, -1).sum(axis=1)
             del by_kernel, prod, window  # freed before the signal gradient's buffers
@@ -404,9 +404,8 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
             # added in order by one reduce. A spare zero row in d_cols keeps
             # the reduce's output at two or more elements: numpy adds a reduce
             # axis in order across those, but pairwise into a lone element.
-            # (..., K, rows, L) -> (K, L, ..., rows), the forward's layout
-            to_cols = (nd - 3, nd - 1) + tuple(range(nd - 3)) + (nd - 2,)
-            g_cols = np.ascontiguousarray(g.transpose(to_cols)).reshape(n_kernels, length, n)
+            # (..., K, L, cols) -> (K, L, ..., cols), the forward's layout
+            g_cols = np.ascontiguousarray(g.transpose((s, s + 1, *range(s), s + 2))).reshape(n_kernels, length, n)
             d_cols = np.zeros((n_kernels, length + 1, n))
             for t in range(k):
                 lo, hi = max(t - left, 0), min(t - left, 0) + length  # the kept rows tap t reaches
@@ -414,7 +413,9 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
                     term = scratch[:n_kernels * (hi - lo) * n].reshape(n_kernels, hi - lo, n)
                     np.multiply(g_cols[:, lo + left - t:hi + left - t], taps[t], out=term)
                     d_cols[:, lo:hi] += term
-            _accum(signal, np.add.reduce(d_cols, axis=0)[:length].T.reshape(signal.shape))
+            # (L, ..., cols) -> (..., L, cols)
+            d_signal = np.add.reduce(d_cols, axis=0)[:length].reshape((length,) + lead + (width,))
+            _accum(signal, d_signal.transpose((*range(1, s + 1), 0, s + 1)))
 
     return _record(out, (signal, bank), bw)
 

@@ -134,27 +134,27 @@ def rank_auc(pos, neg):
 
 def _check_conv_oracle():
     """Banks of 1 to 12 kernels (so K = 1 and a route's 3H bank at H <= 4)
-    over signals with or without a stack axis: every (kernel, row) pair of
-    the forward, and both gradients byte for byte."""
+    over signals with or without a stack axis, transposed for the row-wise
+    oracles: every (kernel, column) pair of the forward, and both gradients."""
     rng = np.random.default_rng(100)
     for _ in range(90):
         length, k, kernels = int(rng.integers(1, 12)), int(rng.integers(1, 7)), int(rng.integers(1, 13))
         lead = (int(rng.integers(1, 5)),) * int(rng.integers(0, 2))
         sig = rng.normal(size=lead + (int(rng.integers(1, 9)), length))
         bank = rng.normal(size=(kernels, 1, k))
-        s, b = parameter(sig), parameter(bank)
+        s, b = parameter(sig.swapaxes(-1, -2)), parameter(bank)
         with Tape() as tape:
             out = conv1d(s, b)
             g = rng.normal(size=out.shape)
             backward(tape, sum_all(mul(out, tensor(g))))
         for idx in np.ndindex(*lead):
             for i in range(kernels):
-                if not np.array_equal(out.data[idx + (i,)], naive_conv(sig[idx], bank[i, 0])):
+                if not np.array_equal(out.data[idx + (i,)].T, naive_conv(sig[idx], bank[i, 0])):
                     return False, f"forward mismatch at K={kernels} L={length} k={k} kernel {i}"
-        d_sig, d_bank = naive_conv_grads(sig, bank, g)
+        d_sig, d_bank = naive_conv_grads(sig, bank, np.ascontiguousarray(g.swapaxes(-1, -2)))
         if b.grad.tobytes() != d_bank.tobytes():
             return False, f"kernel gradient mismatch at K={kernels} L={length} k={k}"
-        if s.grad.tobytes() != d_sig.tobytes():
+        if s.grad.swapaxes(-1, -2).tobytes() != d_sig.tobytes():
             return False, f"signal gradient mismatch at K={kernels} L={length} k={k}"
     return True, "90 banks of 1 to 12 kernels exact, forward and both gradients, over stacked and unstacked signals"
 
@@ -198,7 +198,7 @@ def _check_attention_stochastic():
     bank_c = new_qkv(np.random.default_rng(10), 4, 1, 6)
     for _ in range(20):
         x = rng.normal(scale=3.0, size=(10, 5, 8))
-        for inp, bank in ((x.swapaxes(-1, -2), bank_t), (x, bank_c)):
+        for inp, bank in ((x, bank_t), (x.swapaxes(-1, -2), bank_c)):
             q, k, _ = cnn_qkv(tensor(inp), bank)
             amap = attention_map(q, k).data
             if not np.allclose(amap.sum(axis=-2), 1.0, atol=1e-9):

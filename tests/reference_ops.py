@@ -12,13 +12,19 @@ the summed window losses by 1/B with it, and `tensor.softmax_cols`, which
 applies attention's 1/sqrt(d) in its own buffer, is held to `scale`
 before a plain softmax (tests/test_tensor.py). They record on the active
 tape like any engine op.
+
+`reference_write_series_csv` is the dataset CSV writer as first written, a
+csv.writer row loop, which tests/test_data.py and
+tests/test_artifact_writers.py hold `data.write_series_csv` to.
 """
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
-from mcdc.data import NormStats
+from mcdc.data import CSV_HEADER, NormStats
 from mcdc.tensor import DimensionError, Tensor, _accum, _record, _tracking
 
 
@@ -66,3 +72,16 @@ def scale(a: Tensor, c: float) -> Tensor:
 def invert(stats: NormStats, values: np.ndarray) -> np.ndarray:
     """The raw readings that `stats.apply` maps to `values`."""
     return values * stats.std[:, None] + stats.mean[:, None]
+
+
+def reference_write_series_csv(series, path):
+    """The CSV writer as first written: one row and one repr per value."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        for s in sorted(series, key=lambda s: s.transformer_id):
+            for i, day in enumerate(s.days):
+                writer.writerow(
+                    [s.transformer_id, s.voltage_kv, s.condition.name, int(day)]
+                    + [repr(float(v)) for v in s.readings[:, i]]
+                )

@@ -73,7 +73,7 @@ def test_criterion_02_attention_map_stochasticity():
         channel_qkv = new_qkv(np.random.default_rng(5), 1, 1, 6)
         for _ in range(1000):
             x = rng.normal(scale=4.0, size=(5, 8))
-            for inp, qkv in ((x.T, temporal_qkv), (x, channel_qkv)):
+            for inp, qkv in ((x, temporal_qkv), (x.T, channel_qkv)):
                 q, k, _ = cnn_qkv(tensor(inp), qkv)
                 amap = attention_map(q, k).data[0]
                 assert np.allclose(amap.sum(axis=0), 1.0, atol=1e-9)
@@ -104,8 +104,8 @@ def test_criterion_04_oracle_equivalences():
             k = int(rng.integers(1, 8))
             sig = rng.normal(size=(int(rng.integers(1, 6)), length))
             kern = rng.normal(size=k)
-            ours = conv1d(tensor(sig), tensor(kern.reshape(1, 1, k))).data
-            assert np.array_equal(ours[0], naive_conv(sig, kern))
+            ours = conv1d(tensor(sig.T), tensor(kern.reshape(1, 1, k))).data
+            assert np.array_equal(ours[0].T, naive_conv(sig, kern))
 
         for n1 in range(1, 9):
             for n2 in range(1, 9):

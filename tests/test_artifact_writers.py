@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from mcdc.baselines import make_model
 from mcdc.checkpoint import FORMAT_VERSION, save_checkpoint
 from mcdc.conditions import CONDITIONS
-from mcdc.data import CSV_HEADER, GasSeries, NormStats, load_series, split, write_series_csv
+from mcdc.data import GasSeries, NormStats, load_series, split, write_series_csv
 from mcdc.evaluation import roc_auc, roc_csv
 from mcdc.pipeline import RunConfig, build_windows, run_compare, run_eval
 from mcdc.synth import load_recipe, synth_generate
 from mcdc.training import EpochStats, TrainHistory, history_to_csv
+from reference_ops import reference_write_series_csv
 
 # ids csv must quote (comma, quote, newline) or keep as they are (spaces, non-ASCII)
 AWKWARD_IDS = ["a,b", 'say "hi"', "  padded  ", "трансформатор-ü", "line\nbreak", "plain"]
@@ -31,18 +32,6 @@ def csv_rows_reference(path, header, rows):
         writer.writerow(header)
         for row in rows:
             writer.writerow(row)
-
-
-def series_csv_reference(series, path):
-    csv_rows_reference(
-        path,
-        CSV_HEADER,
-        (
-            [s.transformer_id, s.voltage_kv, s.condition.name, day, *gases]
-            for s in sorted(series, key=lambda s: s.transformer_id)
-            for day, gases in zip(s.days.tolist(), s.readings.T.tolist())
-        ),
-    )
 
 
 def json_dump_reference(payload, path):
@@ -64,7 +53,7 @@ class TestSeriesCsv:
     def test_awkward_ids_and_readings_match_csv_writer(self, tmp_path):
         series = awkward_series()
         write_series_csv(series, tmp_path / "new.csv")
-        series_csv_reference(series, tmp_path / "old.csv")
+        reference_write_series_csv(series, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_awkward_file_reloads_to_the_same_series(self, tmp_path):
@@ -94,12 +83,12 @@ class TestSeriesCsv:
         series = [GasSeries(tid, 110, CONDITIONS[i % 7], np.arange(days), values) for i, tid in enumerate(ids)]
         path = tmp_path_factory.mktemp("csv")
         write_series_csv(series, path / "new.csv")
-        series_csv_reference(series, path / "old.csv")
+        reference_write_series_csv(series, path / "old.csv")
         assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
 
     def test_no_series_is_the_header_alone(self, tmp_path):
         write_series_csv([], tmp_path / "new.csv")
-        series_csv_reference([], tmp_path / "old.csv")
+        reference_write_series_csv([], tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes() == b"transformer_id,voltage_kv,condition,day,h2,ch4,c2h6,c2h4,c2h2\r\n"
 
 

@@ -70,22 +70,22 @@ class TestCnnQkv:
     def test_temporal_route_shapes(self):
         rng = np.random.default_rng(0)
         bank = new_qkv(rng, 1, 1, 5)
-        # temporal route feeds the gas map transposed: tokens=time on rows
-        q, k, v = cnn_qkv(tensor(rng.normal(size=(8, 5))), bank)
+        # temporal route feeds the gas map as it is: tokens=time on columns
+        q, k, v = cnn_qkv(tensor(rng.normal(size=(5, 8))), bank)
         assert q.shape == k.shape == v.shape == (1, 5, 8)
 
     def test_channel_route_shapes(self):
-        # channel route feeds the gas map as it is: tokens=channels on rows
+        # channel route feeds the gas map transposed: tokens=channels on columns
         rng = np.random.default_rng(1)
         bank = new_qkv(rng, 1, 1, 6)
-        q, k, v = cnn_qkv(tensor(rng.normal(size=(5, 8))), bank)
+        q, k, v = cnn_qkv(tensor(rng.normal(size=(8, 5))), bank)
         assert q.shape == k.shape == v.shape == (1, 8, 5)
 
     def test_identity_and_zero_kernels(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 8))
         bank = _one_head_bank([1.0], [0.0], [0.0])
-        q, k, v = cnn_qkv(tensor(x.T), bank)
+        q, k, v = cnn_qkv(tensor(x), bank)
         assert np.array_equal(q.data[0], x)
         assert np.all(k.data == 0.0)
         assert np.all(v.data == 0.0)
@@ -153,8 +153,8 @@ class TestVariants:
         rng = np.random.default_rng(8)
         bank = new_qkv(np.random.default_rng(42), 1, 1, 5)
         x = rng.normal(size=(5, 8))
-        a = cnn_attention(tensor(x.T), bank)
-        b = cnn_attention(tensor(x.T), bank)
+        a = cnn_attention(tensor(x), bank)
+        b = cnn_attention(tensor(x), bank)
         assert a.shape == (1, 5, 8)
         assert np.array_equal(a.data, b.data)
 
@@ -174,7 +174,7 @@ class TestVariants:
     def test_drop_in_shapes_match(self):
         rng = np.random.default_rng(11)
         x = tensor(rng.normal(size=(5, 8)))
-        conv_out = cnn_attention(transpose(x), new_qkv(rng, 1, 1, 5))
+        conv_out = cnn_attention(x, new_qkv(rng, 1, 1, 5))
         mat_out = matrix_attention(x, new_qkv(rng, 1, 5, 5))
         assert conv_out.shape == mat_out.shape
 
@@ -203,9 +203,8 @@ def heads_of(qkv):
 
 
 def reference_cnn_head(inp, kernels):
-    tokens_rows = transpose(inp)
     # each kernel alone as a one-kernel bank; reshape drops the bank axis
-    q, k, v = (transpose(reshape(conv1d(tokens_rows, kern), tokens_rows.shape)) for kern in kernels)
+    q, k, v = (reshape(conv1d(inp, kern), inp.shape) for kern in kernels)
     return attend(v, attention_map(q, k))
 
 
@@ -249,8 +248,7 @@ class TestStackedRoutes:
             p = model.params
             routes = ((tensor(x), p["temporal_qkv"]), (tensor(x.swapaxes(-1, -2)), p["channel_qkv"]))
             for inp, qkv in routes:
-                # the conv route takes its d x n input transposed, tokens on rows
-                out = route(transpose(inp) if kind == "mcdc" else inp, qkv)
+                out = route(inp, qkv)
                 assert out.shape == inp.shape[:-2] + (heads,) + inp.shape[-2:]
                 for h, entries in enumerate(heads_of(qkv)):
                     assert np.array_equal(out.data[..., h, :, :], head_fn(inp, entries).data)
@@ -286,14 +284,14 @@ class TestStackedRoutes:
 
 class TestConvRouteBuffers:
     def test_qkv_share_the_one_buffer_of_the_conv_result(self):
-        # on a tape, conv1d's result, cnn_qkv's transpose of it and the q, k
-        # and v splits are views of one buffer the size of that result
+        # on a tape, conv1d's result and the q, k and v splits of it are
+        # views of one buffer the size of that result
         rng = np.random.default_rng(37)
         bank = new_qkv(rng, 4, 1, 5)
         with Tape() as tape:
-            q, k, v = cnn_qkv(tensor(rng.normal(size=(6, 12, 5))), bank)
+            q, k, v = cnn_qkv(tensor(rng.normal(size=(6, 5, 12))), bank)
         conv = tape.nodes[0]
-        assert len(tape.nodes) == 5 and conv.shape == (6, 12, 12, 5)
+        assert len(tape.nodes) == 4 and conv.shape == (6, 12, 5, 12)
         buffer = conv.data.base
         assert buffer.nbytes == conv.data.nbytes
         assert all(node.data.base is buffer for node in tape.nodes)
@@ -322,7 +320,7 @@ class TestStepMemory:
 class TestStockModelOpCount:
     """Guard: a route is one stack, so a per-head loop would show here."""
 
-    @pytest.mark.parametrize("kind,nodes", [("mcdc", 34), ("mcdc-matrix", 38)])
+    @pytest.mark.parametrize("kind,nodes", [("mcdc", 33), ("mcdc-matrix", 38)])
     def test_tape_nodes_per_batch(self, kind, nodes):
         model = make_model(kind, 12, 0)
         rng = np.random.default_rng(35)

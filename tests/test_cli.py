@@ -23,15 +23,19 @@ from mcdc.pipeline import (
 )
 from mcdc.training import TrainConfig
 
+# sweep's grid sets the model flags of TINY_FLAGS, so sweep takes the rest alone
+SWEEP_FLAGS = [
+    "--epochs", "4",
+    "--batch-size", "64",
+    "--folds", "2",
+    "--recipe", "stability",
+]
 TINY_FLAGS = [
     "--temporal-len", "8",
     "--heads", "1",
     "--kernel-temporal", "3",
     "--kernel-channel", "4",
-    "--epochs", "4",
-    "--batch-size", "64",
-    "--folds", "2",
-    "--recipe", "stability",
+    *SWEEP_FLAGS,
 ]
 
 
@@ -695,13 +699,17 @@ class TestDocumentContract:
             # it used to end in "stage 'evaluate': need at least one array to concatenate"
             ("plan", _set("test_indices", []), "test_indices must be non-empty, got []"),
             ("plan", _set("train_indices", []), "train_indices must be non-empty, got []"),
+            # these two used to be read as they stood
+            ("plan", _set("train_fraction", 1.5), "train_fraction must be in (0, 1), got 1.5"),
+            ("plan", _set("train_fraction", -0.2), "train_fraction must be in (0, 1), got -0.2"),
         ],
         ids=["config-list", "config-unknown", "config-no-seed", "train-list", "train-unknown", "train-seed",
              "recipe-string", "recipe-misspelt", "recipe-number-name", "profile-plural", "recipe-no-noise", "profile-list", "profile-no-slope", "checkpoint-list", "norm-stats-list",
              "checkpoint-unknown", "checkpoint-no-seed", "hyper-number", "hyper-unknown", "norm-stats-null",
              "norm-stats-unknown", "norm-stats-no-std", "string-heads", "bool-heads", "float-temporal-len",
              "number-attention", "plan-string", "plan-unknown", "plan-no-folds", "plan-string-folds",
-             "plan-number-transformers", "plan-foreign-folds", "plan-empty-test", "plan-empty-train"],
+             "plan-number-transformers", "plan-foreign-folds", "plan-empty-test", "plan-empty-train",
+             "plan-fraction-above-1", "plan-negative-fraction"],
     )
     def test_edit_exits_1_naming_the_file_and_the_key(self, trained, tmp_path, capsys, document, edit, message):
         sources = {
@@ -742,6 +750,13 @@ class TestArgparseRefusals:
                 "argument --grid-heads: a grid list is comma-separated integers, got 'a,b'",
             ),
             (["train", "--seed", "1", "--bogus", "3"], "unrecognized arguments: --bogus 3"),
+            # compare's --models and --modes and sweep's grid set these fields, so these flags used to be ignored
+            (["compare", "--seed", "1", "--model", "ann"], "unrecognized arguments: --model ann"),
+            (["compare", "--seed", "1", "--split-mode", "facility"], "unrecognized arguments: --split-mode facility"),
+            (["sweep", "--seed", "1", "--temporal-len", "8"], "unrecognized arguments: --temporal-len 8"),
+            (["sweep", "--seed", "1", "--heads", "2"], "unrecognized arguments: --heads 2"),
+            (["sweep", "--seed", "1", "--kernel-temporal", "3"], "unrecognized arguments: --kernel-temporal 3"),
+            (["sweep", "--seed", "1", "--kernel-channel", "2"], "unrecognized arguments: --kernel-channel 2"),
             (["bogus", "--seed", "1"], "argument command: invalid choice: 'bogus'"),
         ],
     )
@@ -957,7 +972,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep"
         code = main(
             [
-                "sweep", "--seed", "41", "--out", str(out), *TINY_FLAGS,
+                "sweep", "--seed", "41", "--out", str(out), *SWEEP_FLAGS,
                 "--grid-kernel-temporal", "3,5",
                 "--grid-kernel-channel", "4,6",
                 "--grid-heads", "1",
@@ -994,7 +1009,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep"
         code = main(
             [
-                "sweep", "--seed", "1", "--out", str(out), *TINY_FLAGS,
+                "sweep", "--seed", "1", "--out", str(out), *SWEEP_FLAGS,
                 "--grid-kernel-temporal", "1",
                 "--grid-kernel-channel", "2",
                 "--grid-heads", "1,2,0",
@@ -1012,7 +1027,7 @@ class TestSweepCommand:
         trained = []
         monkeypatch.setattr(pipeline, "train_fold", lambda *args, **kwargs: trained.append(args))
         out = tmp_path / "sweep"
-        code = main(["sweep", "--seed", "1", "--out", str(out), *TINY_FLAGS, *TWO_CELLS, "--workers", workers])
+        code = main(["sweep", "--seed", "1", "--out", str(out), *SWEEP_FLAGS, *TWO_CELLS, "--workers", workers])
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [f"error: workers must be >= 1, got {workers}"]
         assert trained == []
@@ -1021,7 +1036,7 @@ class TestSweepCommand:
     def test_process_pool_writes_the_serial_bytes(self, tmp_path):
         for workers in ("1", "2"):
             out = str(tmp_path / f"w{workers}")
-            assert main(["sweep", "--seed", "41", "--out", out, *TINY_FLAGS, *TWO_CELLS, "--workers", workers]) == 0
+            assert main(["sweep", "--seed", "41", "--out", out, *SWEEP_FLAGS, *TWO_CELLS, "--workers", workers]) == 0
         assert (tmp_path / "w1" / "sweep.csv").read_bytes() == (tmp_path / "w2" / "sweep.csv").read_bytes()
 
     def test_empty_grid_rejected(self, tmp_path):

@@ -36,7 +36,7 @@ from mcdc.data import (
 )
 from mcdc.pipeline import build_windows
 from mcdc.synth import RecipeError, load_recipe, synth_generate
-from reference_ops import invert
+from reference_ops import invert, reference_write_series_csv
 
 
 def make_series(tid="tx1", condition="NC", days=None, readings=None, voltage=110):
@@ -404,6 +404,24 @@ class TestSplit:
         assert all(np.array_equal(s.values, stats.apply(b)) for s, b in zip(scaled, before))
         assert stats.scale_windows([]) == []
 
+    @pytest.mark.parametrize(
+        "mode,train_fraction",
+        [
+            # it used to return a 220/54 plan on the stability recipe's 274 T = 8 windows
+            ("sample", -0.2),
+            # these two used to fail as "test_indices must be non-empty"
+            ("sample", 1.0),
+            ("sample", 1.5),
+            # it used to report "the test side -7 of the 14 transformers"
+            ("facility", 1.5),
+            ("facility", 0.0),
+        ],
+    )
+    def test_train_fraction_outside_the_open_unit_interval_refused(self, mode, train_fraction):
+        with pytest.raises(DatasetError) as raised:
+            split(self._windows(14, 4), mode, train_fraction, seed=1)
+        assert str(raised.value) == f"train_fraction must be in (0, 1), got {train_fraction!r}"
+
     def test_plan_round_trips_json(self):
         plan = split(self._windows(10, 4), "sample", 0.8, seed=7)
         from mcdc.data import SplitPlan
@@ -505,21 +523,6 @@ def reference_normalize(train_windows, all_windows):
         CdgdWindow(w.transformer_id, w.start_day, (w.values - mean[:, None]) / std[:, None], w.label)
         for w in all_windows
     ], mean, std
-
-
-def reference_write_series_csv(series, path):
-    """The CSV writer as first written: one row and one repr per value."""
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for s in sorted(series, key=lambda s: s.transformer_id):
-            for i, day in enumerate(s.days):
-                writer.writerow(
-                    [s.transformer_id, s.voltage_kv, s.condition.name, int(day)]
-                    + [repr(float(v)) for v in s.readings[:, i]]
-                )
 
 
 def _window_bytes(windows):

@@ -140,15 +140,15 @@ class TestStages:
 
     def test_channel_attention_map_is_5x5(self):
         from mcdc.attention import attention_map, cnn_qkv
+        from mcdc.tensor import transpose
 
         model = McdcModel(TINY, seed=6)
         x = tensor(np.random.default_rng(7).normal(size=(5, 8)))
-        q, k, _ = cnn_qkv(x, model.params["channel_qkv"])
+        q, k, _ = cnn_qkv(transpose(x), model.params["channel_qkv"])
         assert attention_map(q, k).shape == (TINY.heads, 5, 5)
 
     def test_single_head_with_identity_mix_equals_head_output(self):
         from mcdc.attention import cnn_attention
-        from mcdc.tensor import transpose
 
         hyper = ModelHyper(temporal_len=8, heads=1, kernel_temporal=3, kernel_channel=4, ffn_hidden=6)
         model = McdcModel(hyper, seed=40)
@@ -156,7 +156,7 @@ class TestStages:
         x = tensor(np.random.default_rng(41).normal(size=(5, 8)))
         embedded = model.embed(x)
         stage = model.temporal_interaction(embedded)
-        head_out = cnn_attention(transpose(embedded), model.params["temporal_qkv"])
+        head_out = cnn_attention(embedded, model.params["temporal_qkv"])
         assert head_out.shape == (1, 5, 8)
         assert np.allclose(stage.data, head_out.data[0], atol=1e-12)
 

@@ -61,10 +61,10 @@ class TestMatmul:
 
 class TestConv1d:
     def test_hand_example(self):
-        sig = tensor([[1.0, 2.0, 3.0, 4.0, 5.0]])
+        sig = tensor([[1.0], [2.0], [3.0], [4.0], [5.0]])
         kern = tensor([[[1.0, 0.0, -1.0]]])
         out = conv1d(sig, kern)
-        assert np.allclose(out.data, [[[-2.0, -2.0, -2.0, -2.0, 4.0]]])
+        assert np.allclose(out.data, [[[-2.0], [-2.0], [-2.0], [-2.0], [4.0]]])
 
     def test_identity_kernel(self):
         rng = np.random.default_rng(1)
@@ -73,18 +73,19 @@ class TestConv1d:
         assert np.array_equal(out.data[0], sig)
 
     def test_same_padding_length(self):
-        out = conv1d(tensor(np.ones((1, 5))), tensor(np.ones((1, 1, 5))))
-        assert out.shape == (1, 1, 5)
+        out = conv1d(tensor(np.ones((5, 1))), tensor(np.ones((1, 1, 5))))
+        assert out.shape == (1, 5, 1)
 
     @pytest.mark.parametrize("k,pads", [(1, (0, 0)), (3, (1, 1)), (5, (2, 2)), (6, (2, 3)), (8, (3, 4))])
     def test_same_length_padding(self, k, pads):
-        # an even kernel takes one more zero on the right than on the left
+        # an even kernel takes one more zero below each column than above it;
+        # the oracle pads and slides along rows, so it reads the signal transposed
         rng = np.random.default_rng(3)
         sig = rng.normal(size=(2, 10))
         kern = rng.normal(size=k)
-        out = conv1d(tensor(sig), tensor(kern.reshape(1, 1, k)))
-        assert out.shape == (1, 2, 10)
-        assert np.array_equal(out.data[0], naive_correlate(np.pad(sig, ((0, 0), pads)), kern))
+        out = conv1d(tensor(sig.T), tensor(kern.reshape(1, 1, k)))
+        assert out.shape == (1, 10, 2)
+        assert np.array_equal(out.data[0].T, naive_correlate(np.pad(sig, ((0, 0), pads)), kern))
 
     @pytest.mark.parametrize("shape", [(5,), (1, 5), (3, 2, 2), (2, 1, 0)])
     def test_refuses_anything_but_a_k_by_1_by_taps_bank(self, shape):
@@ -93,7 +94,8 @@ class TestConv1d:
 
     def test_matches_naive_oracle_on_random_geometries(self):
         # odd cases: a stack of 12 kernels, a route's 3H bank at H = 4, over a
-        # (B, rows, L) stack of signals, every (kernel, row) pair
+        # (B, L, cols) stack of signals, every (kernel, column) pair; the
+        # oracle slides along rows, so it reads the signal transposed
         rng = np.random.default_rng(2)
         for case in range(200):
             length = int(rng.integers(1, 12))
@@ -102,23 +104,24 @@ class TestConv1d:
             if case % 2 == 0:
                 sig = rng.normal(size=(rows, length))
                 kern = rng.normal(size=k)
-                out = conv1d(tensor(sig), tensor(kern.reshape(1, 1, k)))
-                assert np.array_equal(out.data[0], naive_conv(sig, kern))
+                out = conv1d(tensor(sig.T), tensor(kern.reshape(1, 1, k)))
+                assert np.array_equal(out.data[0].T, naive_conv(sig, kern))
                 continue
             sig = rng.normal(size=(int(rng.integers(1, 5)), rows, length))
             bank = rng.normal(size=(12, 1, k))
-            out = conv1d(tensor(sig), tensor(bank)).data
+            out = conv1d(tensor(sig.swapaxes(-1, -2)), tensor(bank)).data
             for b in range(sig.shape[0]):
                 for i in range(12):
-                    assert np.array_equal(out[b, i], naive_conv(sig[b], bank[i, 0]))
+                    assert np.array_equal(out[b, i].T, naive_conv(sig[b], bank[i, 0]))
 
     def test_gradients_bit_exact_against_tap_loops(self):
         # both gradients byte for byte against naive_conv_grads' tap loops,
         # which add tap by tap and then kernel by kernel. Zeros and signed
         # zeros check that padding terms leave every bit, zero signs included,
         # unchanged. Every other case is a 12-kernel stack, a route's 3H bank
-        # at H = 4, over a (B, rows, L) stack of signals; the rest are
-        # one-kernel banks.
+        # at H = 4, over a (B, L, cols) stack of signals; the rest are
+        # one-kernel banks. The tap loops slide along rows, so they read the
+        # signal and the output gradient transposed.
         rng = np.random.default_rng(4)
         for case in range(400):
             length = int(rng.integers(1, 14))
@@ -131,16 +134,16 @@ class TestConv1d:
             if case % 3 == 1:
                 sig[rng.random(sig.shape) < 0.5] = -0.0
                 kern[rng.random(kern.shape) < 0.3] = -0.0
-            s, kt = parameter(sig), parameter(kern)
+            s, kt = parameter(sig.swapaxes(-1, -2)), parameter(kern)
             with Tape() as tape:
                 out = conv1d(s, kt)
                 g = rng.normal(size=out.shape)
                 if case % 3 == 2:
                     g[rng.random(g.shape) < 0.5] = 0.0
                 backward(tape, sum_all(mul(out, tensor(g))))
-            dsig, dk = naive_conv_grads(sig, kern, g)
+            dsig, dk = naive_conv_grads(sig, kern, np.ascontiguousarray(g.swapaxes(-1, -2)))
             assert kt.grad.tobytes() == dk.tobytes()
-            assert s.grad.tobytes() == dsig.tobytes()
+            assert s.grad.swapaxes(-1, -2).tobytes() == dsig.tobytes()
 
     @pytest.mark.parametrize("lead", [(), (1,)])
     def test_signal_gradient_of_a_lone_sample_adds_the_kernels_in_order(self, lead):
@@ -364,13 +367,13 @@ class TestFiniteDifferences:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_conv(self, seed):
-        err = _fd_case(lambda s, k: sum_all(sigmoid(conv1d(s, k))), [(3, 7), (1, 1, 3)], seed)
+        err = _fd_case(lambda s, k: sum_all(sigmoid(conv1d(s, k))), [(7, 3), (1, 1, 3)], seed)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
     def test_conv_even_kernel(self, seed):
-        # k = 4 pads one zero on the left and two on the right
-        err = _fd_case(lambda s, k: sum_all(mul(conv1d(s, k), conv1d(s, k))), [(2, 8), (1, 1, 4)], seed)
+        # k = 4 pads one zero above each column and two below
+        err = _fd_case(lambda s, k: sum_all(mul(conv1d(s, k), conv1d(s, k))), [(8, 2), (1, 1, 4)], seed)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
@@ -436,7 +439,7 @@ class TestStackFiniteDifferences:
     @pytest.mark.parametrize("seed", range(5))
     def test_conv_kernel(self, seed):
         err = _fd_case(
-            lambda s, k: sum_all(sigmoid(conv1d(s, k))), [(3, 4, 7), (1, 1, 4)], seed
+            lambda s, k: sum_all(sigmoid(conv1d(s, k))), [(3, 7, 4), (1, 1, 4)], seed
         )
         assert err < 1e-4
 
@@ -455,7 +458,7 @@ class TestStackFiniteDifferences:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_conv_kernel_stack_and_signal(self, seed):
-        err = _fd_case(lambda sig, bank: sum_all(sigmoid(conv1d(sig, bank))), [(2, 3, 7), (3, 1, 4)], seed)
+        err = _fd_case(lambda sig, bank: sum_all(sigmoid(conv1d(sig, bank))), [(2, 7, 3), (3, 1, 4)], seed)
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(5))
@@ -575,14 +578,14 @@ class TestStacks:
             k = int(rng.integers(1, 7))
             sig = rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(1, 5)), length))
             kern = rng.normal(size=k)
-            out = conv1d(tensor(sig), tensor(kern.reshape(1, 1, k))).data
-            assert out.shape == sig.shape[:1] + (1,) + sig.shape[1:]
+            out = conv1d(tensor(sig.swapaxes(-1, -2)), tensor(kern.reshape(1, 1, k))).data
+            assert out.shape == sig.shape[:1] + (1,) + sig.shape[:0:-1]
             for b in range(sig.shape[0]):
-                assert np.array_equal(out[b, 0], naive_conv(sig[b], kern))
+                assert np.array_equal(out[b, 0].T, naive_conv(sig[b], kern))
 
     def test_conv_kernel_stack_bit_exact_against_naive_loop(self):
-        # every (kernel, row) pair of a kernel stack over a signal stack, odd
-        # and even kernels; each kernel's gradient is also the one that
+        # every (kernel, column) pair of a kernel stack over a signal stack,
+        # odd and even kernels; each kernel's gradient is also the one that
         # kernel gets when convolved on its own, as a one-kernel bank
         rng = np.random.default_rng(17)
         for case in range(60):
@@ -591,18 +594,18 @@ class TestStacks:
             lead = (int(rng.integers(1, 4)),) * (case % 2)
             sig = rng.normal(size=lead + (int(rng.integers(1, 5)), length))
             bank = rng.normal(size=(int(rng.integers(1, 5)), 1, k))
-            s, kt = parameter(sig), parameter(bank)
+            s, kt = parameter(sig.swapaxes(-1, -2)), parameter(bank)
             with Tape() as tape:
                 out = conv1d(s, kt)
                 g = rng.normal(size=out.shape)
                 backward(tape, sum_all(mul(out, tensor(g))))
-            assert out.shape == lead + (bank.shape[0],) + sig.shape[-2:]
+            assert out.shape == lead + (bank.shape[0],) + s.shape[-2:]
             for i in range(bank.shape[0]):
                 for b in np.ndindex(*lead):
-                    assert np.array_equal(out.data[b + (i,)], naive_conv(sig[b], bank[i, 0]))
+                    assert np.array_equal(out.data[b + (i,)].T, naive_conv(sig[b], bank[i, 0]))
                 alone = parameter(bank[i:i + 1])
                 with Tape() as tape:
-                    one = conv1d(tensor(sig), alone)
+                    one = conv1d(tensor(s.data), alone)
                     backward(tape, sum_all(mul(one, tensor(g[..., i:i + 1, :, :]))))
                 assert kt.grad[i].tobytes() == alone.grad[0].tobytes()
 
