@@ -16,12 +16,11 @@ stride 1 with same-length padding, so features' == features, and whose
 splits its (3H, d, d) stack into one (H, d, d) part per projection and makes
 one matmul per projection, against a `reshape` of the input with a unit head
 axis. Either way a route has one attention map and one attend, whatever its
-head count.
+head count. The map is one tape node, `tensor.scaled_dot_softmax`, which
+reads K^T as a view of K and keeps only the normalized weights.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -33,9 +32,8 @@ from .tensor import (
     matmul,
     parameter,
     reshape,
-    softmax_cols,
+    scaled_dot_softmax,
     split,
-    transpose,
 )
 
 __all__ = [
@@ -71,13 +69,11 @@ def attention_map(q: Tensor, k: Tensor) -> Tensor:
     """Column-stochastic token-to-token weights: softmax(K^T Q / sqrt(d)).
 
     d is the shared feature-axis length of Q and K; column j holds the
-    weights with which token j draws on every value token. softmax_cols
-    applies the 1/sqrt(d) in its own buffer.
+    weights with which token j draws on every value token. It is one tape
+    node, `scaled_dot_softmax`, which refuses q and k of different shapes
+    and keeps neither K^T nor the unnormalized scores.
     """
-    if q.shape != k.shape:
-        raise DimensionError(f"query/key shapes differ: {q.shape} vs {k.shape}")
-    d = q.shape[-2]
-    return softmax_cols(matmul(transpose(k), q), 1.0 / math.sqrt(d))
+    return scaled_dot_softmax(q, k)
 
 
 def attend(v: Tensor, amap: Tensor) -> Tensor:

@@ -10,6 +10,9 @@ numpy (a 2-D parameter over a batch, an (H, r, c) head stack over a
 shape before it reaches the operand. `conv1d` has one form, the one the
 attention routes hold: a (K, 1, k) kernel bank slid down every column of a
 signal, one token's feature vector each, zero-padded to keep its length.
+`scaled_dot_softmax` is attention's map as one node: it reads k^T as a
+view of k and runs the scale and the softmax in the scores' own buffer, so
+a step keeps neither k^T nor the unnormalized scores.
 
 Operations executed while a Tape is active, on an operand that tracks
 gradients, record themselves onto it in creation order, which is
@@ -42,6 +45,7 @@ __all__ = [
     "mul",
     "parameter",
     "reshape",
+    "scaled_dot_softmax",
     "sigmoid",
     "softmax_cols",
     "split",
@@ -420,31 +424,71 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
     return _record(out, (signal, bank), bw)
 
 
-def softmax_cols(x: Tensor, factor: float = 1.0) -> Tensor:
-    """Softmax over each column of every matrix of factor * x, max-stabilized;
-    attention_map passes its 1/sqrt(d) as the factor.
-
-    The forward and the backward each fill one fresh buffer in place, with
-    the ops and order of s = x * factor, e = exp(s - max), y = e / sum(e)
-    and y * (g - sum(y * g)) * factor: the bytes of a scale node feeding a
-    plain softmax, with no buffer for the scaled scores or for each step."""
-    y = np.multiply(x.data, factor)
+def _softmax_cols_in_place(y: np.ndarray) -> np.ndarray:
+    """Overwrite every column of every matrix of y with its max-stabilized
+    softmax, e = exp(y - max) then y = e / sum(e), and return y."""
     y -= np.maximum.reduce(y, axis=-2, keepdims=True)
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis=-2, keepdims=True)
+    return y
+
+
+def _softmax_cols_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """y * (g - sum(y * g)) over the columns, for a softmax y and its output
+    gradient g, in one fresh buffer."""
+    t = y * g
+    dot = np.add.reduce(t, axis=-2, keepdims=True)
+    np.subtract(g, dot, out=t)
+    t *= y
+    return t
+
+
+def softmax_cols(x: Tensor) -> Tensor:
+    """Softmax over each column of every matrix of x, max-stabilized.
+
+    The forward and the backward each fill one fresh buffer in place, with
+    the bytes of the out-of-place formulas e = exp(x - max), y = e / sum(e)
+    and y * (g - sum(y * g))."""
+    y = _softmax_cols_in_place(np.copy(x.data))
     out = Tensor(y)
     if not _tracking((x,)):
         return out
 
     def bw(g):
-        t = y * g
-        dot = np.add.reduce(t, axis=-2, keepdims=True)
-        np.subtract(g, dot, out=t)
-        t *= y
-        t *= factor
-        _accum(x, t)
+        _accum(x, _softmax_cols_grad(y, g))
 
     return _record(out, (x,), bw)
+
+
+def scaled_dot_softmax(q: Tensor, k: Tensor) -> Tensor:
+    """softmax_cols(k^T @ q / sqrt(d)) as one node, for q and k of one shape
+    (..., d, n): the attention map, whose column j weighs every token for
+    token j.
+
+    The forward reads k^T as a view of k, with no copy, and runs the scale
+    and the softmax in place in the product's buffer, so only the map is
+    kept; the backward fills one buffer with the softmax gradient times
+    1/sqrt(d) and multiplies it with q and k as they are. The bytes are
+    those of transpose, matmul, a scale node and softmax_cols in a row."""
+    if q.shape != k.shape:
+        raise DimensionError(f"query/key shapes differ: {q.shape} vs {k.shape}")
+    factor = 1.0 / math.sqrt(q.shape[-2])
+    y = np.matmul(k.data.swapaxes(-1, -2), q.data)
+    y *= factor
+    _softmax_cols_in_place(y)
+    out = Tensor(y)
+    if not _tracking((q, k)):
+        return out
+
+    def bw(g):
+        ds = _softmax_cols_grad(y, g)
+        ds *= factor
+        if k.requires_grad:
+            _accum(k, (ds @ q.data.swapaxes(-1, -2)).swapaxes(-1, -2))
+        if q.requires_grad:
+            _accum(q, k.data @ ds)
+
+    return _record(out, (q, k), bw)
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -148,7 +148,10 @@ class TrainHistory:
 
 def score_windows(model, windows: list[CdgdWindow]) -> np.ndarray:
     """(N, n_classes) probabilities of `model.predict_proba`, called on
-    stacks of at most SCORE_CHUNK windows, each stacked only when scored."""
+    stacks of at most SCORE_CHUNK windows, each stacked only when scored.
+    An empty window list is refused with a ValueError."""
+    if not windows:
+        raise ValueError("score_windows needs at least one window, got an empty window list")
     return np.concatenate([
         model.predict_proba(np.stack([w.values for w in windows[lo:lo + SCORE_CHUNK]]))
         for lo in range(0, len(windows), SCORE_CHUNK)

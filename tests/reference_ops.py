@@ -8,10 +8,10 @@ reference forward (tests/test_attention.py) joins the temporal route's
 heads with `concat_rows` and the channel route's with `concat_cols`, where
 the model transposes its row join instead. `scale` is a node of its own:
 the per-window reference of a batch loss (tests/test_batching.py) scales
-the summed window losses by 1/B with it, and `tensor.softmax_cols`, which
-applies attention's 1/sqrt(d) in its own buffer, is held to `scale`
-before a plain softmax (tests/test_tensor.py). They record on the active
-tape like any engine op.
+the summed window losses by 1/B with it, and `tensor.scaled_dot_softmax`,
+the attention map as one node, is held to `transpose`, `matmul`, `scale`
+and `softmax_cols` as separate nodes (tests/test_tensor.py). They record
+on the active tape like any engine op.
 
 `reference_write_series_csv` is the dataset CSV writer as first written, a
 csv.writer row loop, which tests/test_data.py and

@@ -296,14 +296,41 @@ class TestConvRouteBuffers:
         assert buffer.nbytes == conv.data.nbytes
         assert all(node.data.base is buffer for node in tape.nodes)
 
+    def test_map_node_reads_the_block_views_and_keeps_no_scores(self):
+        # on a stock conv step, each route's map node has the q and k splits
+        # of its conv1d block as its parents, and no tape node holds k^T or
+        # the scores before the softmax, scaled or not
+        model = make_model("mcdc", 12, 0)
+        rng = np.random.default_rng(38)
+        batch = [CdgdWindow("t", i, rng.normal(size=(5, 12)), by_code(i % 7)) for i in range(8)]
+        with Tape() as tape:
+            _batch_loss(model, batch)
+
+        def made_by(op):
+            return [i for i, node in enumerate(tape.nodes) if node._backward.__qualname__.startswith(op + ".")]
+
+        convs, maps = made_by("conv1d"), made_by("scaled_dot_softmax")
+        assert len(convs) == len(maps) == 2
+        for i, m in zip(convs, maps):
+            amap = tape.nodes[m]
+            conv, q, k = tape.nodes[i], tape.nodes[i + 1], tape.nodes[i + 2]
+            assert amap._parents == (q, k)
+            assert q._parents == k._parents == (conv,)
+            assert q.data.base is conv.data.base and k.data.base is conv.data.base
+            k_t = k.data.swapaxes(-1, -2)
+            scores = k_t @ q.data
+            for held in (k_t, scores, scores * (1.0 / math.sqrt(q.shape[-2]))):
+                assert not any(node.shape == held.shape and np.array_equal(node.data, held) for node in tape.nodes)
+
 
 class TestStepMemory:
     def test_traced_peak_of_a_200_window_conv_step(self):
         # tracemalloc peak of one B = 200, T = 12 stock-conv forward plus
-        # backward, numpy's buffers included: 12.59 MB measured (numpy 2.4),
-        # pinned at 13.5 MB, a 7 % margin. Holding the conv routes' q/k/v in
-        # a buffer of their own (+1.15 MB at the peak) or a scaled copy of
-        # the attention scores (+1.08 MB) takes it past the pin.
+        # backward, numpy's buffers included: 10.73 MB measured (numpy 2.4),
+        # pinned at 11.4 MB, a 6 % margin. Holding a C-contiguous copy of
+        # each route's k^T (+0.77 MB at the peak), the unnormalized scores in
+        # a buffer of their own (+1.08 MB) or the conv routes' q/k/v apart
+        # from the conv result takes it past the pin.
         model = make_model("mcdc", 12, 0)
         rng = np.random.default_rng(39)
         batch = [CdgdWindow("t", i, rng.normal(size=(5, 12)), by_code(i % 7)) for i in range(200)]
@@ -314,13 +341,13 @@ class TestStepMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 13.5e6, f"traced peak {peak / 1e6:.2f} MB"
+        assert peak < 11.4e6, f"traced peak {peak / 1e6:.2f} MB"
 
 
 class TestStockModelOpCount:
     """Guard: a route is one stack, so a per-head loop would show here."""
 
-    @pytest.mark.parametrize("kind,nodes", [("mcdc", 33), ("mcdc-matrix", 38)])
+    @pytest.mark.parametrize("kind,nodes", [("mcdc", 29), ("mcdc-matrix", 34)])
     def test_tape_nodes_per_batch(self, kind, nodes):
         model = make_model(kind, 12, 0)
         rng = np.random.default_rng(35)

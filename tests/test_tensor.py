@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from mcdc import tensor as tz
+from mcdc.attention import cnn_qkv, new_qkv
 from mcdc.tensor import (
     DimensionError,
     Tape,
@@ -24,6 +25,7 @@ from mcdc.tensor import (
     mul,
     parameter,
     reshape,
+    scaled_dot_softmax,
     sigmoid,
     softmax_cols,
     split,
@@ -207,23 +209,59 @@ class TestSoftmax:
         assert out.data.tobytes() == y.tobytes()
         assert xp.grad.tobytes() == dx.tobytes()
 
-    @pytest.mark.parametrize("d", [5, 12, 48])
-    def test_factor_gives_the_bytes_of_a_scale_node_before_it(self, d):
-        # attention_map's 1/sqrt(d) in softmax_cols' own buffer: the forward
-        # and the gradient are those of a scale node feeding a plain softmax
-        rng = np.random.default_rng(d)
-        x = rng.normal(scale=5.0, size=(20, 4, 12, 12))
-        g = tensor(rng.normal(size=x.shape))
+
+def _unfused_map(q, k):
+    """The attention map as the chain of nodes it was: transpose, matmul,
+    a scale node and softmax_cols."""
+    return softmax_cols(scale(matmul(transpose(k), q), 1.0 / math.sqrt(q.shape[-2])))
+
+
+def _map_inputs(case):
+    """(q, k) data of one layout the models feed the map."""
+    rng = np.random.default_rng(41)
+    if case == "2-D":
+        return rng.normal(scale=2.0, size=(5, 12)), rng.normal(scale=2.0, size=(5, 12))
+    if case == "conv-block-views":
+        # the q and k splits of one conv1d block, a (8, 12, 5, 12) temporal
+        # stack: views whose matrices are C-contiguous, whose stack is not
+        q, k, _ = cnn_qkv(tensor(rng.normal(scale=2.0, size=(8, 5, 12))), new_qkv(rng, 4, 1, 5))
+        assert q.data.base is k.data.base
+        return q.data, k.data
+    # the matrix route: (4, 5, 5) head matrices broadcast over a (8, 1, 5, 12) batch
+    w = rng.normal(size=(3, 4, 5, 5))
+    x = rng.normal(scale=2.0, size=(8, 1, 5, 12))
+    return w[0] @ x, w[1] @ x
+
+
+class TestScaledDotSoftmax:
+    @pytest.mark.parametrize("case", ["2-D", "conv-block-views", "matrix-head-stack"])
+    def test_same_bytes_as_the_unfused_chain(self, case):
+        # the map and both input gradients, bit for bit, against transpose,
+        # matmul, scale and softmax_cols as separate nodes; q and k keep the
+        # layout the route hands the map
+        q_data, k_data = _map_inputs(case)
+        g = tensor(np.random.default_rng(42).normal(size=q_data.shape[:-2] + (12, 12)))
         results = []
-        for fold in (True, False):
-            xp = parameter(x)
+        for fn in (scaled_dot_softmax, _unfused_map):
+            q, k = parameter(q_data), parameter(k_data)
+            assert q.data is q_data and k.data is k_data
             with Tape() as tape:
-                out = softmax_cols(xp, 1.0 / math.sqrt(d)) if fold else softmax_cols(scale(xp, 1.0 / math.sqrt(d)))
+                out = fn(q, k)
                 backward(tape, sum_all(mul(out, g)))
-            results.append((out.data.tobytes(), xp.grad.tobytes(), len(tape.nodes)))
-        (out, grad, nodes), (ref_out, ref_grad, ref_nodes) = results
-        assert out == ref_out and grad == ref_grad
-        assert nodes == ref_nodes - 1  # the scale node
+            results.append((out.data.tobytes(), q.grad.tobytes(), k.grad.tobytes(), len(tape.nodes)))
+        (out, dq, dk, nodes), (ref_out, ref_dq, ref_dk, ref_nodes) = results
+        assert out == ref_out and dq == ref_dq and dk == ref_dk
+        assert nodes == ref_nodes - 3  # transpose, matmul and scale
+
+    def test_keeps_only_the_map(self):
+        # the node's rule reads q, k and its own result: no copy of k^T and
+        # no unnormalized scores are kept for the backward
+        q, k = (parameter(a) for a in _map_inputs("conv-block-views"))
+        with Tape() as tape:
+            out = scaled_dot_softmax(q, k)
+        assert tape.nodes == [out] and out._parents == (q, k)
+        kept = [c.cell_contents for c in out._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+        assert len(kept) == 1 and kept[0] is out.data
 
 
 class TestSigmoid:
@@ -382,8 +420,11 @@ class TestFiniteDifferences:
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
-    def test_softmax_col_with_factor(self, seed):
-        err = _fd_case(lambda x: sum_all(mul(softmax_cols(x, 0.37), x)), [(4, 3)], seed)
+    def test_scaled_dot_softmax(self, seed):
+        # d = 7 scales the scores by 0.378 before the softmax
+        err = _fd_case(
+            lambda q, k: sum_all(mul(scaled_dot_softmax(q, k), matmul(transpose(k), q))), [(7, 3), (7, 3)], seed
+        )
         assert err < 1e-4
 
     @pytest.mark.parametrize("seed", range(10))
@@ -791,6 +832,7 @@ OPS = {
     "matmul": lambda leaf: matmul(leaf(np.ones((2, 3))), leaf(np.ones((4, 3, 5)))),
     "mul": lambda leaf: mul(leaf(np.ones((2, 3))), leaf(np.ones((2, 3)))),
     "reshape": lambda leaf: reshape(leaf(np.ones((2, 3))), (3, 2)),
+    "scaled_dot_softmax": lambda leaf: scaled_dot_softmax(leaf(np.ones((2, 3))), leaf(np.ones((2, 3)))),
     "sigmoid": lambda leaf: sigmoid(leaf(np.ones((2, 3)))),
     "softmax_cols": lambda leaf: softmax_cols(leaf(np.ones((2, 3)))),
     "split": lambda leaf: split(leaf(np.ones((4, 2, 3))), 2),

@@ -11,6 +11,7 @@ import pytest
 from mcdc.baselines import AnnHyper, AnnModel
 from mcdc.conditions import by_code
 from mcdc.data import CdgdWindow, split
+from mcdc.evaluation import evaluate_model
 from mcdc.model import McdcModel, ModelHyper
 from mcdc import training
 from mcdc.tensor import parameter
@@ -195,6 +196,12 @@ class TestEvaluateWindows:
         ref = -np.log(np.maximum(probs[np.arange(n), labels], 1e-12)).sum() / n
         assert type(loss) is float and np.float64(loss).tobytes() == ref.tobytes()
         assert acc == int((probs.argmax(axis=1) == labels).sum()) / n
+
+
+    @pytest.mark.parametrize("scorer", [training.score_windows, evaluate_windows, evaluate_model])
+    def test_empty_window_list_refused_by_name(self, scorer):
+        with pytest.raises(ValueError, match="empty window list"):
+            scorer(tiny_model(), [])
 
 
 class TestTrainFold:
