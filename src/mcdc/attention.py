@@ -17,7 +17,10 @@ splits its (3H, d, d) stack into one (H, d, d) part per projection and makes
 one matmul per projection, against a `reshape` of the input with a unit head
 axis. Either way a route has one attention map and one attend, whatever its
 head count. The map is one tape node, `tensor.scaled_dot_softmax`, which
-reads K^T as a view of K and keeps only the normalized weights.
+reads K^T as a view of K and keeps only the normalized weights. Their
+buffer is keys-first, (n, ..., n) with the key index first, and the map is
+its (..., n, n) view, so the softmax over the keys runs along the buffer's
+leading axis; `attend` and the tape see only the (..., n, n) map.
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ attention routes hold: a (K, 1, k) kernel bank slid down every column of a
 signal, one token's feature vector each, zero-padded to keep its length.
 `scaled_dot_softmax` is attention's map as one node: it reads k^T as a
 view of k and runs the scale and the softmax in the scores' own buffer, so
-a step keeps neither k^T nor the unnormalized scores.
+a step keeps neither k^T nor the unnormalized scores. That buffer is
+keys-first, (n_key, ..., n_query), under the (..., n, n) view every caller
+sees, so the softmax and its gradient reduce along its leading axis.
 
 Operations executed while a Tape is active, on an operand that tracks
 gradients, record themselves onto it in creation order, which is
@@ -20,13 +22,14 @@ automatically a topological order; backward() walks the tape once in
 reverse. Every other call runs as plain numpy compute: it wraps its result
 without converting it again and builds no backward rule, which is the
 evaluation fast path. On a 2-vCPU host with one BLAS thread, a one-window
-forward at T = 12 takes about 128 us for the stock conv model and 108 us
+forward at T = 12 takes about 117 us for the stock conv model and 96 us
 for its matrix twin.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -245,6 +248,16 @@ def _fold(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x.reshape(-1, x.shape[-1]).T @ y.reshape(-1, y.shape[-1])
 
 
+def _grad_product(x: np.ndarray, y: np.ndarray, operand: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x @ y as the gradient of `operand`, for the output gradient g. An
+    operand that is neither C-contiguous nor broadcast over g's stack (the
+    keys-first attention map) gets it in its own layout, the others in a
+    fresh C-contiguous buffer; the bytes are the same either way."""
+    if operand.flags.c_contiguous or operand.shape[:-2] != g.shape[:-2]:
+        return x @ y
+    return np.matmul(x, y, out=np.empty_like(operand))
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """a @ b on every matrix of the stack.
 
@@ -254,8 +267,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     formed and summed: for a, g (..., m, p) against b (..., n, p); for b,
     a (..., m, n) against g (..., m, p). A one-column g makes a's product
     g[..., 0].T @ b[..., 0], with no copy. Any other operand's gradient is
-    the stacked product, summed over the axes it was broadcast on. An
-    operand that tracks no gradient gets none computed.
+    the stacked product, summed over the axes it was broadcast on; an
+    operand that is neither C-contiguous nor broadcast, such as the
+    keys-first attention map, gets it in its own layout. An operand that
+    tracks no gradient gets none computed.
     """
     if a.data.shape[-1] != b.data.shape[-2] or _stacks_differ(a, b):
         raise DimensionError(f"matmul inner dims differ: {a.shape} vs {b.shape}")
@@ -268,12 +283,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             if a.data.ndim == 2 < g.ndim:
                 _accum(a, _fold(g.swapaxes(-1, -2), b.data.swapaxes(-1, -2)))
             else:
-                _accum(a, g @ b.data.swapaxes(-1, -2))
+                _accum(a, _grad_product(g, b.data.swapaxes(-1, -2), a.data, g))
         if b.requires_grad:
             if b.data.ndim == 2 < g.ndim:
                 _accum(b, _fold(a.data, g))
             else:
-                _accum(b, a.data.swapaxes(-1, -2) @ g)
+                _accum(b, _grad_product(a.data.swapaxes(-1, -2), g, b.data, g))
 
     return _record(out, (a, b), bw)
 
@@ -323,14 +338,16 @@ def split(x: Tensor, parts: int) -> list[Tensor]:
     out = [Tensor(x.data[run]) for run in runs]
     if not _tracking((x,)):
         return out
-    owned = None  # the buffer this split allocated or copied for x.grad
+    # a weak reference to the buffer this split allocated or copied for
+    # x.grad, so that the rules do not keep it alive once backward clears x.grad
+    owned = None
     for part, run in zip(out, runs):
 
         def bw(g, run=run):
             nonlocal owned
-            if x.grad is None or x.grad is not owned:  # x.grad may alias another node's
-                owned = np.zeros(x.shape) if x.grad is None else x.grad.copy()
-                x.grad = owned
+            if x.grad is None or owned is None or x.grad is not owned():  # x.grad may alias another node's
+                x.grad = np.zeros(x.shape) if x.grad is None else x.grad.copy()
+                owned = weakref.ref(x.grad)
             x.grad[run] += g
 
         _record(part, (x,), bw)
@@ -424,20 +441,22 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
     return _record(out, (signal, bank), bw)
 
 
-def _softmax_cols_in_place(y: np.ndarray) -> np.ndarray:
-    """Overwrite every column of every matrix of y with its max-stabilized
-    softmax, e = exp(y - max) then y = e / sum(e), and return y."""
-    y -= np.maximum.reduce(y, axis=-2, keepdims=True)
+def _softmax_cols_in_place(y: np.ndarray, axis: int = -2) -> np.ndarray:
+    """Overwrite y with its max-stabilized softmax along `axis`, e = exp(y - max)
+    then y = e / sum(e), and return y. The default normalizes every column of
+    every matrix; the map's keys-first buffer passes axis 0."""
+    y -= np.maximum.reduce(y, axis=axis, keepdims=True)
     np.exp(y, out=y)
-    y /= np.add.reduce(y, axis=-2, keepdims=True)
+    y /= np.add.reduce(y, axis=axis, keepdims=True)
     return y
 
 
-def _softmax_cols_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """y * (g - sum(y * g)) over the columns, for a softmax y and its output
-    gradient g, in one fresh buffer."""
-    t = y * g
-    dot = np.add.reduce(t, axis=-2, keepdims=True)
+def _softmax_cols_grad(y: np.ndarray, g: np.ndarray, axis: int = -2) -> np.ndarray:
+    """y * (g - sum(y * g)) along `axis`, for a softmax y and its output
+    gradient g, in one fresh C-contiguous buffer, so that the sum runs along
+    `axis` in its order whatever g's layout."""
+    t = np.multiply(y, g, order="C")
+    dot = np.add.reduce(t, axis=axis, keepdims=True)
     np.subtract(g, dot, out=t)
     t *= y
     return t
@@ -465,24 +484,35 @@ def scaled_dot_softmax(q: Tensor, k: Tensor) -> Tensor:
     (..., d, n): the attention map, whose column j weighs every token for
     token j.
 
-    The forward reads k^T as a view of k, with no copy, and runs the scale
-    and the softmax in place in the product's buffer, so only the map is
-    kept; the backward fills one buffer with the softmax gradient times
-    1/sqrt(d) and multiplies it with q and k as they are. The bytes are
-    those of transpose, matmul, a scale node and softmax_cols in a row."""
+    The map lives keys-first: its buffer is one C-contiguous (n, ..., n)
+    array, key index first, and the node's data is that buffer's (..., n, n)
+    view. The forward writes k^T @ q into the view, reading k^T as a view of
+    k, and runs the scale and the softmax in place on the buffer, so its
+    reductions over the keys run along the buffer's leading axis, one
+    whole-array row at a time, and only the map is kept. The backward takes
+    the output gradient keys-first as well, fills one keys-first buffer with
+    the softmax gradient times 1/sqrt(d) and multiplies its view with q and
+    k as they are. The bytes are those of transpose, matmul, a scale node
+    and softmax_cols in a row."""
     if q.shape != k.shape:
         raise DimensionError(f"query/key shapes differ: {q.shape} vs {k.shape}")
     factor = 1.0 / math.sqrt(q.shape[-2])
-    y = np.matmul(k.data.swapaxes(-1, -2), q.data)
-    y *= factor
-    _softmax_cols_in_place(y)
+    s, n = q.data.ndim - 2, q.shape[-1]  # the stack axes are 0 to s - 1
+    keys_last = (*range(1, s + 1), 0, s + 1)
+    scores = np.empty((n,) + q.shape[:-2] + (n,))  # (n_key, ..., n_query)
+    y = scores.transpose(keys_last)
+    np.matmul(k.data.swapaxes(-1, -2), q.data, out=y)
+    scores *= factor
+    _softmax_cols_in_place(scores, axis=0)
     out = Tensor(y)
     if not _tracking((q, k)):
         return out
 
     def bw(g):
-        ds = _softmax_cols_grad(y, g)
+        keys_first = (s, *range(s), s + 1)
+        ds = _softmax_cols_grad(y.transpose(keys_first), g.transpose(keys_first), axis=0)
         ds *= factor
+        ds = ds.transpose(keys_last)
         if k.requires_grad:
             _accum(k, (ds @ q.data.swapaxes(-1, -2)).swapaxes(-1, -2))
         if q.requires_grad:

@@ -779,9 +779,12 @@ class TestModuleEntry:
     """`python -m mcdc` runs the command line the `mcdc` script runs."""
 
     @staticmethod
-    def _run(*argv):
+    def _run(*argv, env=None):
+        """Run python with `argv` in the environment `env` (default: this
+        process's), with this checkout's package on PYTHONPATH."""
+        env = dict(os.environ if env is None else env)
         src = os.path.dirname(os.path.dirname(evaluation.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120)
 
     def test_help_exits_0(self):
@@ -803,6 +806,20 @@ class TestModuleEntry:
 
 
 class TestDeterminism:
+    def test_trained_bytes_do_not_depend_on_an_unset_blas_thread_count(self, tmp_path):
+        # at T = 48 a 2-thread OpenBLAS splits channel_mix's gradient product
+        # and changes its bytes; with no count set the program runs one thread
+        blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "GOTO_NUM_THREADS")
+        unset = {k: v for k, v in os.environ.items() if k not in blas}
+        checkpoints = []
+        for name, env in (("unset", unset), ("one", {**unset, "OPENBLAS_NUM_THREADS": "1"})):
+            result = TestModuleEntry._run("-m", "mcdc", "train", "--seed", "7", "--epochs", "2", "--temporal-len", "48",
+                                          "--out", str(tmp_path / name), env=env)
+            assert result.returncode == 0, result.stderr
+            checkpoints.append((tmp_path / name / "checkpoint.json").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+
     def test_rerun_byte_identical(self, tmp_path):
         a = train_once(tmp_path, "a")
         b = train_once(tmp_path, "b")

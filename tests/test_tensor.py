@@ -15,6 +15,7 @@ from mcdc.attention import cnn_qkv, new_qkv
 from mcdc.tensor import (
     DimensionError,
     Tape,
+    Tensor,
     add,
     add_n,
     backward,
@@ -221,10 +222,12 @@ def _map_inputs(case):
     rng = np.random.default_rng(41)
     if case == "2-D":
         return rng.normal(scale=2.0, size=(5, 12)), rng.normal(scale=2.0, size=(5, 12))
-    if case == "conv-block-views":
-        # the q and k splits of one conv1d block, a (8, 12, 5, 12) temporal
+    if case.startswith("conv-block-views"):
+        # the q and k splits of one conv1d block, a (B, 12, 5, T) temporal
         # stack: views whose matrices are C-contiguous, whose stack is not
-        q, k, _ = cnn_qkv(tensor(rng.normal(scale=2.0, size=(8, 5, 12))), new_qkv(rng, 4, 1, 5))
+        batch, length = {"conv-block-views": (8, 12), "conv-block-views-B200": (200, 12),
+                         "conv-block-views-T48": (8, 48)}[case]
+        q, k, _ = cnn_qkv(tensor(rng.normal(scale=2.0, size=(batch, 5, length))), new_qkv(rng, 4, 1, 5))
         assert q.data.base is k.data.base
         return q.data, k.data
     # the matrix route: (4, 5, 5) head matrices broadcast over a (8, 1, 5, 12) batch
@@ -234,13 +237,15 @@ def _map_inputs(case):
 
 
 class TestScaledDotSoftmax:
-    @pytest.mark.parametrize("case", ["2-D", "conv-block-views", "matrix-head-stack"])
+    @pytest.mark.parametrize(
+        "case", ["2-D", "conv-block-views", "conv-block-views-B200", "conv-block-views-T48", "matrix-head-stack"])
     def test_same_bytes_as_the_unfused_chain(self, case):
         # the map and both input gradients, bit for bit, against transpose,
         # matmul, scale and softmax_cols as separate nodes; q and k keep the
         # layout the route hands the map
         q_data, k_data = _map_inputs(case)
-        g = tensor(np.random.default_rng(42).normal(size=q_data.shape[:-2] + (12, 12)))
+        n = q_data.shape[-1]
+        g = tensor(np.random.default_rng(42).normal(size=q_data.shape[:-2] + (n, n)))
         results = []
         for fn in (scaled_dot_softmax, _unfused_map):
             q, k = parameter(q_data), parameter(k_data)
@@ -262,6 +267,35 @@ class TestScaledDotSoftmax:
         assert tape.nodes == [out] and out._parents == (q, k)
         kept = [c.cell_contents for c in out._backward.__closure__ if isinstance(c.cell_contents, np.ndarray)]
         assert len(kept) == 1 and kept[0] is out.data
+
+    @pytest.mark.parametrize("case", ["2-D", "conv-block-views", "matrix-head-stack"])
+    def test_the_map_is_keys_first(self, case):
+        # the map's base buffer is one C-contiguous (n_key, ..., n_query)
+        # array, so the softmax reduces along its leading axis
+        q_data, k_data = _map_inputs(case)
+        out = scaled_dot_softmax(tensor(q_data), tensor(k_data)).data
+        n, s = q_data.shape[-1], q_data.ndim - 2
+        assert out.shape == q_data.shape[:-2] + (n, n)
+        buffer = out.base
+        assert buffer.shape == (n,) + q_data.shape[:-2] + (n,) and buffer.flags.c_contiguous
+        assert out.transpose((s, *range(s), s + 1)).strides == buffer.strides
+
+    def test_matmul_hands_a_keys_first_operand_a_keys_first_gradient(self):
+        # matmul writes the gradient of a strided, unbroadcast operand in the
+        # operand's own layout, here a keys-first (n, B, H, n) buffer's
+        # (B, H, n, n) view as attend's map, with the bytes of the C-layout
+        # product; the conv block's v split still gets a C-contiguous one
+        rng = np.random.default_rng(43)
+        _, _, v = cnn_qkv(tensor(rng.normal(size=(8, 5, 12))), new_qkv(rng, 4, 1, 5))
+        v = Tensor(v.data, requires_grad=True)
+        amap = Tensor(rng.normal(size=(12, 8, 4, 12)).transpose((1, 2, 0, 3)), requires_grad=True)
+        g = rng.normal(size=v.shape)
+        with Tape() as tape:
+            out = matmul(v, amap)
+        out._backward(g)
+        assert tape.nodes == [out] and amap.grad.strides == amap.data.strides
+        assert amap.grad.tobytes() == (v.data.swapaxes(-1, -2) @ g).tobytes()
+        assert v.grad.flags.c_contiguous and v.grad.tobytes() == (g @ amap.data.swapaxes(-1, -2)).tobytes()
 
 
 class TestSigmoid:
@@ -687,6 +721,18 @@ class TestStacks:
         assert tape.nodes[:3] == parts
         assert x.grad.shape == x.shape
         assert np.array_equal(x.grad, np.repeat([1.0, 2.0, 3.0], 2)[None, :, None, None] * np.ones(x.shape))
+
+    def test_split_rules_hold_no_gradient_buffer_after_backward(self):
+        # split a tape node, as the conv route does: once backward has cleared
+        # the node's gradient, no split rule keeps that buffer alive
+        rng = np.random.default_rng(22)
+        with Tape() as tape:
+            conv = conv1d(tensor(rng.normal(size=(2, 4, 5))), parameter(rng.normal(size=(6, 1, 3))))
+            parts = split(conv, 3)
+            backward(tape, add_n([sum_all(mul(p, p)) for p in parts]))
+        assert conv.grad is None
+        held = [c.cell_contents for p in parts for c in p._backward.__closure__]
+        assert any(h is conv for h in held) and not any(isinstance(h, np.ndarray) for h in held)
 
     def test_split_shape_errors(self):
         with pytest.raises(DimensionError, match="stack"):
