@@ -12,7 +12,10 @@ the q entries of every head first, then the k and then the v entries, and
 each route returns (..., H, d, n) with head h at index h. The conv variant's
 stack is the (3H, 1, k) kernel bank of its one conv1d, which slides it at
 stride 1 with same-length padding, so features' == features, and whose
-(..., 3H, d, n) result is the Q/K/V stack as it is. The matrix variant
+(..., 3H, d, n) result is the Q/K/V stack as it is. That block is a view of
+the C-contiguous (3H, d, ..., n) buffer conv1d's tap sums ran in, and its
+gradient, which `split` adds up, keeps that layout, so neither the forward
+nor the backward copies the block. The matrix variant
 splits its (3H, d, d) stack into one (H, d, d) part per projection and makes
 one matmul per projection, against a `reshape` of the input with a unit head
 axis. Either way a route has one attention map and one attend, whatever its
@@ -64,7 +67,10 @@ def cnn_qkv(inp: Tensor, bank: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     """Convolve each token's feature vector, a column of `inp` (d x n, or a
     stack of those), with every kernel of a route's (3H, 1, k) bank (see
     new_qkv): one (..., H, d, n) stack per projection, all views of conv1d's
-    one C-contiguous (..., 3H, d, n) block."""
+    (..., 3H, d, n) block, which is itself a view of the one C-contiguous
+    (3H, d, ..., n) buffer of its tap sums. split adds the three gradients
+    into one buffer of that layout, which conv1d's backward reads in the
+    sums' order without a copy."""
     return tuple(split(conv1d(inp, bank), 3))
 
 

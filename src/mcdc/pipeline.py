@@ -229,6 +229,13 @@ def run_eval(
             )
         if plan.n_windows != len(windows):
             raise ValueError(f"plan lists {plan.n_windows} windows, dataset yields {len(windows)}")
+        if plan.mode == "facility":  # a sample-mode plan records no transformer ids
+            for name, indices, ids in (("test", plan.test_indices, set(plan.test_transformers)),
+                                       ("train", plan.train_indices, set(plan.train_transformers))):
+                for i in indices:
+                    if windows[i].transformer_id not in ids:
+                        raise ValueError(f"plan {name} index {i} falls on transformer {windows[i].transformer_id!r}, "
+                                         f"which is not among its {name}_transformers")
     with _stage("evaluate"):
         indices = plan.test_indices if side == "test" else plan.train_indices
         report = evaluate_model(model, stats.scale_windows([windows[i] for i in indices]))

@@ -10,6 +10,9 @@ numpy (a 2-D parameter over a batch, an (H, r, c) head stack over a
 shape before it reaches the operand. `conv1d` has one form, the one the
 attention routes hold: a (K, 1, k) kernel bank slid down every column of a
 signal, one token's feature vector each, zero-padded to keep its length.
+Its (..., K, L, cols) result is a view of the C-contiguous (K, L, ..., cols)
+buffer its tap sums ran in, and `split` adds a gradient into a buffer of
+its operand's layout, so neither pass copies a conv route's Q/K/V block.
 `scaled_dot_softmax` is attention's map as one node: it reads k^T as a
 view of k and runs the scale and the softmax in the scores' own buffer, so
 a step keeps neither k^T nor the unnormalized scores. That buffer is
@@ -328,7 +331,8 @@ def split(x: Tensor, parts: int) -> list[Tensor]:
     """Cut the innermost stack axis into `parts` equal runs: (..., P*S, r, c)
     gives P views (..., S, r, c), part p holding matrices p*S to p*S + S - 1.
     Each part is one node; their gradients are added into one buffer of x's
-    shape, each into its own run."""
+    shape and layout (np.zeros_like), each into its own run, so a conv
+    block's gradient keeps the block's (K, L, ..., cols) order."""
     if x.data.ndim < 3:
         raise DimensionError(f"split needs a stack, got shape {x.shape}")
     if parts < 1 or x.shape[-3] % parts:
@@ -346,7 +350,7 @@ def split(x: Tensor, parts: int) -> list[Tensor]:
         def bw(g, run=run):
             nonlocal owned
             if x.grad is None or owned is None or x.grad is not owned():  # x.grad may alias another node's
-                x.grad = np.zeros(x.shape) if x.grad is None else x.grad.copy()
+                x.grad = np.zeros_like(x.data) if x.grad is None else x.grad.copy(order="K")
                 owned = weakref.ref(x.grad)
             x.grad[run] += g
 
@@ -358,8 +362,9 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
     """Correlate every column of `signal` with each kernel of a (K, 1, k) bank.
 
     The signal is (..., L, cols), one token's feature vector per column, and
-    each kernel slides down the L rows. The result is the C-contiguous
-    (..., K, L, cols) block, kernel i's at index i, as long as the signal:
+    each kernel slides down the L rows. The result is the (..., K, L, cols)
+    block, kernel i's at index i, as long as the signal, a view of one
+    C-contiguous (K, L, ..., cols) buffer:
     each column is zero-padded by (k - 1) // 2 above and the rest of k - 1
     below, so an even kernel has one more pad below. Every output starts at
     zero and adds its taps' products in tap order, as a naive tap loop does,
@@ -371,12 +376,17 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
     (L + k - 1, n) block, the convolved axis first. The sums run in a
     (K, L, n) buffer against a (k, K, 1, 1) view of the bank's taps, so a tap
     is one product of an (L, n) row slice with one scalar per kernel and one
-    add. The sums are copied as the result into the products' buffer. The
-    columns are kept for the kernel gradient. The signal gradient sums the L
-    padded rows it keeps in the (K, L, n) layout and adds the kernels' parts
-    with one reduce over the kernel axis. The backward makes the kernel
-    gradient first and frees its kernel-major copy of the output gradient
-    before it allocates the signal gradient's buffers.
+    add. The result is the sums' buffer under the (..., K, L, cols) view, so
+    the products' buffer dies in the forward. The columns are kept for the
+    kernel gradient. The signal gradient reads the output gradient in the
+    sums' (K, L, n) order, a view when it has the result's layout, as
+    split's gradient buffer does, and a copy otherwise; it sums the L padded
+    rows it keeps in that layout and adds the kernels' parts with one reduce
+    over the kernel axis. The kernel gradient reads a kernel-major copy of
+    the output gradient, because that copy's element order is the order in
+    which the naive tap loops sum each kernel's products. The backward makes
+    the kernel gradient first and frees that copy before it allocates the
+    signal gradient's buffers.
     """
     if bank.data.ndim != 3 or bank.shape[1] != 1 or 0 in bank.shape:
         raise DimensionError(f"conv1d needs a (K, 1, k) kernel bank with K, k >= 1, got shape {bank.shape}")
@@ -394,10 +404,8 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
     for t in range(k):
         np.multiply(cols[t:t + length], taps[t], out=term)
         sums += term
-    # (K, L, ..., cols) -> (..., K, L, cols), into term's buffer; sums is freed on return
-    to_out = (*range(2, s + 2), 0, 1, s + 2)
-    out = Tensor(term.reshape(lead + (n_kernels, length, width)))
-    np.copyto(out.data, sums.reshape((n_kernels, length) + lead + (width,)).transpose(to_out))
+    # (K, L, ..., cols) -> (..., K, L, cols), a view: the block stays in the sums' buffer
+    out = Tensor(sums.reshape((n_kernels, length) + lead + (width,)).transpose((*range(2, s + 2), 0, 1, s + 2)))
     if not _tracking((signal, bank)):
         return out
 
@@ -425,7 +433,8 @@ def conv1d(signal: Tensor, bank: Tensor) -> Tensor:
             # added in order by one reduce. A spare zero row in d_cols keeps
             # the reduce's output at two or more elements: numpy adds a reduce
             # axis in order across those, but pairwise into a lone element.
-            # (..., K, L, cols) -> (K, L, ..., cols), the forward's layout
+            # (..., K, L, cols) -> (K, L, ..., cols), the forward's layout: a view
+            # of split's gradient buffer, a copy of a gradient in any other layout
             g_cols = np.ascontiguousarray(g.transpose((s, s + 1, *range(s), s + 2))).reshape(n_kernels, length, n)
             d_cols = np.zeros((n_kernels, length + 1, n))
             for t in range(k):
@@ -492,8 +501,12 @@ def scaled_dot_softmax(q: Tensor, k: Tensor) -> Tensor:
     whole-array row at a time, and only the map is kept. The backward takes
     the output gradient keys-first as well, fills one keys-first buffer with
     the softmax gradient times 1/sqrt(d) and multiplies its view with q and
-    k as they are. The bytes are those of transpose, matmul, a scale node
-    and softmax_cols in a row."""
+    k as they are. q's gradient comes in q's own layout, as matmul gives it
+    to a strided operand; k's is the product (ds @ q^T)^T, whose layout is
+    that transpose's: written in k's layout it would run as q @ ds^T, which
+    rounds differently (the matrix twin's temporal_qkv gradient at T = 48).
+    The bytes are those of transpose, matmul, a scale node and softmax_cols
+    in a row."""
     if q.shape != k.shape:
         raise DimensionError(f"query/key shapes differ: {q.shape} vs {k.shape}")
     factor = 1.0 / math.sqrt(q.shape[-2])
@@ -516,7 +529,7 @@ def scaled_dot_softmax(q: Tensor, k: Tensor) -> Tensor:
         if k.requires_grad:
             _accum(k, (ds @ q.data.swapaxes(-1, -2)).swapaxes(-1, -2))
         if q.requires_grad:
-            _accum(q, k.data @ ds)
+            _accum(q, _grad_product(k.data, ds, q.data, ds))
 
     return _record(out, (q, k), bw)
 

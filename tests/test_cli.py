@@ -504,6 +504,27 @@ class TestEvalCommand:
         assert code == 1
         assert "temporal length" in capsys.readouterr().err
 
+    def test_facility_plan_of_reordered_data_is_compatibility_error(self, tmp_path, capsys):
+        # the same rows with the transformers in reverse order cut as many
+        # windows, so only the plan's transformer ids tell the data apart;
+        # eval used to score them and exit 0
+        out = train_once(tmp_path, "run", seed="3", extra=["--recipe", "facility_shift", "--split-mode", "facility"])
+        header, *rows = (out / "dataset.csv").read_text().splitlines(keepends=True)
+        ids = list(dict.fromkeys(row.split(",", 1)[0] for row in rows))
+        reordered = tmp_path / "reordered.csv"
+        reordered.write_text(header + "".join(row for tid in reversed(ids) for row in rows if row.startswith(tid + ",")))
+        plan = SplitPlan.from_json((out / "split.json").read_text())
+        windows = build_windows(load_series(reordered), plan.temporal_len)
+        assert len(windows) == plan.n_windows
+        first = next(i for i in plan.test_indices if windows[i].transformer_id not in plan.test_transformers)
+        code = main(["eval", "--checkpoint", str(out / "checkpoint.json"), "--data", str(reordered),
+                     "--plan", str(out / "split.json"), "--out", str(tmp_path / "e")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: stage 'compatibility': plan test index {first} falls on transformer "
+            f"{windows[first].transformer_id!r}, which is not among its test_transformers\n"
+        )
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize(
         "artifact,edit,message",
