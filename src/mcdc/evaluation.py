@@ -1,6 +1,6 @@
 """Assessment machinery: confusion matrix, one-vs-rest metrics with macro
 averages, ROC/AUC (per-class, macro, micro), the Wilcoxon rank-sum test and
-the repeated-training comparison harness.
+`summarize`, the one summary of a repeated-training comparison.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ __all__ = [
     "EvalReport",
     "ModelComparison",
     "compare",
-    "compare_plans",
     "confusion",
     "evaluate_model",
     "metrics",
     "roc_auc",
     "roc_csv",
     "split_repetitions",
+    "summarize",
     "wilcoxon_rank_sum",
 ]
 
@@ -303,32 +303,29 @@ def compare(fitters: dict, windows, mode: str, repetitions: int, base_seed: int)
     """Train every named model on identical splits, once per repetition, each
     split at split_repetitions' defaults: train fraction 0.8 and 4 folds.
 
-    Each fitter is called as fitter(train_windows, val_windows, seed) and
-    must return an object whose predict_proba maps a stack (B, 5, T) of
-    windows to (B, n_classes) probabilities; evaluate_model scores the test
-    side in stacks of at most `training.SCORE_CHUNK` windows. Fold 0 of the split's k-fold
-    assignment serves as the shared validation part. Reports per-model mean
-    accuracy, the largest deviation of any repetition from that mean
-    (max mean error), repetition-mean macro metrics, and pairwise rank-sum
-    p-values over the accuracy lists. Every repetition is split before the
-    first model trains.
-    """
-    return compare_plans(fitters, windows, split_repetitions(windows, mode, repetitions, base_seed))
-
-
-def compare_plans(fitters: dict, windows, plans: list[SplitPlan]) -> ComparisonResult:
-    """compare over split plans already made, one per repetition, each
-    fitted with its plan's seed; the plans share one mode."""
-    per_model: dict[str, list[EvalReport]] = {name: [] for name in fitters}
-    for plan in plans:
+    Each fitter is called in this process as fitter(train_windows,
+    val_windows, plan seed), plan by plan, and must return an object whose
+    predict_proba maps a stack (B, 5, T) of windows to (B, n_classes)
+    probabilities; evaluate_model scores the test side in stacks of at most
+    `training.SCORE_CHUNK` windows. Fold 0 of the split's k-fold assignment
+    is the validation part. Every repetition is split before the first model
+    trains. The pipeline's compare fits jobs instead and ends in the same
+    `summarize`."""
+    reports: dict[str, list[EvalReport]] = {name: [] for name in fitters}
+    for plan in split_repetitions(windows, mode, repetitions, base_seed):
         fit_train, fit_val, test = fold0_sets(windows, plan)
         for name, fitter in fitters.items():
-            model = fitter(fit_train, fit_val, plan.seed)
-            per_model[name].append(evaluate_model(model, test))
+            reports[name].append(evaluate_model(fitter(fit_train, fit_val, plan.seed), test))
+    return summarize(mode, reports)
 
-    accuracies = {name: [r.accuracy for r in reports] for name, reports in per_model.items()}
+
+def summarize(mode: str, reports: dict[str, list[EvalReport]]) -> ComparisonResult:
+    """From each model's test reports in repetition order: its mean accuracy,
+    the largest deviation of any repetition from it (max mean error), the
+    repetition-mean macro metrics, and pairwise rank-sum p-values."""
+    accuracies = {name: [r.accuracy for r in model_reports] for name, model_reports in reports.items()}
     rows = []
-    for name, reports in per_model.items():
+    for name, model_reports in reports.items():
         mean_acc = float(np.mean(accuracies[name]))
         rows.append(
             ModelComparison(
@@ -336,10 +333,10 @@ def compare_plans(fitters: dict, windows, plans: list[SplitPlan]) -> ComparisonR
                 accuracies=accuracies[name],
                 mean_accuracy=mean_acc,
                 max_mean_error=float(max(abs(a - mean_acc) for a in accuracies[name])),
-                macro_precision=float(np.mean([r.macro_precision for r in reports])),
-                macro_recall=float(np.mean([r.macro_recall for r in reports])),
-                macro_f1=float(np.mean([r.macro_f1 for r in reports])),
+                macro_precision=float(np.mean([r.macro_precision for r in model_reports])),
+                macro_recall=float(np.mean([r.macro_recall for r in model_reports])),
+                macro_f1=float(np.mean([r.macro_f1 for r in model_reports])),
             )
         )
     p_values = {f"{a}|{b}": wilcoxon_rank_sum(accuracies[a], accuracies[b]) for a, b in combinations(accuracies, 2)}
-    return ComparisonResult(mode=plans[0].mode, repetitions=len(plans), models=rows, p_values=p_values)
+    return ComparisonResult(mode=mode, repetitions=len(rows[0].accuracies), models=rows, p_values=p_values)

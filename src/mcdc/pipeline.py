@@ -1,8 +1,8 @@
 """End-to-end runs behind the CLI: dataset assembly, training with 4-fold
 cross-validation, held-out evaluation, model comparison and hyperparameter
-sweeps. Every artifact a run writes (checkpoint, history CSV, split plan,
-reports) is a pure function of the config and seed, so reruns are
-byte-identical.
+sweeps. Every fit is a `_Job` (a train fold, a compare repetition's kind, a
+sweep cell), and `_fits` is the one map that runs them. Every artifact a run
+writes is a pure function of the config and seed, so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .data import (
     FRACTION,
     SPLIT_MODES,
     SplitPlan,
+    fold0_sets,
+    fold_sets,
     interpolate_gaps,
     load_series,
     normalize,
@@ -27,10 +29,10 @@ from .data import (
     split,
     write_series_csv,
 )
-from .evaluation import compare_plans, evaluate_model, roc_csv, split_repetitions
+from .evaluation import evaluate_model, roc_csv, split_repetitions, summarize
 from .model import ModelHyper, check_fields, one_of, read_object, setting, setting_of
 from .synth import load_recipe, synth_generate
-from .training import TrainConfig, cross_validate, history_to_csv, train_fold
+from .training import TrainConfig, history_to_csv, train_fold
 
 __all__ = [
     "PipelineError",
@@ -145,6 +147,41 @@ def build_windows(series, temporal_len: int):
     return windows
 
 
+@dataclass(frozen=True)
+class _Job:
+    """One fit, picklable for a worker process: a fresh `kind` model seeded
+    `model_seed`, trained under `config` with `train_seed` as its training
+    seed. `label` names the fit in its errors."""
+
+    label: str
+    config: RunConfig
+    kind: str
+    model_seed: int
+    train_seed: int
+    train_windows: list
+    val_windows: list
+
+
+def _fit(job: _Job):
+    """(model, history) of one job; a ValueError leads with the job's label."""
+    try:
+        model = job.config.make_model(job.kind, job.model_seed)
+        history = train_fold(model, job.train_windows, job.val_windows,
+                             replace(job.config.train_config(), seed=job.train_seed))
+    except ValueError as exc:
+        raise ValueError(f"{job.label}: {exc}") from exc
+    return model, history
+
+
+def _fits(jobs: list[_Job], workers: int) -> list:
+    """Each job's (model, history), in job order: fitted in this process at
+    one worker, in a pool of `workers` processes above that."""
+    if workers == 1:
+        return list(map(_fit, jobs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_fit, jobs))
+
+
 def run_gen_data(recipe: str, out_path: str, seed: int, **overrides) -> int:
     """Generate a synthetic dataset CSV; returns the number of series."""
     series = synth_generate(load_recipe(recipe), seed=seed, **overrides)
@@ -162,19 +199,16 @@ def run_train(config: RunConfig) -> dict:
     with _stage("window"):
         windows = build_windows(series, config.temporal_len)
     with _stage("split"):
-        train_cfg = config.train_config()
-        plan = split(
-            windows, config.split_mode, config.train_fraction, seed=config.seed, k=train_cfg.folds
-        )
+        plan = split(windows, config.split_mode, config.train_fraction, seed=config.seed, k=config.train_config().folds)
     with _stage("normalize"):
         normalized, stats = normalize([windows[i] for i in plan.train_indices], windows)
     with _stage("train"):
-        result = cross_validate(
-            lambda fold: config.make_model(config.model, config.seed + fold),
-            normalized,
-            plan,
-            train_cfg,
-        )
+        folds = [_Job(f"fold {fold}", config, config.model, config.seed + fold, config.seed,
+                      *fold_sets(normalized, plan, fold)) for fold in range(len(plan.folds))]
+        models, histories = zip(*_fits(folds, 1))
+    # train_fold left each model holding the parameters its best-epoch row scored
+    accuracies = [history.rows[history.best_epoch].val_accuracy for history in histories]
+    best_fold = accuracies.index(max(accuracies))  # the first max: ties go to the lowest fold
     with _stage("save"):
         os.makedirs(config.out_dir, exist_ok=True)
         paths = {
@@ -182,19 +216,15 @@ def run_train(config: RunConfig) -> dict:
             "history": os.path.join(config.out_dir, "history.csv"),
             "split": os.path.join(config.out_dir, "split.json"),
         }
-        save_checkpoint(paths["checkpoint"], result.best_model, stats)
-        history_to_csv(result.fold_histories, paths["history"])
+        save_checkpoint(paths["checkpoint"], models[best_fold], stats)
+        history_to_csv(histories, paths["history"])
         with open(paths["split"], "w", encoding="utf-8") as fh:
             fh.write(plan.to_json())
             fh.write("\n")
         if not config.data_csv:
             paths["dataset"] = os.path.join(config.out_dir, "dataset.csv")
             write_series_csv(series, paths["dataset"])
-    return {
-        "paths": paths,
-        "best_fold": result.best_fold,
-        "fold_val_accuracies": result.fold_val_accuracies,
-    }
+    return {"paths": paths, "best_fold": best_fold, "fold_val_accuracies": accuracies}
 
 
 def run_eval(
@@ -249,21 +279,6 @@ def run_eval(
     return {"report": report, "paths": {"report": report_path, "roc": roc_path}}
 
 
-def _fitter_for(config: RunConfig, kind: str):
-    def fit(train_windows, val_windows, seed):
-        model = config.make_model(kind, seed)
-        train_fold(model, train_windows, val_windows, replace(config.train_config(), seed=seed))
-        return model
-
-    return fit
-
-
-def _plans(config: RunConfig, windows, mode: str, repetitions: int):
-    """The split plans of a comparison under `config`'s seed, split and fold settings."""
-    k = config.train_config().folds
-    return split_repetitions(windows, mode, repetitions, config.seed, config.train_fraction, k)
-
-
 def run_compare(config: RunConfig, kinds: list[str], repetitions: int, modes: list[str]) -> dict:
     """Repeated train/evaluate comparison across model kinds and split modes,
     written to comparison.json. The kinds, the repetition count and the
@@ -279,14 +294,22 @@ def run_compare(config: RunConfig, kinds: list[str], repetitions: int, modes: li
             raise ValueError(f"{flag} must be among {known}, got unknown {unknown}")
     with _stage("load"):
         windows = build_windows(build_series(config), config.temporal_len)
+    k = config.train_config().folds
     plans = {}
     for mode in modes:
         with _stage(f"compare-{mode}"):
-            plans[mode] = _plans(config, windows, mode, repetitions)
+            plans[mode] = split_repetitions(windows, mode, repetitions, config.seed, config.train_fraction, k)
     results = {}
     for mode in modes:
         with _stage(f"compare-{mode}"):
-            results[mode] = compare_plans({kind: _fitter_for(config, kind) for kind in kinds}, windows, plans[mode])
+            sets = [fold0_sets(windows, plan) for plan in plans[mode]]
+            jobs = [_Job(f"{mode} repetition {rep}, {kind}", config, kind, plan.seed, plan.seed, *sets[rep][:2])
+                    for rep, plan in enumerate(plans[mode]) for kind in kinds]
+            tests = [test for _, _, test in sets for _ in kinds]
+            reports = {kind: [] for kind in kinds}
+            for job, (model, _), test in zip(jobs, _fits(jobs, 1), tests):
+                reports[job.kind].append(evaluate_model(model, test))
+            results[mode] = summarize(mode, reports)
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "comparison.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -294,19 +317,13 @@ def run_compare(config: RunConfig, kinds: list[str], repetitions: int, modes: li
     return {"results": results, "paths": {"comparison": path}}
 
 
-def _sweep_cell(config: RunConfig) -> float:
-    """One fully seeded grid cell: a one-repetition compare of the cell's
-    model kind in its split mode; returns the test accuracy."""
-    windows = build_windows(build_series(config), config.temporal_len)
-    plans = _plans(config, windows, config.split_mode, 1)
-    return compare_plans({config.model: _fitter_for(config, config.model)}, windows, plans).models[0].accuracies[0]
-
-
 def run_sweep(config: RunConfig, grid: dict | None = None, workers: int = 1) -> dict:
     """Cartesian grid over the axes of DEFAULT_SWEEP_GRID (kernel sizes, head
-    count, window length); an axis missing from `grid` takes its default. One
-    seeded train+eval per cell, rows written to sweep.csv in grid order;
-    `workers` >= 1 processes run the cells, and more than one changes no byte."""
+    count, window length); an axis missing from `grid` takes its default.
+    Each cell is a one-repetition, one-kind compare, its test accuracy a row
+    of sweep.csv in grid order. The cells of one window length share one
+    split, made before any cell trains. `workers` >= 1 processes run the
+    cells, and more than one changes no byte."""
     merged = {**DEFAULT_SWEEP_GRID, **{k: v for k, v in (grid or {}).items() if v is not None}}
     if merged.keys() != DEFAULT_SWEEP_GRID.keys():
         raise PipelineError(f"unknown sweep axes {sorted(merged.keys() - DEFAULT_SWEEP_GRID.keys())}")
@@ -315,13 +332,22 @@ def run_sweep(config: RunConfig, grid: dict | None = None, workers: int = 1) -> 
     if workers < 1:
         raise PipelineError(f"workers must be >= 1, got {workers}")
     cells = [dict(zip(merged, combo)) for combo in product(*merged.values())]
-    # every cell's settings are checked before the first cell trains
-    jobs = [replace(config, **cell) for cell in cells]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            accuracies = list(pool.map(_sweep_cell, jobs))
-    else:
-        accuracies = [_sweep_cell(job) for job in jobs]
+    # every cell's settings are checked before the data are loaded
+    configs = [replace(config, **cell) for cell in cells]
+    with _stage("load"):
+        series = build_series(config)
+    with _stage("sweep"):
+        sets = {}
+        for temporal_len in merged["temporal_len"]:
+            windows = build_windows(series, temporal_len)
+            plan = split(windows, config.split_mode, config.train_fraction, seed=config.seed,
+                         k=config.train_config().folds)
+            sets[temporal_len] = fold0_sets(windows, plan)
+        jobs = [_Job("cell " + ", ".join(f"{axis}={value}" for axis, value in cell.items()), cell_config,
+                     cell_config.model, config.seed, config.seed, *sets[cell_config.temporal_len][:2])
+                for cell, cell_config in zip(cells, configs)]
+        accuracies = [evaluate_model(model, sets[job.config.temporal_len][2]).accuracy
+                      for job, (model, _) in zip(jobs, _fits(jobs, workers))]
     rows = [(*cell.values(), config.seed, acc) for cell, acc in zip(cells, accuracies)]
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "sweep.csv")

@@ -1,5 +1,6 @@
-"""Adam training with the stepped learning-rate decay, mini-batching,
-validation-loss early stopping and the 4-fold cross-validation loop.
+"""Adam training with the stepped learning-rate decay, mini-batching and
+validation-loss early stopping: one fit of one model on one (train, val)
+pair. Which fits a run makes, and on which folds, is the pipeline's job list.
 
 Every stochastic choice derives from the config seed (batch order reseeds
 as seed+epoch), so a (config, dataset) pair reproduces its history and final
@@ -16,18 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CdgdWindow, fold_sets
+from .data import CdgdWindow
 from .model import AT_LEAST_1, check_fields, setting
 from .tensor import Tape, backward, cross_entropy, tensor
 
 __all__ = [
     "AdamState",
-    "CrossValResult",
     "EpochStats",
     "TrainConfig",
     "TrainHistory",
     "adam_step",
-    "cross_validate",
     "evaluate_windows",
     "history_to_csv",
     "lr_schedule",
@@ -211,12 +210,14 @@ def _cycle_collector_paused():
 
 
 @_cycle_collector_paused()
+@np.errstate(over="raise", invalid="raise")
 def train_fold(model, train_windows: list[CdgdWindow], val_windows: list[CdgdWindow], config: TrainConfig) -> TrainHistory:
     """Train until the epoch cap or `patience` epochs without a validation-loss
     improvement; the model is left holding the best-validation parameters.
 
-    A non-finite batch loss or gradient stops training with a ValueError
-    naming the epoch and the batch. Each batch's graph is freed before the
+    A non-finite batch loss or gradient, or a float overflow or invalid value
+    (raised here, not warned), stops training with a ValueError naming the
+    epoch and the batch or validation. Each batch's graph is freed before the
     next batch's forward starts (see _train_batch), and backward frees each
     intermediate gradient as soon as it is used, so a step's memory is one
     batch's activations plus the gradients in flight.
@@ -232,62 +233,36 @@ def train_fold(model, train_windows: list[CdgdWindow], val_windows: list[CdgdWin
     best_snapshot = None
     stale = 0
     n = len(train_windows)
-    for epoch in range(config.epochs):
-        started = time.perf_counter()
-        lr = lr_schedule(epoch, config)
-        order = np.random.default_rng(config.seed + epoch).permutation(n)
-        loss_sum = 0.0
-        for batch_index, lo in enumerate(range(0, n, config.batch_size)):
-            batch = [train_windows[i] for i in order[lo:lo + config.batch_size]]
-            where = f"epoch {epoch}, batch {batch_index}"
-            loss_sum += _train_batch(model, params, batch, state, lr, config, where) * len(batch)
-        val_loss, val_acc = evaluate_windows(model, val_windows)
-        history.rows.append(
-            EpochStats(epoch, loss_sum / n, val_acc, val_loss, lr, time.perf_counter() - started)
-        )
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best_snapshot = {name: p.data.copy() for name, p in params}
-            history.best_epoch = epoch
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
-                break
+    try:
+        for epoch in range(config.epochs):
+            started = time.perf_counter()
+            lr = lr_schedule(epoch, config)
+            order = np.random.default_rng(config.seed + epoch).permutation(n)
+            loss_sum = 0.0
+            for batch_index, lo in enumerate(range(0, n, config.batch_size)):
+                batch = [train_windows[i] for i in order[lo:lo + config.batch_size]]
+                where = f"epoch {epoch}, batch {batch_index}"
+                loss_sum += _train_batch(model, params, batch, state, lr, config, where) * len(batch)
+            where = f"epoch {epoch}, validation"
+            val_loss, val_acc = evaluate_windows(model, val_windows)
+            history.rows.append(
+                EpochStats(epoch, loss_sum / n, val_acc, val_loss, lr, time.perf_counter() - started)
+            )
+            if val_loss < best_loss:
+                best_loss = val_loss
+                best_snapshot = {name: p.data.copy() for name, p in params}
+                history.best_epoch = epoch
+                stale = 0
+            else:
+                stale += 1
+                if stale >= config.patience:
+                    break
+    except FloatingPointError as exc:
+        raise ValueError(f"training diverged at {where}: {exc}") from exc
     if best_snapshot is not None:
         for name, p in params:
             p.data[...] = best_snapshot[name]
     return history
-
-
-@dataclass
-class CrossValResult:
-    fold_histories: list[TrainHistory]
-    fold_val_accuracies: list[float]
-    best_fold: int
-    best_model: object
-
-
-def cross_validate(make_model, windows: list[CdgdWindow], plan, config: TrainConfig) -> CrossValResult:
-    """Train one model per fold, validating on the held-out fold; the model
-    with the best validation accuracy (ties to the lowest fold index) wins."""
-    histories = []
-    accuracies = []
-    best = (-1.0, 0, None)
-    for fold_index in range(len(plan.folds)):
-        train_windows, val_windows = fold_sets(windows, plan, fold_index)
-        model = make_model(fold_index)
-        try:
-            history = train_fold(model, train_windows, val_windows, config)
-        except ValueError as exc:
-            raise ValueError(f"fold {fold_index}: {exc}") from exc
-        histories.append(history)
-        # train_fold left the model holding the parameters this row scored
-        val_acc = history.rows[history.best_epoch].val_accuracy
-        accuracies.append(val_acc)
-        if val_acc > best[0]:
-            best = (val_acc, fold_index, model)
-    return CrossValResult(histories, accuracies, best[1], best[2])
 
 
 def history_to_csv(fold_histories: list[TrainHistory], path) -> None:

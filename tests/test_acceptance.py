@@ -14,9 +14,9 @@ from mcdc.attention import attention_map, cnn_qkv, new_qkv
 from mcdc.baselines import make_model
 from mcdc.cli import main
 from mcdc.data import fold0_sets, interpolate_gaps, normalize, overlapping_sample, split
-from mcdc.evaluation import compare, evaluate_model, roc_auc, wilcoxon_rank_sum
+from mcdc.evaluation import evaluate_model, roc_auc, wilcoxon_rank_sum
 from mcdc.model import McdcModel, ModelHyper
-from mcdc.pipeline import RunConfig, _fitter_for, build_series, build_windows
+from mcdc.pipeline import RunConfig, build_series, build_windows, run_compare
 from mcdc.synth import load_recipe, synth_generate
 from mcdc.tensor import conv1d, cross_entropy, grad_check, tensor
 from mcdc.training import TrainConfig, lr_schedule, train_fold
@@ -147,15 +147,13 @@ def test_criterion_05_synthetic_end_to_end():
         assert elapsed < 900.0, f"took {elapsed:.0f}s"
 
 
-def test_criterion_06_mechanism_stability_comparison():
+def test_criterion_06_mechanism_stability_comparison(tmp_path):
     with criterion(6, "conv attention std <= matrix std over 10 repetitions at H=4"):
         config = RunConfig(
-            seed=100, recipe="stability", temporal_len=8, heads=4,
+            seed=100, out_dir=str(tmp_path), recipe="stability", temporal_len=8, heads=4,
             train={"epochs": 30, "batch_size": 200, "patience": 10, "folds": 4},
         )
-        windows = build_windows(build_series(config), 8)
-        fitters = {k: _fitter_for(config, k) for k in ("mcdc", "mcdc-matrix")}
-        result = compare(fitters, windows, "sample", repetitions=10, base_seed=100)
+        result = run_compare(config, ["mcdc", "mcdc-matrix"], 10, ["sample"])["results"]["sample"]
         by_name = {row.name: row for row in result.models}
         conv_std = float(np.std(by_name["mcdc"].accuracies))
         matrix_std = float(np.std(by_name["mcdc-matrix"].accuracies))
@@ -174,18 +172,14 @@ def test_criterion_06_mechanism_stability_comparison():
         assert c["channel_qkv"].data.size < m["channel_qkv"].data.size
 
 
-def test_criterion_07_facility_generalization():
+def test_criterion_07_facility_generalization(tmp_path):
     with criterion(7, "facility split strictly harder; mcdc generalizes at least as well as ann"):
         config = RunConfig(
-            seed=200, recipe="facility_shift", temporal_len=12, heads=2,
+            seed=200, out_dir=str(tmp_path), recipe="facility_shift", temporal_len=12, heads=2,
             train={"epochs": 40, "batch_size": 200, "patience": 10, "folds": 4},
         )
-        windows = build_windows(build_series(config), 12)
-        fitters = {k: _fitter_for(config, k) for k in ("mcdc", "ann")}
-        means = {}
-        for mode in ("sample", "facility"):
-            result = compare(fitters, windows, mode, repetitions=5, base_seed=200)
-            means[mode] = {row.name: row.mean_accuracy for row in result.models}
+        results = run_compare(config, ["mcdc", "ann"], 5, ["sample", "facility"])["results"]
+        means = {mode: {row.name: row.mean_accuracy for row in result.models} for mode, result in results.items()}
         print(
             f"\n  mcdc sample {means['sample']['mcdc']:.4f} facility {means['facility']['mcdc']:.4f}; "
             f"ann sample {means['sample']['ann']:.4f} facility {means['facility']['ann']:.4f} "

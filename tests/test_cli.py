@@ -1,11 +1,14 @@
 """CLI and pipeline behavior on deliberately tiny configurations."""
 
 import argparse
+import functools
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from importlib import resources
 
@@ -334,6 +337,16 @@ class TestTrainCommand:
         # only the data can rule this out, so it fails at its stage
         assert main(["train", "--seed", "4", "--out", str(tmp_path / "x"), *TINY_FLAGS, "--folds", "100000"]) == 1
         assert capsys.readouterr().err.startswith("error: stage 'split': folds=100000 exceeds training size ")
+
+    def test_diverging_run_prints_one_error_line(self, tmp_path):
+        # numpy used to print two RuntimeWarning lines before the error line
+        result = TestModuleEntry._run("-m", "mcdc", "train", "--seed", "7", "--out", str(tmp_path / "run"),
+                                      *TINY_FLAGS, "--lr0", "1e300")
+        assert result.returncode == 1
+        assert result.stderr.splitlines() == [
+            "error: stage 'train': fold 0: training diverged at epoch 0, batch 1: overflow encountered in matmul"
+        ]
+        assert not (tmp_path / "run").exists()
 
     def test_missing_data_file_fails_with_stage(self, tmp_path, capsys):
         code = main(
@@ -979,6 +992,19 @@ class TestCompareCommand:
         assert calls == []
         assert not out.exists()
 
+    def test_diverging_fit_names_mode_repetition_and_kind(self, tmp_path, capsys, monkeypatch):
+        # the fits run repetition by repetition, each one's kinds in --models order
+        poisoned = _poisoned_train_fold(monkeypatch, call=3)
+        out = tmp_path / "cmp"
+        code = main(["compare", "--seed", "31", "--out", str(out), *TINY_FLAGS,
+                     "--models", "mcdc,ann", "--repetitions", "2", "--modes", "sample"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: stage 'compare-sample': sample repetition 1, ann: training diverged at epoch 0, batch 0: loss nan"
+        )
+        assert [type(model).__name__ for model in poisoned] == ["McdcModel", "AnnModel"] * 2
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags,message",
         [
@@ -998,6 +1024,22 @@ class TestCompareCommand:
         assert message in err
         assert "stage" not in err
         assert not out.exists()
+
+
+def _poisoned_train_fold(monkeypatch, call):
+    """Patch pipeline.train_fold to record each model it trains and set the
+    `call`-th one's first parameter entry to NaN first; returns the record."""
+    trained = []
+    real = pipeline.train_fold
+
+    def poisoned(model, *args):
+        if len(trained) == call:
+            next(iter(model.params.values())).data.flat[0] = np.nan
+        trained.append(model)
+        return real(model, *args)
+
+    monkeypatch.setattr(pipeline, "train_fold", poisoned)
+    return trained
 
 
 TWO_CELLS = [
@@ -1059,6 +1101,31 @@ class TestSweepCommand:
         assert trained == []
         assert not out.exists()
 
+    def test_grid_length_without_windows_refused_before_any_cell_trains(self, tmp_path, capsys, monkeypatch):
+        # the T = 8 cell used to train first
+        trained = []
+        monkeypatch.setattr(pipeline, "train_fold", lambda *args, **kwargs: trained.append(args))
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--seed", "1", "--out", str(out), *SWEEP_FLAGS, "--grid-kernel-temporal", "3",
+                     "--grid-kernel-channel", "4", "--grid-heads", "1", "--grid-temporal-len", "8,100000"])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: stage 'sweep': no windows of length 100000 could be cut from the dataset"
+        ]
+        assert trained == []
+        assert not out.exists()
+
+    def test_diverging_cell_names_the_stage_and_the_cell(self, tmp_path, capsys, monkeypatch):
+        _poisoned_train_fold(monkeypatch, call=1)
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--seed", "41", "--out", str(out), *SWEEP_FLAGS, *TWO_CELLS])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: stage 'sweep': cell kernel_temporal=5, kernel_channel=4, heads=1, temporal_len=8: "
+            "training diverged at epoch 0, batch 0: loss nan"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_refused_before_any_cell_trains(self, tmp_path, capsys, monkeypatch, workers):
         # 0 and -1 used to run the cells serially without a word
@@ -1073,6 +1140,18 @@ class TestSweepCommand:
 
     def test_process_pool_writes_the_serial_bytes(self, tmp_path):
         for workers in ("1", "2"):
+            out = str(tmp_path / f"w{workers}")
+            assert main(["sweep", "--seed", "41", "--out", out, *SWEEP_FLAGS, *TWO_CELLS, "--workers", workers]) == 0
+        assert (tmp_path / "w1" / "sweep.csv").read_bytes() == (tmp_path / "w2" / "sweep.csv").read_bytes()
+
+    def test_spawned_pool_writes_the_serial_bytes(self, tmp_path, monkeypatch):
+        # a spawned worker is a fresh interpreter, as on macOS and under Python
+        # 3.14's Linux default: the job must pickle, and the worker's BLAS must
+        # run one thread, as the serial run's does
+        for workers in ("1", "2"):
+            if workers == "2":
+                spawned = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+                monkeypatch.setattr(pipeline, "ProcessPoolExecutor", spawned)
             out = str(tmp_path / f"w{workers}")
             assert main(["sweep", "--seed", "41", "--out", out, *SWEEP_FLAGS, *TWO_CELLS, "--workers", workers]) == 0
         assert (tmp_path / "w1" / "sweep.csv").read_bytes() == (tmp_path / "w2" / "sweep.csv").read_bytes()

@@ -1,4 +1,5 @@
-"""Optimizer, schedule, early stopping and the cross-validation loop."""
+"""Optimizer, schedule, early stopping, and the cross-validation loop of
+the pipeline's fold jobs."""
 
 import gc
 import math
@@ -10,16 +11,16 @@ import pytest
 
 from mcdc.baselines import AnnHyper, AnnModel
 from mcdc.conditions import by_code
-from mcdc.data import CdgdWindow, split
+from mcdc.checkpoint import load_checkpoint
+from mcdc.data import CdgdWindow, fold_sets, split
 from mcdc.evaluation import evaluate_model
 from mcdc.model import McdcModel, ModelHyper
-from mcdc import training
+from mcdc import pipeline, training
 from mcdc.tensor import parameter
 from mcdc.training import (
     AdamState,
     TrainConfig,
     adam_step,
-    cross_validate,
     evaluate_windows,
     history_to_csv,
     lr_schedule,
@@ -272,6 +273,16 @@ class TestTrainFold:
         with pytest.raises(ValueError, match=r"diverged at epoch 0, batch 0: loss nan"):
             train_fold(model, two_class_windows(5), two_class_windows(2), config)
 
+    @pytest.mark.parametrize("batch_size,where", [(4, "batch 1"), (16, "validation")])
+    def test_float_overflow_stops_training_naming_epoch_and_batch(self, batch_size, where):
+        # the first step moves every parameter by about lr0, so the next
+        # forward, a batch's or the validation's, overflows; it used to warn
+        # and go on with NaNs
+        config = TrainConfig(seed=20, epochs=3, batch_size=batch_size, lr0=1e300)
+        message = f"training diverged at epoch 0, {where}: overflow encountered in matmul"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train_fold(tiny_model(seed=19), two_class_windows(5), two_class_windows(2), config)
+
     def test_one_batch_graph_at_a_time(self, monkeypatch):
         # a finished batch's loss, and with it its whole graph, is freed
         # before the next batch's forward starts
@@ -324,17 +335,52 @@ class TestTrainFold:
             gc.enable()
 
 
-class TestCrossValidate:
+def tiny_config(seed, **train):
+    """A run config whose make_model("mcdc", s) is tiny_model(s), training under `train`."""
+    return pipeline.RunConfig(seed=seed, temporal_len=8, heads=2, kernel_temporal=3, kernel_channel=4, ffn_hidden=8,
+                              train=train)
+
+
+def fold_jobs(windows, plan, config, model_seed):
+    """run_train's jobs over `plan`'s folds, with model seeds model_seed + fold."""
+    return [pipeline._Job(f"fold {fold}", config, "mcdc", model_seed + fold, config.seed,
+                          *fold_sets(windows, plan, fold)) for fold in range(len(plan.folds))]
+
+
+class TestFoldJobs:
     def _setup(self):
         windows = two_class_windows(20, seed=16)
         plan = split(windows, "sample", 0.8, seed=17, k=4)
         return windows, plan
 
+    @staticmethod
+    def _recorded_train(tmp_path, monkeypatch, poison_call=None):
+        """run_train on the stability recipe with every train_fold call
+        recorded as [model, config, history], the `poison_call`-th model's
+        first channel_qkv entry set to NaN first; returns (result or
+        exception, calls)."""
+        calls = []
+
+        def recorded(model, train_windows, val_windows, config):
+            if len(calls) == poison_call:
+                model.params["channel_qkv"].data[0, 0, 0] = np.nan
+            calls.append([model, config])
+            calls[-1].append(train_fold(model, train_windows, val_windows, config))
+            return calls[-1][2]
+
+        monkeypatch.setattr(pipeline, "train_fold", recorded)
+        config = pipeline.RunConfig(seed=20, out_dir=str(tmp_path / "run"), recipe="stability", temporal_len=8,
+                                    heads=1, kernel_temporal=3, kernel_channel=4, train={"epochs": 2, "batch_size": 64})
+        try:
+            return pipeline.run_train(config), calls
+        except pipeline.PipelineError as exc:
+            return exc, calls
+
     def test_four_fold_histories(self):
         windows, plan = self._setup()
-        config = TrainConfig(seed=18, epochs=3, batch_size=16)
-        result = cross_validate(lambda fold: tiny_model(seed=100 + fold), windows, plan, config)
-        assert len(result.fold_histories) == 4
+        fits = pipeline._fits(fold_jobs(windows, plan, tiny_config(18, epochs=3, batch_size=16), 100), 1)
+        assert len(fits) == 4
+        assert all(len(history.rows) == 3 for _, history in fits)
 
     def test_folds_disjoint(self):
         _, plan = self._setup()
@@ -344,45 +390,42 @@ class TestCrossValidate:
             seen |= set(fold)
         assert seen == set(plan.train_indices)
 
-    def test_divergence_names_the_fold(self):
-        windows, plan = self._setup()
+    def test_fold_models_seeded_seed_plus_fold_all_trained_with_the_seed(self, tmp_path, monkeypatch):
+        # a train seed of seed + fold would change checkpoint.json
+        _, calls = self._recorded_train(tmp_path, monkeypatch)
+        assert [model.seed for model, _, _ in calls] == [20, 21, 22, 23]
+        assert [config.seed for _, config, _ in calls] == [20] * 4
 
-        def make(fold):
-            model = tiny_model(seed=400 + fold)
-            if fold == 1:
-                model.params["channel_qkv"].data[0, 0, 0] = np.nan
-            return model
+    def test_divergence_names_the_fold(self, tmp_path, monkeypatch):
+        exc, calls = self._recorded_train(tmp_path, monkeypatch, poison_call=1)
+        assert len(calls) == 2
+        assert str(exc).startswith("stage 'train': fold 1: training diverged at epoch 0, batch 0")
+        assert re.match(r"^fold 1: training diverged at epoch 0, batch 0", str(exc.__cause__))
+        assert not (tmp_path / "run").exists()
 
-        with pytest.raises(ValueError, match=r"^fold 1: training diverged at epoch 0, batch 0"):
-            cross_validate(make, windows, plan, TrainConfig(seed=21, epochs=2, batch_size=16))
-
-    def test_best_fold_is_first_max_val_accuracy(self):
-        windows, plan = self._setup()
-        config = TrainConfig(seed=20, epochs=3, batch_size=16)
-        result = cross_validate(lambda fold: tiny_model(seed=300 + fold), windows, plan, config)
-        accs = result.fold_val_accuracies
+    def test_best_fold_is_first_max_val_accuracy(self, tmp_path, monkeypatch):
+        result, calls = self._recorded_train(tmp_path, monkeypatch)
+        accs = result["fold_val_accuracies"]
+        assert accs == [history.rows[history.best_epoch].val_accuracy for _, _, history in calls]
         assert len(accs) == 4
-        assert result.best_fold == accs.index(max(accs))
+        assert result["best_fold"] == accs.index(max(accs))
+        assert result["best_fold"] == 1 and accs[3] == accs[1]  # at this seed folds 1 and 3 tie at the max
+        best_model = calls[result["best_fold"]][0]
+        saved, _ = load_checkpoint(result["paths"]["checkpoint"])
+        for name, p in best_model.params.items():
+            assert saved.params[name].data.tobytes() == p.data.tobytes(), name
 
     def test_fold_accuracy_is_the_best_epoch_row_and_the_restored_models_score(self):
         # unlearnable labels, so accuracy moves from epoch to epoch and every fold stops early
         rng = np.random.default_rng(23)
         windows = [CdgdWindow("t", i, rng.normal(size=(5, 8)), by_code(i % 3)) for i in range(40)]
         plan = split(windows, "sample", 0.8, seed=17, k=4)
-        models = []
-
-        def make(fold):
-            models.append(tiny_model(seed=500 + fold))
-            return models[-1]
-
-        config = TrainConfig(seed=22, epochs=10, batch_size=16, patience=2, lr0=0.05)
-        result = cross_validate(make, windows, plan, config)
+        config = tiny_config(22, epochs=10, batch_size=16, patience=2, lr0=0.05)
         moved = 0
-        for fold, history in enumerate(result.fold_histories):
+        for fold, (model, history) in enumerate(pipeline._fits(fold_jobs(windows, plan, config, 500), 1)):
             row = history.rows[history.best_epoch]
-            assert result.fold_val_accuracies[fold] == row.val_accuracy
             val_windows = [windows[i] for i in plan.folds[fold]]
-            assert evaluate_windows(models[fold], val_windows)[1] == row.val_accuracy
+            assert evaluate_windows(model, val_windows)[1] == row.val_accuracy
             moved += history.rows[-1].val_accuracy != row.val_accuracy
         assert moved, "no fold's last epoch scored differently from its best"
 
