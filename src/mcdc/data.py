@@ -386,6 +386,11 @@ class SplitPlan:
             bad = [i for i in getattr(self, name) if not 0 <= i < self.n_windows]
             if bad:
                 raise ValueError(f"{name} must be window indices in [0, {self.n_windows}), but holds {bad[0]}")
+        seen = set()
+        for i in self.train_indices + self.test_indices:
+            if i in seen:
+                raise ValueError(f"train_indices and test_indices must list each window once, but {i} is listed twice")
+            seen.add(i)
         # split() lists train_indices in ascending order, so sorting them is one linear pass
         if sorted(i for fold in self.folds for i in fold) != sorted(self.train_indices):
             raise ValueError(f"folds must partition train_indices, got {reprlib.repr(self.folds)}")

@@ -281,9 +281,9 @@ def run_eval(
 
 def run_compare(config: RunConfig, kinds: list[str], repetitions: int, modes: list[str]) -> dict:
     """Repeated train/evaluate comparison across model kinds and split modes,
-    written to comparison.json. The kinds, the repetition count and the
-    modes are checked before the data are loaded, and every mode's
-    repetitions are split before the first model trains."""
+    written to comparison.json. The kinds and the modes, each listed once,
+    and the repetition count are checked before the data are loaded, and
+    every mode's repetitions are split before the first model trains."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     for flag, given, known in (("models", kinds, tuple(MODEL_KINDS)), ("modes", modes, SPLIT_MODES)):
@@ -292,6 +292,9 @@ def run_compare(config: RunConfig, kinds: list[str], repetitions: int, modes: li
         unknown = [v for v in given if v not in known]
         if unknown:
             raise ValueError(f"{flag} must be among {known}, got unknown {unknown}")
+        repeated = [v for i, v in enumerate(given) if v in given[:i]]
+        if repeated:
+            raise ValueError(f"{flag} must not repeat a value, got {repeated[0]!r} twice")
     with _stage("load"):
         windows = build_windows(build_series(config), config.temporal_len)
     k = config.train_config().folds

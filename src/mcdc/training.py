@@ -9,10 +9,8 @@ parameters bit for bit.
 
 from __future__ import annotations
 
-import gc
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,25 +189,6 @@ def _train_batch(model, params, batch: list[CdgdWindow], state: AdamState, lr: f
     return value
 
 
-@contextmanager
-def _cycle_collector_paused():
-    """Pause Python's cyclic garbage collector, restoring its state after.
-
-    Every tape and temporary a training run builds is acyclic and freed by
-    reference counting, so the collector finds nothing in them; left running,
-    it rescans each batch's live tape again and again, which took about a
-    third of a training epoch.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
-@_cycle_collector_paused()
 @np.errstate(over="raise", invalid="raise")
 def train_fold(model, train_windows: list[CdgdWindow], val_windows: list[CdgdWindow], config: TrainConfig) -> TrainHistory:
     """Train until the epoch cap or `patience` epochs without a validation-loss

@@ -23,12 +23,26 @@ from itertools import combinations
 
 import numpy as np
 
-from .attention import attention_map, cnn_qkv, new_qkv
+from .attention import new_qkv
 from .baselines import make_model
 from .conditions import by_code
 from .data import CdgdWindow
 from .evaluation import roc_auc, wilcoxon_rank_sum
-from .tensor import Tape, backward, conv1d, cross_entropy, grad_check, matmul, mul, parameter, sigmoid, sum_all, tensor
+from .tensor import (
+    Tape,
+    backward,
+    conv1d,
+    cross_entropy,
+    grad_check,
+    matmul,
+    mul,
+    parameter,
+    scaled_dot_softmax,
+    sigmoid,
+    split,
+    sum_all,
+    tensor,
+)
 from .training import TrainConfig, train_fold
 
 __all__ = [
@@ -199,8 +213,8 @@ def _check_attention_stochastic():
     for _ in range(20):
         x = rng.normal(scale=3.0, size=(10, 5, 8))
         for inp, bank in ((x, bank_t), (x.swapaxes(-1, -2), bank_c)):
-            q, k, _ = cnn_qkv(tensor(inp), bank)
-            amap = attention_map(q, k).data
+            q, k, _ = split(conv1d(tensor(inp), bank), 3)
+            amap = scaled_dot_softmax(q, k).data
             if not np.allclose(amap.sum(axis=-2), 1.0, atol=1e-9):
                 return False, "column sums off"
             if amap.min() < 0.0 or amap.max() > 1.0:

@@ -10,7 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from mcdc.attention import attention_map, cnn_qkv, new_qkv
+from mcdc.attention import new_qkv
+from mcdc import tensor as tz
 from mcdc.baselines import make_model
 from mcdc.cli import main
 from mcdc.data import fold0_sets, interpolate_gaps, normalize, overlapping_sample, split
@@ -18,7 +19,7 @@ from mcdc.evaluation import evaluate_model, roc_auc, wilcoxon_rank_sum
 from mcdc.model import McdcModel, ModelHyper
 from mcdc.pipeline import RunConfig, build_series, build_windows, run_compare
 from mcdc.synth import load_recipe, synth_generate
-from mcdc.tensor import conv1d, cross_entropy, grad_check, tensor
+from mcdc.tensor import conv1d, cross_entropy, grad_check, scaled_dot_softmax, tensor
 from mcdc.training import TrainConfig, lr_schedule, train_fold
 from mcdc.verify import enumeration_p, naive_conv, rank_auc
 from reference_ops import invert
@@ -74,8 +75,8 @@ def test_criterion_02_attention_map_stochasticity():
         for _ in range(1000):
             x = rng.normal(scale=4.0, size=(5, 8))
             for inp, qkv in ((x, temporal_qkv), (x.T, channel_qkv)):
-                q, k, _ = cnn_qkv(tensor(inp), qkv)
-                amap = attention_map(q, k).data[0]
+                q, k, _ = tz.split(conv1d(tensor(inp), qkv), 3)
+                amap = scaled_dot_softmax(q, k).data[0]
                 assert np.allclose(amap.sum(axis=0), 1.0, atol=1e-9)
                 assert amap.min() >= 0.0 and amap.max() <= 1.0
 

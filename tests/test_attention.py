@@ -6,14 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mcdc.attention import (
-    attend,
-    attention_map,
-    cnn_attention,
-    cnn_qkv,
-    matrix_attention,
-    new_qkv,
-)
+from mcdc.attention import cnn_attention, matrix_attention, new_qkv
 from mcdc import attention, tensor as tz
 from mcdc.baselines import make_model
 from mcdc.conditions import by_code
@@ -28,6 +21,7 @@ from mcdc.tensor import (
     glorot,
     matmul,
     reshape,
+    scaled_dot_softmax,
     split,
     tensor,
     transpose,
@@ -67,39 +61,43 @@ class TestNewQkv:
 
 
 class TestCnnQkv:
+    """A conv route's Q, K and V: split(conv1d(inp, bank), 3)."""
+
     def test_temporal_route_shapes(self):
         rng = np.random.default_rng(0)
         bank = new_qkv(rng, 1, 1, 5)
         # temporal route feeds the gas map as it is: tokens=time on columns
-        q, k, v = cnn_qkv(tensor(rng.normal(size=(5, 8))), bank)
+        q, k, v = split(conv1d(tensor(rng.normal(size=(5, 8))), bank), 3)
         assert q.shape == k.shape == v.shape == (1, 5, 8)
 
     def test_channel_route_shapes(self):
         # channel route feeds the gas map transposed: tokens=channels on columns
         rng = np.random.default_rng(1)
         bank = new_qkv(rng, 1, 1, 6)
-        q, k, v = cnn_qkv(tensor(rng.normal(size=(8, 5))), bank)
+        q, k, v = split(conv1d(tensor(rng.normal(size=(8, 5))), bank), 3)
         assert q.shape == k.shape == v.shape == (1, 8, 5)
 
     def test_identity_and_zero_kernels(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(5, 8))
         bank = _one_head_bank([1.0], [0.0], [0.0])
-        q, k, v = cnn_qkv(tensor(x), bank)
+        q, k, v = split(conv1d(tensor(x), bank), 3)
         assert np.array_equal(q.data[0], x)
         assert np.all(k.data == 0.0)
         assert np.all(v.data == 0.0)
 
 
 class TestAttentionMap:
+    """The attention map: scaled_dot_softmax(q, k)."""
+
     def test_identical_tokens_give_uniform_map(self):
         col = np.array([[1.0], [2.0], [0.5]])
         x = np.tile(col, (1, 4))
-        amap = attention_map(tensor(x), tensor(x))
+        amap = scaled_dot_softmax(tensor(x), tensor(x))
         assert np.allclose(amap.data, 0.25, atol=1e-12)
 
     def test_single_token(self):
-        amap = attention_map(tensor([[1.0], [2.0]]), tensor([[0.3], [0.7]]))
+        amap = scaled_dot_softmax(tensor([[1.0], [2.0]]), tensor([[0.3], [0.7]]))
         assert np.array_equal(amap.data, [[1.0]])
 
     def test_matches_naive_oracle(self):
@@ -107,33 +105,35 @@ class TestAttentionMap:
         for _ in range(20):
             q = rng.normal(size=(3, 4))
             k = rng.normal(size=(3, 4))
-            amap = attention_map(tensor(q), tensor(k))
+            amap = scaled_dot_softmax(tensor(q), tensor(k))
             assert np.allclose(amap.data, naive_attention_map(q, k), atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            attention_map(tensor(np.zeros((3, 4))), tensor(np.zeros((4, 3))))
+            scaled_dot_softmax(tensor(np.zeros((3, 4))), tensor(np.zeros((4, 3))))
 
     def test_columns_stochastic_many_draws(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             d, n = int(rng.integers(1, 7)), int(rng.integers(1, 9))
-            amap = attention_map(tensor(rng.normal(size=(d, n)) * 10), tensor(rng.normal(size=(d, n)) * 10))
+            amap = scaled_dot_softmax(tensor(rng.normal(size=(d, n)) * 10), tensor(rng.normal(size=(d, n)) * 10))
             assert np.allclose(amap.data.sum(axis=0), 1.0, atol=1e-9)
             assert np.all(amap.data >= 0.0) and np.all(amap.data <= 1.0)
 
 
 class TestAttend:
+    """The weighted sum of value tokens: matmul(v, map)."""
+
     def test_identity_map(self):
         rng = np.random.default_rng(5)
         v = rng.normal(size=(3, 4))
-        out = attend(tensor(v), tensor(np.eye(4)))
+        out = matmul(tensor(v), tensor(np.eye(4)))
         assert np.allclose(out.data, v, atol=1e-15)
 
     def test_uniform_map_gives_mean_token(self):
         rng = np.random.default_rng(6)
         v = rng.normal(size=(3, 4))
-        out = attend(tensor(v), tensor(np.full((4, 4), 0.25)))
+        out = matmul(tensor(v), tensor(np.full((4, 4), 0.25)))
         mean = v.mean(axis=1, keepdims=True)
         assert np.allclose(out.data, np.tile(mean, (1, 4)), atol=1e-12)
 
@@ -141,8 +141,8 @@ class TestAttend:
         rng = np.random.default_rng(7)
         for _ in range(20):
             v = rng.normal(size=(3, 5))
-            amap = attention_map(tensor(rng.normal(size=(3, 5))), tensor(rng.normal(size=(3, 5))))
-            out = attend(tensor(v), amap)
+            amap = scaled_dot_softmax(tensor(rng.normal(size=(3, 5))), tensor(rng.normal(size=(3, 5))))
+            out = matmul(tensor(v), amap)
             lo = v.min(axis=1, keepdims=True) - 1e-12
             hi = v.max(axis=1, keepdims=True) + 1e-12
             assert np.all(out.data >= lo) and np.all(out.data <= hi)
@@ -168,7 +168,7 @@ class TestVariants:
         x = rng.normal(size=(5, 8))
         out = matrix_attention(tensor(x), tensor([np.eye(5)] * 3))
         assert out.shape == (1, 5, 8)
-        expected = attend(tensor(x), attention_map(tensor(x), tensor(x)))
+        expected = matmul(tensor(x), scaled_dot_softmax(tensor(x), tensor(x)))
         assert np.allclose(out.data[0], expected.data, atol=1e-12)
 
     def test_drop_in_shapes_match(self):
@@ -205,13 +205,13 @@ def heads_of(qkv):
 def reference_cnn_head(inp, kernels):
     # each kernel alone as a one-kernel bank; reshape drops the bank axis
     q, k, v = (reshape(conv1d(inp, kern), inp.shape) for kern in kernels)
-    return attend(v, attention_map(q, k))
+    return matmul(v, scaled_dot_softmax(q, k))
 
 
 def reference_matrix_head(inp, matrices):
     # reshape turns each (1, d, d) part into its d x d matrix
     q, k, v = (matmul(reshape(w, w.shape[1:]), inp) for w in matrices)
-    return attend(v, attention_map(q, k))
+    return matmul(v, scaled_dot_softmax(q, k))
 
 
 def reference_forward(model, x):
@@ -289,7 +289,7 @@ class TestConvRouteBuffers:
         rng = np.random.default_rng(37)
         bank = new_qkv(rng, 4, 1, 5)
         with Tape() as tape:
-            q, k, v = cnn_qkv(tensor(rng.normal(size=(6, 5, 12))), bank)
+            q, k, v = split(conv1d(tensor(rng.normal(size=(6, 5, 12))), bank), 3)
         conv = tape.nodes[0]
         assert len(tape.nodes) == 4 and conv.shape == (6, 12, 5, 12)
         buffer = conv.data.base

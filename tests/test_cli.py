@@ -14,6 +14,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mcdc import evaluation, pipeline
 from mcdc.baselines import MODEL_KINDS, make_model
@@ -433,6 +435,48 @@ class TestBadFlagValue:
         assert not out.exists()
 
 
+def _integer_flags(command):
+    """`command`'s own int-typed flags but --seed, each with the setting it sets."""
+    parser = build_parser()._subparsers._group_actions[0].choices[command]
+    return {a.option_strings[0]: a.dest for a in parser._actions if a.type is int and a.dest != "seed"}
+
+
+class TestIntegerFlagFloors:
+    """An integer flag below its setting's floor is refused before any data
+    are loaded: exit 1, one error line naming the setting, nothing written."""
+
+    FLOORS = {"folds": 2}  # every other integer setting starts at 1
+
+    def test_each_command_has_its_own_flags(self):
+        model_and_train = ["--temporal-len", "--heads", "--kernel-temporal", "--kernel-channel", "--epochs",
+                           "--batch-size", "--patience", "--folds"]
+        assert list(_integer_flags("train")) == model_and_train
+        assert sorted(_integer_flags("compare")) == sorted(model_and_train + ["--repetitions"])
+        # the sweep grid sets the model's settings, so sweep has no flags for them
+        assert list(_integer_flags("sweep")) == ["--epochs", "--batch-size", "--patience", "--folds", "--workers"]
+
+    @pytest.mark.parametrize(
+        "command,flag,name",
+        [(command, flag, name) for command in ("train", "compare", "sweep")
+         for flag, name in _integer_flags(command).items()],
+    )
+    @settings(max_examples=15, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(below=st.integers(min_value=1))
+    def test_value_below_the_floor_refused_before_load(self, tmp_path, capsys, monkeypatch, command, flag, name,
+                                                       below):
+        floor = self.FLOORS.get(name, 1)
+        loads = []
+        monkeypatch.setattr(pipeline, "build_series", lambda *args: loads.append(args))
+        out = tmp_path / "out"
+        assert main([command, "--seed", "1", "--out", str(out), flag, str(floor - below)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"error: {name} must be >= {floor}") and lines[0].endswith(f"got {floor - below}")
+        assert loads == []
+        assert not out.exists()
+
+
 class TestRunConfig:
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_defaults_are_the_hyper_defaults(self, kind):
@@ -730,6 +774,14 @@ class TestDocumentContract:
             ("plan", _set("train_transformers", 5), "train_transformers must be a list of strings, got 5"),
             # it used to exit 0, though no split of this plan's training side makes these folds
             ("plan", _set("folds", [[99999], [-5]]), "folds must partition train_indices, got [[99999], [-5]]"),
+            # these three used to be read as they stood: eval scored a window the
+            # model trained on, or counted one test window twice
+            ("plan", lambda d: {**d, "train_indices": [0, 1], "folds": [[0], [1]], "test_indices": [1, 2]},
+             "train_indices and test_indices must list each window once, but 1 is listed twice"),
+            ("plan", lambda d: {**d, "train_indices": [0, 1], "folds": [[0], [1]], "test_indices": [2, 2]},
+             "train_indices and test_indices must list each window once, but 2 is listed twice"),
+            ("plan", lambda d: {**d, "train_indices": [0, 0, 1], "folds": [[0, 0], [1]], "test_indices": [2]},
+             "train_indices and test_indices must list each window once, but 0 is listed twice"),
             # it used to end in "stage 'evaluate': need at least one array to concatenate"
             ("plan", _set("test_indices", []), "test_indices must be non-empty, got []"),
             ("plan", _set("train_indices", []), "train_indices must be non-empty, got []"),
@@ -742,7 +794,8 @@ class TestDocumentContract:
              "checkpoint-unknown", "checkpoint-no-seed", "hyper-number", "hyper-unknown", "norm-stats-null",
              "norm-stats-unknown", "norm-stats-no-std", "string-heads", "bool-heads", "float-temporal-len",
              "number-attention", "plan-string", "plan-unknown", "plan-no-folds", "plan-string-folds",
-             "plan-number-transformers", "plan-foreign-folds", "plan-empty-test", "plan-empty-train",
+             "plan-number-transformers", "plan-foreign-folds", "plan-index-on-both-sides", "plan-test-index-twice",
+             "plan-train-index-twice", "plan-empty-test", "plan-empty-train",
              "plan-fraction-above-1", "plan-negative-fraction"],
     )
     def test_edit_exits_1_naming_the_file_and_the_key(self, trained, tmp_path, capsys, document, edit, message):
@@ -1014,6 +1067,12 @@ class TestCompareCommand:
             (["--models", "mcdc,bogus"], "models must be among ('mcdc', 'mcdc-matrix', 'ann'), got unknown ['bogus']"),
             (["--models", ","], "models must name at least one of"),
             (["--modes", ""], "modes must name at least one of"),
+            # every fit of a repeated kind landed in one report list, so
+            # mcdc,mcdc wrote "repetitions": 4 for --repetitions 2
+            (["--models", "mcdc,mcdc"], "models must not repeat a value, got 'mcdc' twice"),
+            (["--models", "ann,mcdc,ann"], "models must not repeat a value, got 'ann' twice"),
+            # and sample,sample trained every fit twice
+            (["--modes", "sample,sample"], "modes must not repeat a value, got 'sample' twice"),
         ],
     )
     def test_bad_flag_refused_before_load(self, tmp_path, capsys, flags, message):
@@ -1021,6 +1080,7 @@ class TestCompareCommand:
         code = main(["compare", "--seed", "31", "--out", str(out), *TINY_FLAGS, *flags])
         assert code == 1
         err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert message in err
         assert "stage" not in err
         assert not out.exists()

@@ -139,13 +139,12 @@ class TestStages:
         assert model.channel_interaction(x).shape == (5, 8)
 
     def test_channel_attention_map_is_5x5(self):
-        from mcdc.attention import attention_map, cnn_qkv
-        from mcdc.tensor import transpose
+        from mcdc.tensor import conv1d, scaled_dot_softmax, split, transpose
 
         model = McdcModel(TINY, seed=6)
         x = tensor(np.random.default_rng(7).normal(size=(5, 8)))
-        q, k, _ = cnn_qkv(transpose(x), model.params["channel_qkv"])
-        assert attention_map(q, k).shape == (TINY.heads, 5, 5)
+        q, k, _ = split(conv1d(transpose(x), model.params["channel_qkv"]), 3)
+        assert scaled_dot_softmax(q, k).shape == (TINY.heads, 5, 5)
 
     def test_single_head_with_identity_mix_equals_head_output(self):
         from mcdc.attention import cnn_attention

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mcdc import tensor as tz
-from mcdc.attention import cnn_qkv, new_qkv
+from mcdc.attention import new_qkv
 from mcdc.tensor import (
     DimensionError,
     Tape,
@@ -227,7 +227,7 @@ def _map_inputs(case):
         # stack: views whose matrices are C-contiguous, whose stack is not
         batch, length = {"conv-block-views": (8, 12), "conv-block-views-B200": (200, 12),
                          "conv-block-views-T48": (8, 48)}[case]
-        q, k, _ = cnn_qkv(tensor(rng.normal(scale=2.0, size=(batch, 5, length))), new_qkv(rng, 4, 1, 5))
+        q, k, _ = split(conv1d(tensor(rng.normal(scale=2.0, size=(batch, 5, length))), new_qkv(rng, 4, 1, 5)), 3)
         assert q.data.base is k.data.base
         return q.data, k.data
     # the matrix route: (4, 5, 5) head matrices broadcast over a (8, 1, 5, 12) batch
@@ -283,11 +283,11 @@ class TestScaledDotSoftmax:
     def test_matmul_hands_a_keys_first_operand_a_keys_first_gradient(self):
         # matmul writes the gradient of a strided, unbroadcast operand in the
         # operand's own layout, here a keys-first (n, B, H, n) buffer's
-        # (B, H, n, n) view as attend's map, with the bytes of the C-layout
+        # (B, H, n, n) view as the routes' map, with the bytes of the C-layout
         # product; so does the conv block's v split, a view of conv1d's
         # (K, L, B, n) buffer
         rng = np.random.default_rng(43)
-        _, _, v = cnn_qkv(tensor(rng.normal(size=(8, 5, 12))), new_qkv(rng, 4, 1, 5))
+        _, _, v = split(conv1d(tensor(rng.normal(size=(8, 5, 12))), new_qkv(rng, 4, 1, 5)), 3)
         v = Tensor(v.data, requires_grad=True)
         amap = Tensor(rng.normal(size=(12, 8, 4, 12)).transpose((1, 2, 0, 3)), requires_grad=True)
         g = rng.normal(size=v.shape)

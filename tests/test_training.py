@@ -1,7 +1,6 @@
 """Optimizer, schedule, early stopping, and the cross-validation loop of
 the pipeline's fold jobs."""
 
-import gc
 import math
 import re
 import weakref
@@ -300,39 +299,6 @@ class TestTrainFold:
         windows = two_class_windows(4)  # 8 windows, batch 4 -> two batches
         train_fold(tiny_model(seed=21), windows, windows, TrainConfig(seed=22, epochs=1, batch_size=4))
         assert alive_at_forward == [[], [False]]
-
-    def test_cycle_collector_paused_during_training_and_restored(self):
-        windows = two_class_windows(2)
-        config = TrainConfig(seed=16, epochs=1, batch_size=4)
-        seen = []
-
-        class Probe:
-            def __init__(self, model):
-                self.model = model
-
-            def parameters(self):
-                return self.model.parameters()
-
-            def forward(self, x):
-                seen.append(gc.isenabled())
-                return self.model.forward(x)
-
-            def predict_proba(self, x):
-                return self.model.predict_proba(x)
-
-        assert gc.isenabled()
-        train_fold(Probe(tiny_model(seed=17)), windows, windows, config)
-        assert seen and not any(seen)
-        assert gc.isenabled()
-        with pytest.raises(ValueError, match="empty training"):
-            train_fold(tiny_model(), [], windows, config)
-        assert gc.isenabled()
-        gc.disable()
-        try:
-            train_fold(tiny_model(seed=18), windows, windows, config)
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
 
 
 def tiny_config(seed, **train):
